@@ -57,6 +57,7 @@ from .model import (
     SimPath,
     StabilityWarning,
     builtin_dgp,
+    derive_seed,
     draw_innovations,
     linearized,
     simulate,
@@ -65,7 +66,6 @@ from .study import (
     StudyConfig,
     StudyResult,
     default_study_config,
-    derive_seed,
     run_study,
     run_study_variant_phi_shift,
     target_mode,

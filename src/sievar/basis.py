@@ -208,7 +208,9 @@ class SievePlan:
     """
 
     x_blocks: tuple[KnotVector | None, ...]
-    include_intercept: bool = True
+
+    # sieve designs always carry the linear X lags next to the blocks
+    x_lags_linear = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_blocks", tuple(self.x_blocks))
@@ -219,26 +221,15 @@ class SievePlan:
     def p(self) -> int:
         return len(self.x_blocks) - 1
 
+    @property
+    def x_terms(self) -> tuple[tuple[int, KnotVector], ...]:
+        """(lag, block) pairs of the nonlinear X columns, in column order."""
+        return tuple((j, kv) for j, kv in enumerate(self.x_blocks) if kv is not None)
+
     def k_total(self, d_y: int) -> int:
         """Total design width for a given Y dimension."""
-        spline = sum(block_width(kv) for kv in self.x_blocks if kv is not None)
-        intercept = 1 if self.include_intercept else 0
-        return intercept + spline + self.p + self.p * d_y + 1
-
-    def labels(self, d_y: int) -> tuple[str, ...]:
-        out: list[str] = []
-        if self.include_intercept:
-            out.append("intercept")
-        for j, kv in enumerate(self.x_blocks):
-            if kv is None:
-                continue
-            start = 2 if kv.degree >= 1 else 1
-            out.extend(f"spline:x_lag{j}:b{i}" for i in range(start, kv.dim))
-        out.extend(f"linear:x_lag{j}" for j in range(1, self.p + 1))
-        for j in range(1, self.p + 1):
-            out.extend(f"linear:y{m}_lag{j}" for m in range(d_y))
-        out.append("generated")
-        return tuple(out)
+        spline = sum(block_width(kv) for _, kv in self.x_terms)
+        return 1 + spline + self.p + self.p * d_y + 1
 
 
 @dataclass(frozen=True)
@@ -247,7 +238,6 @@ class DesignMatrix:
 
     values: np.ndarray
     column_labels: tuple[str, ...]
-    plan: SievePlan
 
     def __post_init__(self) -> None:
         if self.values.shape[1] != len(self.column_labels):
@@ -263,45 +253,9 @@ class DesignMatrix:
     def k(self) -> int:
         return self.values.shape[1]
 
-    def column(self, label: str) -> np.ndarray:
-        return self.values[:, self.column_labels.index(label)]
-
-
-def rebuild_column(
-    plan: SievePlan, label: str, x: np.ndarray, y: np.ndarray, eps_hat: np.ndarray
-) -> np.ndarray:
-    """Recompute one labelled design column from the raw inputs.
-
-    Used to verify that the labels are a faithful, exhaustive recipe for the
-    design (the W2 reassembly invariant).
-    """
-    p = plan.p
-    n = x.size
-    rows = slice(p, n)
-    if label == "intercept":
-        return np.ones(n - p)
-    if label == "generated":
-        return eps_hat if eps_hat.size == n - p else eps_hat[p:]
-    if label.startswith("spline:"):
-        _, lag_part, basis_part = label.split(":")
-        j = int(lag_part.removeprefix("x_lag"))
-        i = int(basis_part.removeprefix("b"))
-        kv = plan.x_blocks[j]
-        assert kv is not None
-        start = 2 if kv.degree >= 1 else 1
-        return block_matrix(kv, x[p - j : n - j])[:, i - start]
-    if label.startswith("linear:x_lag"):
-        j = int(label.removeprefix("linear:x_lag"))
-        return x[p - j : n - j]
-    if label.startswith("linear:y"):
-        comp, lag_part = label.removeprefix("linear:y").split("_lag")
-        m, j = int(comp), int(lag_part)
-        return y[p - j : n - j, m]
-    raise ValueError(f"unknown design label {label!r}")
-
 
 def build_design(
-    plan: SievePlan,
+    layout,
     x_path: np.ndarray,
     y_path: np.ndarray,
     eps_hat: np.ndarray,
@@ -309,6 +263,10 @@ def build_design(
 ) -> DesignMatrix:
     """Assemble the feasible stage-II design over rows t = p+1..n.
 
+    ``layout`` is a ``SievePlan`` or a ``ParametricForm``: its ``x_terms``
+    are (lag, KnotVector | NonlinFn) pairs, a knot vector contributing a
+    spline block and a transform one column, and ``x_lags_linear`` says
+    whether the linear X lags 1..p enter. ``p`` defaults to ``layout.p``.
     ``eps_hat`` may have length n (sliced to the usable rows) or n - p.
     """
     x = np.asarray(x_path, dtype=float)
@@ -316,9 +274,9 @@ def build_design(
     if y.ndim == 1:
         y = y[:, None]
     if p is None:
-        p = plan.p
-    if p != plan.p:
-        raise ValueError(f"plan covers lags 0..{plan.p} but p = {p}")
+        p = layout.p
+    if any(j > p for j, _ in layout.x_terms):
+        raise ValueError(f"transform lag exceeds the model lag order p = {p}")
     n = x.size
     if y.shape[0] != n:
         raise ValueError("X and Y paths must have equal length")
@@ -329,24 +287,29 @@ def build_design(
         eps_hat = eps_hat[p:]
     elif eps_hat.size != n - p:
         raise ValueError(f"eps_hat of wrong length: {eps_hat.size}, expected {n} or {n - p}")
-    d_y = y.shape[1]
-    if plan.k_total(d_y) >= n - p:
-        raise ValueError("overparameterized sieve: K_total must be below the usable sample size")
 
-    cols: list[np.ndarray] = []
-    if plan.include_intercept:
-        cols.append(np.ones(n - p))
-    for j, kv in enumerate(plan.x_blocks):
-        if kv is None:
-            continue
-        cols.append(block_matrix(kv, x[p - j : n - j]))
-    for j in range(1, p + 1):
-        cols.append(x[p - j : n - j, None])
+    cols: list[np.ndarray] = [np.ones((n - p, 1))]
+    labels = ["intercept"]
+    for idx, (j, term) in enumerate(layout.x_terms):
+        x_lag = x[p - j : n - j]
+        if isinstance(term, KnotVector):
+            cols.append(block_matrix(term, x_lag))
+            start = term.dim - block_width(term)
+            labels += [f"spline:x_lag{j}:b{i}" for i in range(start, term.dim)]
+        else:
+            cols.append(np.asarray(term(x_lag), dtype=float)[:, None])
+            labels.append(f"term{idx}:{term.kind}:x_lag{j}")
+    if layout.x_lags_linear:
+        cols += [x[p - j : n - j, None] for j in range(1, p + 1)]
+        labels += [f"linear:x_lag{j}" for j in range(1, p + 1)]
     for j in range(1, p + 1):
         cols.append(y[p - j : n - j, :])
+        labels += [f"linear:y{m}_lag{j}" for m in range(y.shape[1])]
     cols.append(eps_hat[:, None])
-    values = np.column_stack(cols)
-    return DesignMatrix(values=values, column_labels=plan.labels(d_y), plan=plan)
+    labels.append("generated")
+    if len(labels) >= n - p:
+        raise ValueError("overparameterized sieve: K_total must be below the usable sample size")
+    return DesignMatrix(values=np.column_stack(cols), column_labels=tuple(labels))
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def cmd_estimate(cfg: dict, args) -> int:
     p = int(cfg.get("p", spec.p if spec is not None else 1))
     plan = _plan_from(cfg.get("sieve"), np.asarray(sample.x), p)
     fit = fit_two_step(sample, plan)
-    dataio.save_fitted(fit, out_dir / "fitted")
+    dataio.save_fitted(fit, out_dir / "fitted.json")
     grid_points = int(cfg.get("grid_points", 101))
     lo = min(kv.lo for kv in plan.x_blocks if kv is not None)
     hi = max(kv.hi for kv in plan.x_blocks if kv is not None)
@@ -286,6 +286,30 @@ def cmd_irf(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+# mc config key (sieve keys prefixed "sieve.") -> (StudyConfig field, converter)
+MC_OVERRIDES = {
+    "n": ("n", int),
+    "replications": ("mc_replications", int),
+    "population_replications": ("pop_replications", int),
+    "deltas": ("deltas", _floats),
+    "horizon": ("horizon", int),
+    "estimators": ("estimators", tuple),
+    "relaxation": ("relaxation", _relaxation_from),
+    "seed": ("master_seed", int),
+    "burn_in": ("burn_in", int),
+    "phi_shift": ("phi_shift", bool),
+    "target_relaxed": ("target_relaxed", bool),
+    "estimator_relaxed": ("estimator_relaxed", bool),
+    "sieve.degree": ("degree", int),
+    "sieve.knots": ("knots", _floats),
+    "sieve.domain": ("domain", lambda v: None if v == "data" else (float(v[0]), float(v[1]))),
+}
+
+
 def cmd_mc(cfg: dict, args) -> int:
     _check_keys(
         cfg,
@@ -309,37 +333,10 @@ def cmd_mc(cfg: dict, args) -> int:
     sieve = dict(cfg.get("sieve") or {})
     _check_keys(sieve, {"degree", "knots", "domain"}, "sieve")
 
-    overrides = {}
-    if "n" in cfg:
-        overrides["n"] = int(cfg["n"])
-    if "replications" in cfg:
-        overrides["mc_replications"] = int(cfg["replications"])
-    if "population_replications" in cfg:
-        overrides["pop_replications"] = int(cfg["population_replications"])
-    if "deltas" in cfg:
-        overrides["deltas"] = tuple(float(d) for d in cfg["deltas"])
-    if "horizon" in cfg:
-        overrides["horizon"] = int(cfg["horizon"])
-    if "estimators" in cfg:
-        overrides["estimators"] = tuple(cfg["estimators"])
-    if "relaxation" in cfg:
-        overrides["relaxation"] = _relaxation_from(cfg["relaxation"])
-    if "seed" in cfg:
-        overrides["master_seed"] = int(cfg["seed"])
-    if "burn_in" in cfg:
-        overrides["burn_in"] = int(cfg["burn_in"])
-    if "phi_shift" in cfg:
-        overrides["phi_shift"] = bool(cfg["phi_shift"])
-    if "target_relaxed" in cfg:
-        overrides["target_relaxed"] = bool(cfg["target_relaxed"])
-    if "estimator_relaxed" in cfg:
-        overrides["estimator_relaxed"] = bool(cfg["estimator_relaxed"])
-    if "degree" in sieve:
-        overrides["degree"] = int(sieve["degree"])
-    if "knots" in sieve:
-        overrides["knots"] = tuple(float(k) for k in sieve["knots"])
-    if "domain" in sieve and sieve["domain"] != "data":
-        overrides["domain"] = (float(sieve["domain"][0]), float(sieve["domain"][1]))
+    flat = cfg | {f"sieve.{k}": v for k, v in sieve.items()}
+    overrides = {
+        field: convert(flat[key]) for key, (field, convert) in MC_OVERRIDES.items() if key in flat
+    }
     overrides["threads"] = args.threads
     study_cfg = default_study_config(dgp_id)
     if args.paper_scale or cfg.get("paper_scale"):
@@ -498,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     except IncompatibleShockError as exc:
         print(f"shock compatibility error: {exc}", file=sys.stderr)
         return EXIT_COMPAT
-    except (PathDivergedError, np.linalg.LinAlgError, AssertionError, ValueError) as exc:
+    except (PathDivergedError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,22 +1,17 @@
-"""CSV schemas: simulated paths, datasets, IRF tables, study tables, and the
-lossless fitted-model bundle."""
+"""CSV schemas for simulated paths, datasets, IRF tables and study tables;
+JSON codecs for model specifications and the lossless fitted-model bundle."""
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .basis import KnotVector, SievePlan
-from .estimator import (
-    FirstStageFit,
-    FittedModel,
-    ParametricForm,
-    _stage_two_from_tables,
-    _parametric_from_tables,
-)
+from .estimator import FirstStageFit, FittedModel, ParametricForm
 from .irf import IrfResult
 from .model import InnovationLaw, LagPolynomial, ModelSpec, NonlinFn, SimPath
 from .study import StudyResult
@@ -34,16 +29,21 @@ __all__ = [
 ]
 
 
+def _knots_to_config(kv: KnotVector) -> dict:
+    return {"degree": kv.degree, "interior": list(kv.interior), "lo": kv.lo, "hi": kv.hi}
+
+
+def _knots_from_config(cfg: dict) -> KnotVector:
+    return KnotVector(
+        int(cfg["degree"]), tuple(float(k) for k in cfg["interior"]),
+        float(cfg["lo"]), float(cfg["hi"]),
+    )
+
+
 def _term_to_config(term: NonlinFn) -> dict:
     out = {"kind": term.kind, "scale": term.scale}
     if term.kind == "spline":
-        out.update(
-            degree=term.knots.degree,
-            interior=list(term.knots.interior),
-            lo=term.knots.lo,
-            hi=term.knots.hi,
-            coeffs=list(term.coeffs),
-        )
+        out.update(_knots_to_config(term.knots), coeffs=list(term.coeffs))
     return out
 
 
@@ -52,11 +52,9 @@ def _term_from_config(cfg: dict) -> NonlinFn:
     scale = float(cfg.get("scale", 1.0))
     if kind != "spline":
         return NonlinFn(kind, scale)
-    kv = KnotVector(
-        int(cfg["degree"]), tuple(float(k) for k in cfg["interior"]),
-        float(cfg["lo"]), float(cfg["hi"]),
+    return NonlinFn(
+        kind, scale, knots=_knots_from_config(cfg), coeffs=tuple(float(c) for c in cfg["coeffs"])
     )
-    return NonlinFn(kind, scale, knots=kv, coeffs=tuple(float(c) for c in cfg["coeffs"]))
 
 
 def spec_to_config(spec: ModelSpec) -> dict:
@@ -202,126 +200,56 @@ def write_study(result: StudyResult, file: Path) -> None:
             writer.writerow([tag, _fmt(delta), var, h, _fmt(mse), _fmt(bias), _fmt(se), n_ok])
 
 
-def _write_kv(file: Path, pairs: list[tuple[str, str]]) -> None:
-    with open(file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerows(pairs)
+def save_fitted(fit: FittedModel, file: Path) -> None:
+    """Write the fitted model as one JSON document: the model, the plan or
+    form, the coefficient tables, the first stage and the residuals.
+
+    Floats are written by ``repr``, so the bundle round-trips exactly.
+    """
+    doc = {
+        "model": spec_to_config(fit),
+        "plan": None if fit.plan is None else [
+            None if kv is None else _knots_to_config(kv) for kv in fit.plan.x_blocks
+        ],
+        "parametric_form": None if fit.parametric_form is None else {
+            "terms": [list(t) for t in fit.parametric_form.terms],
+            "x_lags_linear": fit.parametric_form.x_lags_linear,
+        },
+        "coefficients": [dict(table) for table in fit.coefficients],
+        "first_stage": {
+            "pi1": fit.first_stage.pi1.tolist(),
+            "residuals": fit.first_stage.residuals.tolist(),
+            "regularized": fit.first_stage.regularized,
+        },
+        "residuals2": fit.residuals2.tolist(),
+        "regularized": fit.regularized,
+        "n_obs": fit.n_obs,
+    }
+    Path(file).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
-def _read_kv(file: Path) -> dict[str, str]:
-    with open(file, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return {k: v for k, v in reader}
-
-
-def save_fitted(fit: FittedModel, out_dir: Path) -> None:
-    """Write the fitted-model bundle (meta, plan or form, coefficient tables,
-    first stage, residuals) with full float precision."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta: list[tuple[str, str]] = [
-        ("d_y", str(fit.d_y)),
-        ("p", str(fit.p)),
-        ("n_obs", str(fit.n_obs)),
-        ("bound", _fmt(fit.innovation.bound)),
-        ("kind", "sieve" if fit.plan is not None else "parametric"),
-    ]
-    _write_kv(out_dir / "meta.csv", meta)
-
-    if fit.plan is not None:
-        with open(out_dir / "plan.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lag", "degree", "lo", "hi", "interior"])
-            for j, kv in enumerate(fit.plan.x_blocks):
-                if kv is None:
-                    writer.writerow([j, "", "", "", ""])
-                else:
-                    knots = ";".join(_fmt(k) for k in kv.interior)
-                    writer.writerow([j, kv.degree, _fmt(kv.lo), _fmt(kv.hi), knots])
-    else:
-        form = fit.parametric_form
-        with open(out_dir / "form.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "lag", "kind", "x_lags_linear"])
-            for idx, (lag, kind) in enumerate(form.terms):
-                writer.writerow([idx, lag, kind, int(form.x_lags_linear)])
-
-    with open(out_dir / "equations.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["equation", "term", "value"])
-        for i, table in enumerate(fit.coefficients):
-            for term, value in table.items():
-                writer.writerow([i, term, _fmt(value)])
-
-    with open(out_dir / "first_stage.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for k, value in enumerate(fit.first_stage.pi1):
-            writer.writerow([k, _fmt(value)])
-
-    resid = np.column_stack([fit.first_stage.residuals, fit.residuals2])
-    with open(out_dir / "residuals.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "eps1_hat"] + [f"xi{i + 1}" for i in range(fit.d_y)])
-        for r in range(resid.shape[0]):
-            writer.writerow([r] + [_fmt(v) for v in resid[r]])
-
-
-def load_fitted(out_dir: Path) -> FittedModel:
-    """Reconstruct the fitted model from a bundle; exact round-trip."""
-    out_dir = Path(out_dir)
-    meta = _read_kv(out_dir / "meta.csv")
-    d_y = int(meta["d_y"])
-    p = int(meta["p"])
-    n_obs = int(meta["n_obs"])
-
-    tables: list[dict[str, float]] = [dict() for _ in range(d_y)]
-    with open(out_dir / "equations.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for eq, term, value in reader:
-            tables[int(eq)][term] = float(value)
-
-    pi1_rows: list[tuple[int, float]] = []
-    with open(out_dir / "first_stage.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for k, value in reader:
-            pi1_rows.append((int(k), float(value)))
-    pi1 = np.array([v for _, v in sorted(pi1_rows)])
-
-    with open(out_dir / "residuals.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = sorted((int(r[0]), [float(v) for v in r[1:]]) for r in reader)
-    resid = np.array([vals for _, vals in rows])
-    eps1_hat = resid[:, 0]
-    resid2 = resid[:, 1:]
-    sigma1 = float(np.sqrt(np.mean(eps1_hat**2)))
-    first = FirstStageFit(pi1, eps1_hat, sigma1, False)
-
-    if meta["kind"] == "sieve":
-        blocks: list[KnotVector | None] = [None] * (p + 1)
-        with open(out_dir / "plan.csv", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for j, degree, lo, hi, interior in reader:
-                if degree == "":
-                    continue
-                knots = tuple(float(k) for k in interior.split(";")) if interior else ()
-                blocks[int(j)] = KnotVector(int(degree), knots, float(lo), float(hi))
-        plan = SievePlan(x_blocks=tuple(blocks))
-        return _stage_two_from_tables(plan, tables, first, resid2, n_obs)
-
-    terms: list[tuple[int, str]] = []
-    x_lin = True
-    with open(out_dir / "form.csv", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for _, lag, kind, flag in reader:
-            terms.append((int(lag), kind))
-            x_lin = bool(int(flag))
-    form = ParametricForm(terms=tuple(terms), x_lags_linear=x_lin)
-    return _parametric_from_tables(form, p, tables, first, resid2, n_obs)
+def load_fitted(file: Path) -> FittedModel:
+    """Reconstruct the fitted model written by ``save_fitted``; exact round-trip."""
+    doc = json.loads(Path(file).read_text(encoding="utf-8"))
+    spec = spec_from_config(doc["model"])
+    first = doc["first_stage"]
+    plan, form = doc["plan"], doc["parametric_form"]
+    return FittedModel(
+        **vars(spec),
+        plan=None if plan is None else SievePlan(
+            x_blocks=tuple(None if kv is None else _knots_from_config(kv) for kv in plan)
+        ),
+        parametric_form=None if form is None else ParametricForm(
+            terms=tuple(form["terms"]), x_lags_linear=form["x_lags_linear"]
+        ),
+        first_stage=FirstStageFit(
+            np.asarray(first["pi1"], dtype=float),
+            np.asarray(first["residuals"], dtype=float),
+            spec.innovation.sigma[0],
+            first["regularized"],
+        ),
+        residuals2=np.asarray(doc["residuals2"], dtype=float),
+        coefficients=tuple(doc["coefficients"]),
+        regularized=doc["regularized"],
+        n_obs=doc["n_obs"],
+    )

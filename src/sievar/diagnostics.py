@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, iterate_paths
-from .study import derive_seed
+from .model import ModelSpec, derive_seed, draw_clipped, iterate_paths, philox
 
 __all__ = [
     "DependenceProfile",
@@ -47,10 +46,8 @@ class DependenceProfile:
 
 
 def _stationary_states(spec: ModelSpec, size: int, seed: int, burn_in: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     sigma = np.asarray(spec.innovation.sigma)
-    raw = gen.standard_normal((size, burn_in, spec.d))
-    eps = np.clip(raw, -spec.innovation.bound, spec.innovation.bound) * sigma
+    eps = draw_clipped(philox(seed), (size, burn_in, spec.d), spec.innovation.bound) * sigma
     warm, _ = iterate_paths(spec, np.zeros((size, max(spec.p, 1), spec.d)), eps)
     return warm[:, -max(spec.p, 1) :, :]
 
@@ -76,10 +73,10 @@ def estimate_delta_r(
     comps = tuple(components) if components is not None else tuple(range(spec.d))
     state_a = _stationary_states(spec, replications, derive_seed(seed, 11), burn_in)
     state_b = _stationary_states(spec, replications, derive_seed(seed, 12), burn_in)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(derive_seed(seed, 13))))
     sigma = np.asarray(spec.innovation.sigma)
-    raw = gen.standard_normal((replications, h_max, spec.d))
-    shared = np.clip(raw, -spec.innovation.bound, spec.innovation.bound) * sigma
+    shared = draw_clipped(
+        philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec.innovation.bound
+    ) * sigma
     path_a, _ = iterate_paths(spec, state_a, shared)
     path_b, _ = iterate_paths(spec, state_b, shared)
     gap = np.linalg.norm(path_a[:, :, comps] - path_b[:, :, comps], axis=2)
@@ -124,10 +121,10 @@ def _sample_state_eps(
     p = max(spec.p, 1)
     sigma = np.asarray(spec.innovation.sigma)
     bound = spec.innovation.bound
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(derive_seed(seed, 31, index))))
+    gen = philox(derive_seed(seed, 31, index))
     if index % 2 == 0:
         state = _stationary_states(spec, 1, derive_seed(seed, 32, index), 400)[0]
-        eps = np.clip(gen.standard_normal((h_cap, spec.d)), -bound, bound) * sigma
+        eps = draw_clipped(gen, (h_cap, spec.d), bound) * sigma
     else:
         lo, hi = box
         state = gen.uniform(lo, hi).reshape(p, spec.d)

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    KnotVector,
     SievePlan,
     block_to_full_coeffs,
+    block_width,
     build_design,
 )
 from .model import (
@@ -67,7 +69,7 @@ def ols(xmat: np.ndarray, y: np.ndarray) -> OlsFit:
     if n <= k:
         raise ValueError("underdetermined: need more rows than columns")
     coef, _, rank, _ = np.linalg.lstsq(xmat, y, rcond=RANK_RTOL)
-    regularized = rank < k
+    regularized = bool(rank < k)
     if regularized:
         lam = RIDGE_SCALE * float(np.sum(xmat**2)) / k
         aug = np.vstack([xmat, math.sqrt(lam) * np.eye(k)])
@@ -100,6 +102,11 @@ class ParametricForm:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple((int(j), str(k)) for j, k in self.terms))
+
+    @property
+    def x_terms(self) -> tuple[tuple[int, NonlinFn], ...]:
+        """(lag, transform) pairs of the nonlinear X columns, in column order."""
+        return tuple((j, NonlinFn(kind)) for j, kind in self.terms)
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -186,53 +193,57 @@ def _infer_bound(first: FirstStageFit, resid2: np.ndarray, sigma2: np.ndarray) -
     return max(ratios)
 
 
-def _x_equation_rows(
-    first: FirstStageFit, p: int, d_y: int, mu: np.ndarray, lag_mats: np.ndarray
-) -> None:
+def _fit_stage_two(
+    layout: SievePlan | ParametricForm,
+    x: np.ndarray,
+    y: np.ndarray,
+    generated: np.ndarray,
+    first: FirstStageFit,
+    p: int,
+) -> FittedModel:
+    """Stage-II least squares on ``layout``'s design, mapped back to the model.
+
+    The coefficient vector is read in design column order. Spline blocks are
+    converted to full-basis splines normalized to vanish at zero (their value
+    at zero moves into the intercept); transform terms keep their fitted scale.
+    """
+    design = build_design(layout, x, y, generated, p)
+    fit = ols(design.values, y[p:, :])
+    d_y = y.shape[1]
+    mu = np.zeros(1 + d_y)
+    lag_mats = np.zeros((max(p, 1), 1 + d_y, 1 + d_y))
     mu[0] = first.pi1[0]
     for k in range(1, p + 1):
         lag_mats[k - 1][0, 0] = first.pi1[k]
         lag_mats[k - 1][0, 1:] = first.pi1[p + (k - 1) * d_y + 1 : p + k * d_y + 1]
-
-
-def _stage_two_from_tables(
-    plan: SievePlan,
-    tables: list[dict[str, float]],
-    first: FirstStageFit,
-    resid2: np.ndarray,
-    n_obs: int,
-    regularized: bool = False,
-) -> FittedModel:
-    """Deterministic mapping from stage-II coefficient tables to the model."""
-    p = plan.p
-    d_y = len(tables)
-    mu = np.zeros(1 + d_y)
-    lag_mats = np.zeros((max(p, 1), 1 + d_y, 1 + d_y))
-    _x_equation_rows(first, p, d_y, mu, lag_mats)
     impact: list[list[tuple[NonlinFn, ...]]] = [[() for _ in range(p + 1)] for _ in range(d_y)]
     b0_21 = np.zeros(d_y)
-    for i, table in enumerate(tables):
-        mu[1 + i] = table.get("intercept", 0.0)
-        for k in range(1, p + 1):
-            lag_mats[k - 1][1 + i, 0] = table.get(f"linear:x_lag{k}", 0.0)
-            for m in range(d_y):
-                lag_mats[k - 1][1 + i, 1 + m] = table.get(f"linear:y{m}_lag{k}", 0.0)
-        b0_21[i] = table["generated"]
-        for j, kv in enumerate(plan.x_blocks):
-            if kv is None:
-                continue
-            start = 2 if kv.degree >= 1 else 1
-            block = np.array([table[f"spline:x_lag{j}:b{t}"] for t in range(start, kv.dim)])
-            full = block_to_full_coeffs(kv, block)
-            at_zero = float(
-                NonlinFn("spline", 1.0, knots=kv, coeffs=tuple(full))(0.0)
-            )
-            mu[1 + i] += at_zero
-            impact[i][j] = (
-                NonlinFn("spline", 1.0, knots=kv, coeffs=tuple(full - at_zero)),
-            )
+    for i in range(d_y):
+        coef = fit.coefficients[:, i]
+        mu[1 + i] = coef[0]
+        col = 1
+        for j, term in layout.x_terms:
+            if isinstance(term, KnotVector):
+                width = block_width(term)
+                # a contiguous copy: a strided view changes the last bit of the conversion
+                full = block_to_full_coeffs(term, np.array(coef[col : col + width]))
+                at_zero = float(NonlinFn("spline", 1.0, knots=term, coeffs=tuple(full))(0.0))
+                mu[1 + i] += at_zero
+                fn = NonlinFn("spline", 1.0, knots=term, coeffs=tuple(full - at_zero))
+            else:
+                width = 1
+                fn = NonlinFn(term.kind, float(coef[col]))
+            impact[i][j] += (fn,)
+            col += width
+        if layout.x_lags_linear:
+            lag_mats[:p, 1 + i, 0] = coef[col : col + p]
+            col += p
+        lag_mats[:p, 1 + i, 1:] = coef[col : col + p * d_y].reshape(p, d_y)
+        b0_21[i] = coef[col + p * d_y]
+    resid2 = fit.residuals
     sigma2 = np.sqrt(np.mean(resid2**2, axis=0))
     law = InnovationLaw(sigma=(first.sigma1, *sigma2), bound=_infer_bound(first, resid2, sigma2))
+    sieve = isinstance(layout, SievePlan)
     return FittedModel(
         d_y=d_y,
         p=p,
@@ -241,37 +252,16 @@ def _stage_two_from_tables(
         impact=tuple(tuple(row) for row in impact),
         b0_21=b0_21,
         innovation=law,
-        plan=plan,
+        plan=layout if sieve else None,
+        parametric_form=None if sieve else layout,
         first_stage=first,
         residuals2=resid2,
-        coefficients=tuple(tables),
-        regularized=regularized,
-        n_obs=n_obs,
-    )
-
-
-def _stage_two(
-    x: np.ndarray,
-    y: np.ndarray,
-    generated: np.ndarray,
-    plan: SievePlan,
-    first: FirstStageFit,
-) -> FittedModel:
-    p = plan.p
-    design = build_design(plan, x, y, generated, p)
-    fit = ols(design.values, y[p:, :])
-    labels = design.column_labels
-    tables = [
-        dict(zip(labels, (float(b) for b in fit.coefficients[:, i])))
-        for i in range(y.shape[1])
-    ]
-    return _stage_two_from_tables(
-        plan,
-        tables,
-        first,
-        fit.residuals,
-        x.size,
+        coefficients=tuple(
+            dict(zip(design.column_labels, (float(b) for b in fit.coefficients[:, i])))
+            for i in range(d_y)
+        ),
         regularized=first.regularized or fit.regularized,
+        n_obs=x.size,
     )
 
 
@@ -279,7 +269,7 @@ def fit_two_step(data, plan: SievePlan) -> FittedModel:
     """Feasible two-step fit: stage-I residuals fill the generated slot."""
     x, y, _ = _as_xy(data)
     first = first_stage(x, y, plan.p)
-    return _stage_two(x, y, first.residuals, plan, first)
+    return _fit_stage_two(plan, x, y, first.residuals, first, plan.p)
 
 
 def fit_infeasible(data, plan: SievePlan) -> FittedModel:
@@ -288,94 +278,14 @@ def fit_infeasible(data, plan: SievePlan) -> FittedModel:
     if eps is None:
         raise ValueError("infeasible fit requires simulated data carrying true innovations")
     first = first_stage(x, y, plan.p)
-    return _stage_two(x, y, np.asarray(eps, dtype=float)[plan.p :, 0], plan, first)
-
-
-def _parametric_labels(form: ParametricForm, p: int, d_y: int) -> list[str]:
-    labels = ["intercept"]
-    labels += [f"term{idx}:{kind}:x_lag{j}" for idx, (j, kind) in enumerate(form.terms)]
-    if form.x_lags_linear:
-        labels += [f"linear:x_lag{j}" for j in range(1, p + 1)]
-    for j in range(1, p + 1):
-        labels += [f"linear:y{m}_lag{j}" for m in range(d_y)]
-    labels.append("generated")
-    return labels
-
-
-def _parametric_from_tables(
-    form: ParametricForm,
-    p: int,
-    tables: list[dict[str, float]],
-    first: FirstStageFit,
-    resid2: np.ndarray,
-    n_obs: int,
-    regularized: bool = False,
-) -> FittedModel:
-    d_y = len(tables)
-    mu = np.zeros(1 + d_y)
-    lag_mats = np.zeros((max(p, 1), 1 + d_y, 1 + d_y))
-    _x_equation_rows(first, p, d_y, mu, lag_mats)
-    impact: list[list[tuple[NonlinFn, ...]]] = [[() for _ in range(p + 1)] for _ in range(d_y)]
-    b0_21 = np.zeros(d_y)
-    for i, table in enumerate(tables):
-        mu[1 + i] = table["intercept"]
-        for k in range(1, p + 1):
-            lag_mats[k - 1][1 + i, 0] = table.get(f"linear:x_lag{k}", 0.0)
-            for m in range(d_y):
-                lag_mats[k - 1][1 + i, 1 + m] = table[f"linear:y{m}_lag{k}"]
-        b0_21[i] = table["generated"]
-        groups: dict[int, list[NonlinFn]] = {}
-        for idx, (j, kind) in enumerate(form.terms):
-            scale = table[f"term{idx}:{kind}:x_lag{j}"]
-            groups.setdefault(j, []).append(NonlinFn(kind, scale))
-        for j, fns in groups.items():
-            impact[i][j] = tuple(fns)
-    sigma2 = np.sqrt(np.mean(resid2**2, axis=0))
-    law = InnovationLaw(sigma=(first.sigma1, *sigma2), bound=_infer_bound(first, resid2, sigma2))
-    return FittedModel(
-        d_y=d_y,
-        p=p,
-        mu=mu,
-        lags=LagPolynomial(lag_mats),
-        impact=tuple(tuple(row) for row in impact),
-        b0_21=b0_21,
-        innovation=law,
-        plan=None,
-        parametric_form=form,
-        first_stage=first,
-        residuals2=resid2,
-        coefficients=tuple(tables),
-        regularized=regularized,
-        n_obs=n_obs,
-    )
+    return _fit_stage_two(plan, x, y, np.asarray(eps, dtype=float)[plan.p :, 0], first, plan.p)
 
 
 def fit_parametric(data, p: int, form: ParametricForm) -> FittedModel:
     """Two-step fit with fixed transform columns instead of spline blocks."""
     x, y, _ = _as_xy(data)
     first = first_stage(x, y, p)
-    n = x.size
-    d_y = y.shape[1]
-    if any(j > p for j, _ in form.terms):
-        raise ValueError("transform lag exceeds the model lag order")
-    cols: list[np.ndarray] = [np.ones(n - p)]
-    for j, kind in form.terms:
-        cols.append(np.asarray(NonlinFn(kind)(x[p - j : n - j]), dtype=float))
-    if form.x_lags_linear:
-        cols += [x[p - j : n - j] for j in range(1, p + 1)]
-    for j in range(1, p + 1):
-        cols += [y[p - j : n - j, m] for m in range(d_y)]
-    cols.append(first.residuals)
-    design = np.column_stack(cols)
-    fit = ols(design, y[p:, :])
-    labels = _parametric_labels(form, p, d_y)
-    tables = [
-        dict(zip(labels, (float(b) for b in fit.coefficients[:, i]))) for i in range(d_y)
-    ]
-    return _parametric_from_tables(
-        form, p, tables, first, fit.residuals, n,
-        regularized=first.regularized or fit.regularized,
-    )
+    return _fit_stage_two(form, x, y, first.residuals, first, p)
 
 
 def benchmark_true_form(dgp_id: int) -> ParametricForm:

@@ -19,7 +19,10 @@ from .model import (
     LagPolynomial,
     ModelSpec,
     SimPath,
+    derive_seed,
+    draw_clipped,
     iterate_paths,
+    philox,
 )
 
 __all__ = [
@@ -72,7 +75,10 @@ class RelaxationFn:
                 raise ValueError("symmetric bump needs half-width c > 0 and exponent alpha > 0")
             return
         if self.kind == "interval_bump":
-            if self.a is None or self.b is None or self.alpha is None or self.b <= self.a:
+            if (
+                self.a is None or self.b is None or self.alpha is None
+                or self.b <= self.a or self.alpha <= 0
+            ):
                 raise ValueError("interval bump needs a < b and exponent alpha > 0")
             return
         raise ValueError(f"unknown relaxation kind {self.kind!r}")
@@ -253,8 +259,9 @@ def population_irf(
 ) -> IrfResult:
     """Unconditional IRF by averaging over fresh stationary histories.
 
-    Every replication draws its own burn-in history and innovation future
-    from counter-based streams; the reduction is over fixed chunk order, so
+    Every replication draws its own burn-in history and innovation future;
+    chunk k of ``chunk`` replications draws from its own Philox stream keyed
+    by ``derive_seed(seed, k)``. The reduction is over fixed chunk order, so
     the result is independent of the thread count.
     """
     if replications < 1:
@@ -271,13 +278,11 @@ def population_irf(
 
     def worker(start: int, stop: int):
         size = stop - start
-        gen = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=np.uint64(start)))
+        gen = philox(derive_seed(seed, start // chunk))
         sigma = np.asarray(spec.innovation.sigma)
-        bound = spec.innovation.bound
 
         def draw(steps: int) -> np.ndarray:
-            raw = gen.standard_normal((size, steps, d))
-            return np.clip(raw, -bound, bound) * sigma
+            return draw_clipped(gen, (size, steps, d), spec.innovation.bound) * sigma
 
         state = np.zeros((size, max(spec.p, 1), d))
         if burn_in > 0:
@@ -291,7 +296,10 @@ def population_irf(
             lo, hi = spec.innovation.support(0)
             bad = np.count_nonzero((shocked_eps[:, 0, 0] < lo - 1e-9) | (shocked_eps[:, 0, 0] > hi + 1e-9))
             if bad:
-                raise AssertionError("compatible relaxation produced out-of-support impact")
+                raise IncompatibleShockError(
+                    f"{bad} shocked impacts left the innovation support although the "
+                    "compatibility check passed"
+                )
         base, clamp_b = iterate_paths(spec, state, eps_path)
         shocked, clamp_s = iterate_paths(spec, state, shocked_eps)
         diff = shocked - base

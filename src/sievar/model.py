@@ -28,6 +28,9 @@ __all__ = [
     "SimPath",
     "PathDivergedError",
     "StabilityWarning",
+    "derive_seed",
+    "philox",
+    "draw_clipped",
     "draw_innovations",
     "simulate",
     "iterate_paths",
@@ -242,6 +245,22 @@ class SimPath:
         return np.column_stack([self.x, self.y])
 
 
+def derive_seed(master: int, *tags: int) -> int:
+    """Stable per-task seed from the master seed and integer tags."""
+    seq = np.random.SeedSequence(entropy=(int(master),) + tuple(int(t) for t in tags))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
+def philox(key: int) -> np.random.Generator:
+    """Counter-based generator; distinct keys give independent streams."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(key)))
+
+
+def draw_clipped(gen: np.random.Generator, shape: tuple[int, ...], bound: float) -> np.ndarray:
+    """Unit-scale clip(N(0,1), -bound, bound) draws; callers scale by sigma."""
+    return np.clip(gen.standard_normal(shape), -bound, bound)
+
+
 def draw_innovations(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     """(n, d) matrix of independent clipped-Gaussian innovations.
 
@@ -250,10 +269,8 @@ def draw_innovations(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    draws = gen.standard_normal((spec.d, n))
+    clipped = draw_clipped(philox(seed), (spec.d, n), spec.innovation.bound)
     sigma = np.asarray(spec.innovation.sigma)
-    clipped = np.clip(draws, -spec.innovation.bound, spec.innovation.bound)
     return (sigma[:, None] * clipped).T
 
 

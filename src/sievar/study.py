@@ -30,7 +30,7 @@ from .irf import (
     estimated_irf,
     population_irf,
 )
-from .model import StabilityWarning, builtin_dgp, simulate
+from .model import StabilityWarning, builtin_dgp, derive_seed, simulate
 
 __all__ = [
     "StudyConfig",
@@ -44,12 +44,6 @@ __all__ = [
 
 ESTIMATOR_TAGS = ("parametric_true", "parametric_max0", "sieve")
 REPLICATION_CHUNK = 25
-
-
-def derive_seed(master: int, *tags: int) -> int:
-    """Stable per-task seed from the master seed and integer tags."""
-    seq = np.random.SeedSequence(entropy=(int(master),) + tuple(int(t) for t in tags))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)

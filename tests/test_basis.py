@@ -15,7 +15,6 @@ from sievar.basis import (
     clamp_count,
     gram_diagnostics,
     knots_from_quantiles,
-    rebuild_column,
 )
 from sievar.estimator import first_stage
 from sievar.study import derive_seed
@@ -207,10 +206,20 @@ def test_design_labels_rebuild_every_column(dgp2):
     fs = first_stage(path.x, path.y, 1)
     plan = make_plan(path.x)
     design = build_design(plan, path.x, path.y, fs.residuals, 1)
-    assert len(set(design.column_labels)) == design.k
-    for j, label in enumerate(design.column_labels):
-        rebuilt = rebuild_column(plan, label, path.x, path.y, fs.residuals)
-        np.testing.assert_array_equal(rebuilt, design.values[:, j], err_msg=label)
+    kv0, kv1 = plan.x_blocks
+    x, y = path.x, path.y
+    expected = np.column_stack(
+        [np.ones(x.size - 1), block_matrix(kv0, x[1:]), block_matrix(kv1, x[:-1]),
+         x[:-1], y[:-1, 0], fs.residuals]
+    )
+    labels = (
+        ("intercept",)
+        + tuple(f"spline:x_lag0:b{i}" for i in range(2, kv0.dim))
+        + tuple(f"spline:x_lag1:b{i}" for i in range(2, kv1.dim))
+        + ("linear:x_lag1", "linear:y0_lag1", "generated")
+    )
+    assert design.column_labels == labels
+    np.testing.assert_array_equal(design.values, expected)
 
 
 def test_gram_self_whitening_is_zero(dgp2):

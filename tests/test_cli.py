@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievar
 from sievar import dataio
@@ -155,6 +159,53 @@ def test_irf_fit_bundle_roundtrip(tmp_path):
     np.testing.assert_array_equal(a.values, b.values)
 
 
+BUNDLE_PATH = sievar.simulate(sievar.builtin_dgp(2), 300, seed=21)
+_LO, _HI = float(BUNDLE_PATH.x.min()), float(BUNDLE_PATH.x.max())
+_blocks = st.one_of(
+    st.none(),
+    st.builds(
+        lambda degree, knots: sievar.KnotVector(degree, tuple(sorted(knots)), _LO, _HI),
+        st.integers(0, 3),
+        st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), max_size=3, unique=True),
+    ),
+)
+_sieve_fits = st.tuples(_blocks, _blocks).map(
+    lambda blocks: sievar.fit_two_step(BUNDLE_PATH, sievar.SievePlan(x_blocks=blocks))
+)
+_forms = st.builds(
+    sievar.ParametricForm,
+    st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(["max0", "smooth_phi", "cube", "identity"])),
+        max_size=3,
+    ).map(tuple),
+    st.booleans(),
+)
+_parametric_fits = _forms.map(lambda form: sievar.fit_parametric(BUNDLE_PATH, 1, form))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit=st.one_of(_sieve_fits, _parametric_fits), regularized=st.booleans())
+def test_fitted_bundle_round_trip_is_exact(fit, regularized):
+    fit = dataclasses.replace(fit, regularized=regularized)
+    with tempfile.TemporaryDirectory() as tmp:
+        dataio.save_fitted(fit, Path(tmp) / "fitted.json")
+        back = dataio.load_fitted(Path(tmp) / "fitted.json")
+    for name in ("mu", "b0_21", "residuals2"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(fit, name))
+    np.testing.assert_array_equal(back.lags.coeffs, fit.lags.coeffs)
+    np.testing.assert_array_equal(back.first_stage.pi1, fit.first_stage.pi1)
+    np.testing.assert_array_equal(back.first_stage.residuals, fit.first_stage.residuals)
+    assert back.first_stage.sigma1 == fit.first_stage.sigma1
+    assert back.first_stage.regularized == fit.first_stage.regularized
+    assert back.impact == fit.impact
+    assert back.innovation == fit.innovation
+    assert back.coefficients == fit.coefficients
+    assert back.plan == fit.plan
+    assert back.parametric_form == fit.parametric_form
+    assert back.regularized == fit.regularized
+    assert back.n_obs == fit.n_obs
+
+
 def test_mc_command_writes_schema(tmp_path):
     cfg = {
         "dgp": 2, "n": 240, "replications": 8, "population_replications": 1000,
@@ -234,6 +285,6 @@ def test_quantile_knot_config(tmp_path):
     }
     code, out = run_cli(tmp_path, "estimate", cfg)
     assert code == 0
-    plan_rows = read_rows(only_run_dir(out, "estimate") / "fitted" / "plan.csv")
-    knots = [float(k) for k in plan_rows[0]["interior"].split(";")]
+    bundle = json.loads((only_run_dir(out, "estimate") / "fitted.json").read_text())
+    knots = bundle["plan"][0]["interior"]
     assert len(knots) == 2 and knots[0] < knots[1]

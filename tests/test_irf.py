@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 import sievar
+import sievar.cli
 from sievar.irf import (
+    Compatibility,
+    IncompatibleShockError,
     RelaxationFn,
     ShockSpec,
     SupportWarning,
@@ -45,6 +49,12 @@ def test_interval_bump_midpoint_one():
     assert relax_eval(rho, 5.0) == 0.0
     vals = np.asarray(relax_eval(rho, np.linspace(-1, 5, 501)))
     assert np.all((vals >= 0) & (vals <= 1))
+
+
+def test_interval_bump_rejects_nonpositive_alpha():
+    for alpha in (0.0, -2.0):
+        with pytest.raises(ValueError, match="alpha > 0"):
+            RelaxationFn.interval_bump(-1.0, 5.0, alpha)
 
 
 def test_constant_one():
@@ -254,3 +264,40 @@ def test_domain_safety_assertion_on_compatible_shock(dgp2, bump34):
     # with a compatible rho the impact stays inside the innovation support
     res = population_irf(dgp2, ShockSpec(1.0, bump34, 1), replications=5000, seed=11)
     assert np.all(np.isfinite(res.values))
+
+
+def test_population_chunks_draw_disjoint_streams(dgp2, bump34, monkeypatch):
+    draws = []
+    draw_clipped = sievar.irf.draw_clipped
+
+    def recording_draw(gen, shape, bound):
+        out = draw_clipped(gen, shape, bound)
+        draws.append(out[np.abs(out) < bound])  # clipped values repeat by construction
+        return out
+
+    monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
+    shock = ShockSpec(1.0, bump34, 3)
+    a = population_irf(dgp2, shock, replications=400, seed=5, burn_in=50, chunk=200)
+    assert len(draws) == 4  # burn-in and future per chunk, chunks in order
+    chunk0 = np.concatenate(draws[:2])
+    chunk1 = np.concatenate(draws[2:])
+    assert np.intersect1d(chunk0, chunk1).size == 0
+    b = population_irf(dgp2, shock, replications=400, seed=5, burn_in=50, chunk=200, threads=2)
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.mc_se, b.mc_se)
+
+
+def test_out_of_support_impact_raises_typed_error(dgp2, tmp_path, monkeypatch):
+    # a compatibility check that wrongly passes must not surface as AssertionError
+    wrong = lambda rho, delta, support: Compatibility(True, 0.0, 0.0)  # noqa: E731
+    monkeypatch.setattr(sievar.irf, "check_compatibility", wrong)
+    monkeypatch.setattr(sievar.cli, "check_compatibility", wrong)
+    shock = ShockSpec(5.0, RelaxationFn.symmetric_bump(3.0, 4.0), 2)
+    with pytest.raises(IncompatibleShockError, match="left the innovation support"):
+        population_irf(dgp2, shock, replications=500, seed=1, burn_in=20)
+    cfg = {"dgp": 2, "n": 100, "seed": 1, "deltas": [5.0], "horizon": 2,
+           "methods": ["population"], "population_replications": 500}
+    cfg_file = tmp_path / "irf.json"
+    cfg_file.write_text(json.dumps(cfg))
+    code = sievar.cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "runs"), "irf"])
+    assert code == sievar.cli.EXIT_COMPAT
