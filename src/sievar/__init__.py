@@ -61,6 +61,7 @@ from .model import (
     draw_innovations,
     linearized,
     simulate,
+    simulate_batch,
 )
 from .study import (
     StudyConfig,

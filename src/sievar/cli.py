@@ -341,7 +341,10 @@ def cmd_mc(cfg: dict, args) -> int:
     study_cfg = default_study_config(dgp_id)
     if args.paper_scale or cfg.get("paper_scale"):
         study_cfg = study_cfg.paper_scale()
-    study_cfg = dataclasses.replace(study_cfg, **overrides)
+    try:
+        study_cfg = dataclasses.replace(study_cfg, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"invalid study config: {exc}") from exc
     result = run_study(study_cfg)
     dataio.write_study(result, out_dir / "study.csv")
 
@@ -456,7 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker thread cap for IRF averaging; results do not depend on it",
+    )
     parser.add_argument("--out", default="runs", help="output base directory")
     parser.add_argument(
         "--paper-scale", action="store_true",

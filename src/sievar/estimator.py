@@ -211,7 +211,7 @@ def _fit_stage_two(
     fit = ols(design.values, y[p:, :])
     d_y = y.shape[1]
     mu = np.zeros(1 + d_y)
-    lag_mats = np.zeros((max(p, 1), 1 + d_y, 1 + d_y))
+    lag_mats = np.zeros((p, 1 + d_y, 1 + d_y))
     mu[0] = first.pi1[0]
     for k in range(1, p + 1):
         lag_mats[k - 1][0, 0] = first.pi1[k]

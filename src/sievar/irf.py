@@ -334,7 +334,8 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
 
     Every impact time with a full H-step residual future contributes (the
     common-t convention); the baseline recursion reproduces the observed
-    sample, so a zero shock gives an exactly zero response.
+    sample, so a zero shock gives an exactly zero response. A fit whose
+    one-step baseline does not reproduce the sample raises ``ValueError``.
     """
     if isinstance(data, SimPath):
         x, y = data.x, data.y
@@ -360,6 +361,7 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
     resid = np.column_stack([fit.first_stage.residuals, fit.residuals2])
     rho_vals = np.asarray(relax_eval(shock.relaxation, resid[:, 0]))
     ranges = _chunk_ranges(usable, chunk)
+    tolerance = 1e-8 * (1.0 + float(np.max(np.abs(z))))
 
     def worker(start: int, stop: int):
         idx = np.arange(start, stop)
@@ -368,6 +370,12 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
         shocked_eps = eps_path.copy()
         shocked_eps[:, 0, 0] += shock.delta * rho_vals[idx]
         base, clamp_b = iterate_paths(fit, state, eps_path)
+        miss = float(np.max(np.abs(base[:, 0] - z[idx + p])))
+        if not miss <= tolerance:
+            raise ValueError(
+                f"fit was not produced from this sample: its residuals miss the "
+                f"observations by {miss:.3g}"
+            )
         shocked, clamp_s = iterate_paths(fit, state, shocked_eps)
         diff = shocked - base
         return diff.sum(axis=0), clamp_b + clamp_s

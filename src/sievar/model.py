@@ -33,6 +33,7 @@ __all__ = [
     "draw_clipped",
     "draw_innovations",
     "simulate",
+    "simulate_batch",
     "iterate_paths",
     "builtin_dgp",
     "linearized",
@@ -338,23 +339,45 @@ def simulate(
     """Simulate n observations after ``burn_in`` steps from a zero state.
 
     ``eps`` overrides the innovation draws; it must cover burn_in + n steps.
-    The map (spec, n, seed, burn_in) -> SimPath is deterministic.
+    The map (spec, n, seed, burn_in) -> SimPath is deterministic and is the
+    one-row case of ``simulate_batch``.
     """
-    if n < max(spec.p + 1, 1):
-        raise ValueError("n must exceed the lag order")
-    total = burn_in + n
     if eps is None:
         if seed is None:
             raise ValueError("either a seed or explicit innovations are required")
-        eps = draw_innovations(spec, total, seed)
-    else:
-        eps = np.asarray(eps, dtype=float)
-        if eps.shape != (total, spec.d):
-            raise ValueError(f"innovation override must have shape ({total}, {spec.d})")
-    state = np.zeros((1, max(spec.p, 1), spec.d))
-    paths, _ = iterate_paths(spec, state, eps[None, :, :])
-    z = paths[0, burn_in:]
-    return SimPath(x=z[:, 0], y=z[:, 1:], eps=eps[burn_in:], seed=seed, burn_in=burn_in)
+        return simulate_batch(spec, n, (seed,), burn_in)[0]
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != (burn_in + n, spec.d):
+        raise ValueError(f"innovation override must have shape ({burn_in + n}, {spec.d})")
+    return _paths_from(spec, n, eps[None], (seed,), burn_in)[0]
+
+
+def simulate_batch(
+    spec: ModelSpec, n: int, seeds, burn_in: int = 500
+) -> list[SimPath]:
+    """``simulate`` for many seeds in one ``iterate_paths`` call.
+
+    Row r draws its innovations from ``seeds[r]``'s own stream, exactly as
+    ``simulate(spec, n, seeds[r], burn_in)`` does. The rows are iterated
+    together, so a non-diagonal lag matrix can round differently from the
+    one-row call (a few 1e-15); a diagonal one gives identical paths. A
+    diverging row raises ``PathDivergedError`` for the whole batch.
+    """
+    seeds = tuple(seeds)
+    eps = np.stack([draw_innovations(spec, burn_in + n, s) for s in seeds])
+    return _paths_from(spec, n, eps, seeds, burn_in)
+
+
+def _paths_from(spec: ModelSpec, n: int, eps: np.ndarray, seeds, burn_in: int) -> list[SimPath]:
+    """Iterate (R, burn_in + n, d) innovations from a zero state into R paths."""
+    if n < max(spec.p + 1, 1):
+        raise ValueError("n must exceed the lag order")
+    state = np.zeros((eps.shape[0], max(spec.p, 1), spec.d))
+    paths, _ = iterate_paths(spec, state, eps)
+    return [
+        SimPath(x=z[:, 0], y=z[:, 1:], eps=e[burn_in:], seed=seed, burn_in=burn_in)
+        for z, e, seed in zip(paths[:, burn_in:], eps, seeds)
+    ]
 
 
 def linearized(spec: ModelSpec) -> ModelSpec:

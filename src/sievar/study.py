@@ -1,14 +1,16 @@
 """Monte Carlo study harness: MSE and bias of IRF estimators against a
 simulated population reference, reproducing the benchmark experiments.
 
-Replication r always consumes the stream derived from (master_seed, r), so
-results are bit-identical for any thread count or chunking.
+Replication r always consumes the stream derived from (master_seed, r).
+Replications run in chunks of ``REPLICATION_CHUNK`` whose paths are simulated
+together in one batch, so results are bit-identical for any thread count;
+the fixed chunking fixes the rounding of the batched simulation.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +32,14 @@ from .irf import (
     estimated_irf,
     population_irf,
 )
-from .model import StabilityWarning, builtin_dgp, derive_seed, simulate
+from .model import (
+    PathDivergedError,
+    StabilityWarning,
+    builtin_dgp,
+    derive_seed,
+    simulate,
+    simulate_batch,
+)
 
 __all__ = [
     "StudyConfig",
@@ -48,7 +57,12 @@ REPLICATION_CHUNK = 25
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Desk-scale defaults; `paper_scale()` switches to the published counts."""
+    """Desk-scale defaults; `paper_scale()` switches to the published counts.
+
+    ``threads`` caps the worker threads of the population reference; the
+    replications run in order on the calling thread. Results are identical
+    for any value.
+    """
 
     dgp_id: int
     n: int = 240
@@ -78,6 +92,17 @@ class StudyConfig:
             raise ValueError(f"unknown estimator tags {sorted(unknown)}")
         if self.mc_replications < 1:
             raise ValueError("mc_replications must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
+        if self.horizon < 0:
+            raise ValueError("horizon must be non-negative")
+        p = builtin_dgp(self.dgp_id).p
+        if self.n <= self.horizon + p:
+            raise ValueError(f"n must exceed horizon + lag order ({self.horizon + p})")
+        if not 0.0 <= self.max_failure_fraction <= 1.0:
+            raise ValueError("max_failure_fraction must lie in [0, 1]")
 
     def paper_scale(self) -> "StudyConfig":
         return replace(self, mc_replications=10_000, pop_replications=100_000)
@@ -102,6 +127,10 @@ def default_study_config(dgp_id: int, **overrides) -> StudyConfig:
 
 @dataclass(frozen=True)
 class StudyResult:
+    """Moments over the successful replications. ``clamped`` sums their
+    estimated IRFs' clamped spline evaluations; ``failure_causes`` counts
+    the failed replications by exception class name."""
+
     config: StudyConfig
     population: dict[float, IrfResult]
     mse: dict[tuple[str, float], np.ndarray]
@@ -109,6 +138,8 @@ class StudyResult:
     se: dict[tuple[str, float], np.ndarray]
     n_ok: int
     failed: tuple[int, ...]
+    clamped: int
+    failure_causes: dict[str, int]
 
     def rows(self):
         """Flat (estimator, delta, var, h, mse, bias, se, n_ok) records."""
@@ -171,56 +202,54 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             threads=cfg.threads,
         )
 
-    d = spec.d
-    shape = (cfg.horizon + 1, d)
+    shape = (cfg.horizon + 1, spec.d)
     keys = [(tag, delta) for tag in cfg.estimators for delta in cfg.deltas]
     m = cfg.mc_replications
-    chunks = [(s, min(s + REPLICATION_CHUNK, m)) for s in range(0, m, REPLICATION_CHUNK)]
+    sums = {k: np.zeros(shape) for k in keys}
+    sq = {k: np.zeros(shape) for k in keys}
+    n_ok = clamped = 0
+    failed: list[int] = []
+    causes: Counter[str] = Counter()
 
-    def worker(start: int, stop: int):
-        sums = {k: np.zeros(shape) for k in keys}
-        sq = {k: np.zeros(shape) for k in keys}
-        count = 0
-        failed: list[int] = []
-        for r in range(start, stop):
-            try:
-                path = simulate(spec, cfg.n, derive_seed(cfg.master_seed, 2, r), cfg.burn_in)
-                fits = {tag: _fit_one(cfg, tag, path) for tag in cfg.estimators}
-                for tag in cfg.estimators:
-                    for delta in cfg.deltas:
-                        est = estimated_irf(
-                            fits[tag], path, ShockSpec(delta, est_rho, cfg.horizon)
-                        )
-                        err = est.values - population[delta].values
-                        sums[(tag, delta)] += err
-                        sq[(tag, delta)] += err**2
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
-                if isinstance(exc, IncompatibleShockError):
-                    raise
-                failed.append(r)
-                continue
-            count += 1
-        return sums, sq, count, failed
+    def replicate(path) -> tuple[dict, int]:
+        fits = {tag: _fit_one(cfg, tag, path) for tag in cfg.estimators}
+        errs, rep_clamped = {}, 0
+        for tag, delta in keys:
+            est = estimated_irf(fits[tag], path, ShockSpec(delta, est_rho, cfg.horizon))
+            errs[(tag, delta)] = est.values - population[delta].values
+            rep_clamped += est.clamped
+        return errs, rep_clamped
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        if cfg.threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                parts = list(pool.map(lambda c: worker(*c), chunks))
-        else:
-            parts = [worker(*c) for c in chunks]
-
-    sums = {k: np.zeros(shape) for k in keys}
-    sq = {k: np.zeros(shape) for k in keys}
-    n_ok = 0
-    failed: list[int] = []
-    for psums, psq, pcount, pfailed in parts:
-        for k in keys:
-            sums[k] += psums[k]
-            sq[k] += psq[k]
-        n_ok += pcount
-        failed.extend(pfailed)
+        for start in range(0, m, REPLICATION_CHUNK):
+            reps = range(start, min(start + REPLICATION_CHUNK, m))
+            seeds = [derive_seed(cfg.master_seed, 2, r) for r in reps]
+            try:
+                paths = simulate_batch(spec, cfg.n, seeds, cfg.burn_in)
+            except PathDivergedError:
+                # re-simulate one by one so only the diverged replications fail
+                paths = None
+            # per-chunk partial sums, merged in chunk order
+            chunk_sums = {k: np.zeros(shape) for k in keys}
+            chunk_sq = {k: np.zeros(shape) for k in keys}
+            for i, r in enumerate(reps):
+                try:
+                    path = paths[i] if paths is not None else simulate(spec, cfg.n, seeds[i], cfg.burn_in)
+                    errs, rep_clamped = replicate(path)
+                except (RuntimeError, np.linalg.LinAlgError) as exc:
+                    failed.append(r)
+                    causes[type(exc).__name__] += 1
+                    continue
+                for k in keys:
+                    chunk_sums[k] += errs[k]
+                    chunk_sq[k] += errs[k] ** 2
+                clamped += rep_clamped
+                n_ok += 1
+            for k in keys:
+                sums[k] += chunk_sums[k]
+                sq[k] += chunk_sq[k]
     if len(failed) > cfg.max_failure_fraction * m:
         raise RuntimeError(
             f"{len(failed)} of {m} replications failed "
@@ -238,6 +267,8 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         se=se,
         n_ok=n_ok,
         failed=tuple(failed),
+        clamped=clamped,
+        failure_causes=dict(causes),
     )
 
 

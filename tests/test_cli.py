@@ -59,6 +59,13 @@ def test_simulate_invalid_dgp_exits_2(tmp_path):
     assert code == 2
 
 
+def test_invalid_study_config_exits_2(tmp_path):
+    code, _ = run_cli(tmp_path, "mc", {"dgp": 2, "horizon": -1})
+    assert code == 2
+    code, _ = run_cli(tmp_path, "mc", {"dgp": 2}, "--threads", "0")
+    assert code == 2
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     code, _ = run_cli(tmp_path, "simulate", {"dgp": 2, "n": 50, "bogus": 1})
     assert code == 2

@@ -206,3 +206,11 @@ def test_select_k_examples():
     assert select_K(10, 1, 1) >= 0
     with pytest.raises(ValueError):
         select_K(5, 1, 1)
+
+
+def test_lag0_only_plan_fits(dgp2):
+    path = sievar.simulate(dgp2, 300, seed=47)
+    fit = fit_two_step(path, make_plan(path.x, lags=1))
+    assert fit.lags.coeffs.shape == (0, 2, 2)
+    shock = sievar.ShockSpec(0.0, sievar.RelaxationFn.symmetric_bump(3.0, 4.0), 6)
+    np.testing.assert_array_equal(sievar.estimated_irf(fit, path, shock).values, 0.0)

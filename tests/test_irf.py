@@ -204,6 +204,15 @@ def test_estimated_irf_zero_delta_exact(dgp2, bump34):
     np.testing.assert_array_equal(res.values, 0.0)
 
 
+def test_estimated_irf_rejects_fit_of_another_sample(dgp2, bump34):
+    own = sievar.simulate(dgp2, 300, seed=2)
+    other = sievar.simulate(dgp2, 300, seed=1)
+    fit = sievar.fit_two_step(own, make_plan(own.x))
+    estimated_irf(fit, own, ShockSpec(1.0, bump34, 6))
+    with pytest.raises(ValueError, match="not produced from this sample"):
+        estimated_irf(fit, other, ShockSpec(1.0, bump34, 6))
+
+
 def test_estimated_irf_impact_linear_in_delta(dgp2, bump34):
     path = sievar.simulate(dgp2, 300, seed=45)
     fit = sievar.fit_two_step(path, make_plan(path.x))

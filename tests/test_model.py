@@ -15,6 +15,7 @@ from sievar.model import (
     draw_innovations,
     iterate_paths,
     simulate,
+    simulate_batch,
 )
 
 B0_TRI = np.array([[1.0, 0.0, 0.0], [-0.45, 1.0, -0.3], [-0.05, 0.1, 1.0]])
@@ -133,6 +134,21 @@ def test_simulate_deterministic():
     b = simulate(spec, 400, seed=13)
     np.testing.assert_array_equal(a.z, b.z)
     np.testing.assert_array_equal(a.eps, b.eps)
+
+
+@pytest.mark.parametrize("dgp_id", range(1, 8))
+def test_simulate_batch_matches_per_seed_simulate(dgp_id):
+    spec = builtin_dgp(dgp_id)
+    seeds = [101, 102, 103, 104, 105]
+    batch = simulate_batch(spec, 300, seeds, burn_in=100)
+    for seed, path in zip(seeds, batch):
+        single = simulate(spec, 300, seed=seed, burn_in=100)
+        np.testing.assert_array_equal(path.eps, single.eps)
+        assert (path.seed, path.burn_in) == (seed, 100)
+        if dgp_id == 7:  # diagonal lag matrix: no cross-row rounding in the batch
+            np.testing.assert_array_equal(path.z, single.z)
+        else:
+            np.testing.assert_allclose(path.z, single.z, rtol=0.0, atol=1e-12)
 
 
 def test_simulate_divergence_raises():

@@ -69,6 +69,35 @@ def test_incompatible_relaxation_rejected():
         run_study(small_cfg(deltas=(5.0,)))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(threads=0), "threads"),
+        (dict(burn_in=-1), "burn_in"),
+        (dict(horizon=-1), "horizon"),
+        (dict(n=13, horizon=12), "n must exceed"),
+        (dict(max_failure_fraction=-0.1), "max_failure_fraction"),
+        (dict(max_failure_fraction=1.5), "max_failure_fraction"),
+    ],
+)
+def test_invalid_config_rejected(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**overrides)
+
+
+def test_clamped_counter_kept():
+    cfg = small_cfg(mc_replications=5, pop_replications=500, horizon=3, domain=(-1.0, 1.0))
+    res = run_study(cfg)
+    assert res.failure_causes == {}
+    shock = sievar.ShockSpec(1.0, cfg.relaxation, cfg.horizon)
+    clamped = 0
+    for r in range(cfg.mc_replications):
+        path = sievar.simulate(sievar.builtin_dgp(2), cfg.n, derive_seed(cfg.master_seed, 2, r))
+        fit = sievar.fit_two_step(path, study_mod._study_plan(cfg, path.x))
+        clamped += sievar.estimated_irf(fit, path, shock).clamped
+    assert res.clamped == clamped > 0
+
+
 def test_paper_scale_switch():
     cfg = default_study_config(2)
     assert (cfg.mc_replications, cfg.pop_replications) == (200, 20_000)
@@ -136,6 +165,10 @@ def test_failed_replications_excluded_and_abort(monkeypatch):
             raise PathDivergedError("path diverged at step 1")
         return real_simulate(spec, n, seed, burn_in)
 
+    def diverged_batch(spec, n, seeds, burn_in):
+        raise PathDivergedError("path diverged at step 1")
+
+    monkeypatch.setattr(study_mod, "simulate_batch", diverged_batch)
     monkeypatch.setattr(study_mod, "simulate", flaky)
     cfg = small_cfg(mc_replications=150, pop_replications=500, max_failure_fraction=0.01)
     res = run_study(cfg)
@@ -148,6 +181,37 @@ def test_failed_replications_excluded_and_abort(monkeypatch):
     monkeypatch.setattr(study_mod, "simulate", always_fail)
     with pytest.raises(RuntimeError, match="replications failed"):
         run_study(small_cfg(mc_replications=20, pop_replications=500))
+
+
+def test_failed_replication_contributes_nothing(monkeypatch):
+    """A replication failing in its last IRF adds no partial error sums."""
+    cfg = small_cfg(mc_replications=10, pop_replications=500,
+                    estimators=("parametric_true", "sieve"), max_failure_fraction=0.2)
+
+    def fail_on_call(fn, k):
+        calls = {"n": 0}
+
+        def flaky(*args):
+            calls["n"] += 1
+            if calls["n"] == k:
+                raise np.linalg.LinAlgError("singular matrix")
+            return fn(*args)
+
+        return flaky
+
+    # replication 3's sieve IRF is the 8th estimated_irf call (two per replication)
+    monkeypatch.setattr(study_mod, "estimated_irf", fail_on_call(study_mod.estimated_irf, 8))
+    late = run_study(cfg)
+    monkeypatch.undo()
+    # replication 3's parametric fit is the 4th fit_parametric call
+    monkeypatch.setattr(study_mod, "fit_parametric", fail_on_call(study_mod.fit_parametric, 4))
+    early = run_study(cfg)
+    for res in (late, early):
+        assert res.failed == (3,)
+        assert res.failure_causes == {"LinAlgError": 1}
+    for key in late.mse:
+        np.testing.assert_array_equal(late.mse[key], early.mse[key])
+        np.testing.assert_array_equal(late.bias[key], early.bias[key])
 
 
 def test_self_consistency_parametric_rate():
