@@ -61,7 +61,6 @@ from .model import (
     draw_innovations,
     linearized,
     simulate,
-    simulate_batch,
 )
 from .study import (
     StudyConfig,

@@ -333,9 +333,10 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
     """Plug-in sample IRF: average forward-iterated residual paths over t.
 
     Every impact time with a full H-step residual future contributes (the
-    common-t convention); the baseline recursion reproduces the observed
-    sample, so a zero shock gives an exactly zero response. A fit whose
-    one-step baseline does not reproduce the sample raises ``ValueError``.
+    common-t convention); a zero shock gives an exactly zero response. A fit
+    whose one-step baseline X does not reproduce the sample's X (the first
+    stage is exact for sieve, infeasible and parametric fits alike) raises
+    ``ValueError``.
     """
     if isinstance(data, SimPath):
         x, y = data.x, data.y
@@ -370,11 +371,13 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
         shocked_eps = eps_path.copy()
         shocked_eps[:, 0, 0] += shock.delta * rho_vals[idx]
         base, clamp_b = iterate_paths(fit, state, eps_path)
-        miss = float(np.max(np.abs(base[:, 0] - z[idx + p])))
+        # only the X step is exact for every fit kind: an infeasible fit's
+        # Y equations use the true innovations, not the first-stage residuals
+        miss = float(np.max(np.abs(base[:, 0, 0] - z[idx + p, 0])))
         if not miss <= tolerance:
             raise ValueError(
-                f"fit was not produced from this sample: its residuals miss the "
-                f"observations by {miss:.3g}"
+                f"fit was not produced from this sample: its first-stage residuals "
+                f"miss the observations by {miss:.3g}"
             )
         shocked, clamp_s = iterate_paths(fit, state, shocked_eps)
         diff = shocked - base

@@ -213,6 +213,17 @@ def test_estimated_irf_rejects_fit_of_another_sample(dgp2, bump34):
         estimated_irf(fit, other, ShockSpec(1.0, bump34, 6))
 
 
+def test_estimated_irf_accepts_infeasible_and_parametric_fits_of_own_sample(dgp2, bump34):
+    path = sievar.simulate(dgp2, 300, seed=3)
+    shock = ShockSpec(1.0, bump34, 6)
+    for fit in (
+        sievar.fit_infeasible(path, make_plan(path.x)),
+        sievar.fit_parametric(path, 1, sievar.benchmark_true_form(2)),
+    ):
+        res = estimated_irf(fit, path, shock)
+        assert np.all(np.isfinite(res.values))
+
+
 def test_estimated_irf_impact_linear_in_delta(dgp2, bump34):
     path = sievar.simulate(dgp2, 300, seed=45)
     fit = sievar.fit_two_step(path, make_plan(path.x))
