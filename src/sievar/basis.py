@@ -11,6 +11,7 @@ column stay identified next to the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,15 @@ class KnotVector:
             ]
         )
 
+    @cached_property
+    def span_knots(self) -> np.ndarray:
+        """(2*degree + 2, #interior + 1) table: column j holds the knots that
+        define the degree+1 basis functions nonzero on the j-th knot span."""
+        width = 2 * self.degree + 2
+        table = np.lib.stride_tricks.sliding_window_view(self.knots, width).T.copy()
+        table.flags.writeable = False
+        return table
+
     def greville(self) -> np.ndarray:
         """Greville abscissae; the identity map is x = sum_i greville_i * b_i(x)."""
         if self.degree == 0:
@@ -85,29 +95,34 @@ def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     """Evaluate all basis functions at each point; out-of-domain x is clamped.
 
     Returns an (n, dim) matrix; rows sum to one and have at most degree+1
-    nonzero entries (Cox-de Boor recursion on the clamped knot vector).
+    nonzero entries. Only those entries are computed: each point's knot span
+    is found by bisection and the Cox-de Boor recursion runs over the
+    degree+1 functions live on it (de Boor, A Practical Guide to Splines,
+    1978), with the same arithmetic as the recursion over every function,
+    so the matrix is the same to the last bit.
     """
-    x = np.clip(np.asarray(x, dtype=float), kv.lo, kv.hi)
-    t = kv.knots
-    m = t.size
+    x = np.clip(np.asarray(x, dtype=float), kv.lo, kv.hi).reshape(-1)
+    deg = kv.degree
     n = x.size
-    values = np.zeros((n, m - 1))
-    last = 0
-    for i in range(m - 1):
-        if t[i + 1] > t[i]:
-            values[:, i] = (x >= t[i]) & (x < t[i + 1])
-            last = i
-    values[x == kv.hi, :] = 0.0
-    values[x == kv.hi, last] = 1.0
-    for k in range(1, kv.degree + 1):
-        for i in range(m - k - 1):
-            acc = np.zeros(n)
-            if t[i + k] > t[i]:
-                acc += (x - t[i]) / (t[i + k] - t[i]) * values[:, i]
-            if t[i + k + 1] > t[i + 1]:
-                acc += (t[i + k + 1] - x) / (t[i + k + 1] - t[i + 1]) * values[:, i + 1]
-            values[:, i] = acc
-    return values[:, : kv.dim]
+    # span j runs from interior knot j-1 to interior knot j; x = hi falls in the last
+    span = np.searchsorted(kv.interior, x, side="right")
+    t = kv.span_knots.take(span, axis=1)
+    live = np.ones((1, n))
+    for k in range(1, deg + 1):
+        # live[r] is the level-(k-1) function whose first knot is t[deg-k+1+r]
+        lo, hi = t[deg - k + 1 : deg + 1], t[deg + 1 : deg + k + 1]
+        gap = hi - lo
+        # a zero-width gap becomes inf, so its term is exactly +0 (numerators are
+        # >= 0 on the span), as if skipped like the full recursion skips it
+        gap = np.where(gap > 0, gap, np.inf)
+        new = np.zeros((k + 1, n))
+        new[:k] = (hi - x) / gap * live
+        new[1:] += (x - lo) / gap * live
+        live = new
+    values = np.zeros((n, kv.dim))
+    first = span + kv.dim * np.arange(n)
+    values.reshape(-1)[first + np.arange(deg + 1)[:, None]] = live
+    return values
 
 
 def bspline_eval(kv: KnotVector, x: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio
+from . import __version__, dataio
 from .basis import KnotVector, SievePlan, knots_from_quantiles
 from .diagnostics import estimate_delta_r, find_h_star
 from .estimator import fit_parametric, fit_two_step, max0_prior_form
@@ -347,6 +347,19 @@ def cmd_mc(cfg: dict, args) -> int:
         raise ConfigError(f"invalid study config: {exc}") from exc
     result = run_study(study_cfg)
     dataio.write_study(result, out_dir / "study.csv")
+    manifest = {
+        "sievar_version": __version__,
+        "numpy_version": np.__version__,
+        "n_ok": result.n_ok,
+        "failed": len(result.failed),
+        "failure_causes": result.failure_causes,
+        "clamped": result.clamped,
+        "population_max_mc_se": [
+            {"delta": delta, "max_mc_se": float(np.max(irf.mc_se))}
+            for delta, irf in sorted(result.population.items())
+        ],
+    }
+    (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     spec_d = result.population[study_cfg.deltas[0]].values.shape[1]
     panels = []

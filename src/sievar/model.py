@@ -8,7 +8,9 @@ The pseudo-reduced form iterated here is
 
 with the structural series ordered first and only its shocks identified.
 Impact maps G_j are sums of simple terms so linear and nonlinear pieces of
-one lag live side by side.
+one lag live side by side. In the forward iteration a spline term of lag j
+reads the X of j steps back, so each step evaluates one B-spline basis per
+distinct knot vector at its new X and the later lags reuse it.
 """
 
 from __future__ import annotations
@@ -89,9 +91,14 @@ class NonlinFn:
         elif self.kind == "smooth_phi_shift":
             out = x * (0.5 + np.tanh(x) / 2.0)
         else:
-            out = bspline_matrix(self.knots, np.atleast_1d(x)) @ np.asarray(self.coeffs)
-            out = out.reshape(np.shape(x))
+            out = self.from_basis(bspline_matrix(self.knots, np.atleast_1d(x)))
+            # a 0-d input gives a scalar, as the other kinds do
+            return out.reshape(np.shape(x))[()]
         return self.scale * out
+
+    def from_basis(self, basis: np.ndarray) -> np.ndarray:
+        """Spline term value from its (n, dim) basis matrix at n points."""
+        return self.scale * (basis @ np.asarray(self.coeffs))
 
 
 ImpactMap = tuple[tuple[tuple[NonlinFn, ...], ...], ...]
@@ -291,10 +298,9 @@ def iterate_paths(
     if eps_path.ndim == 2:
         eps_path = eps_path[None, :, :]
     n_batch, steps = eps_path.shape[0], eps_path.shape[1]
-    p, d, d_y = spec.p, spec.d, spec.d_y
+    p, d = spec.p, spec.d
     if state.shape != (n_batch, max(p, 1), d) and state.shape != (n_batch, p, d):
         raise ValueError(f"state must be ({n_batch}, {p}, {d})")
-    a = spec.lags.coeffs
     buf = np.concatenate([state[:, -p:] if p else np.zeros((n_batch, 0, d)), np.zeros((n_batch, steps, d))], axis=1)
     # divergence is detected via isfinite; the overflow itself is expected there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,6 +311,10 @@ def _iterate_inner(spec, buf, eps_path, steps):
     p, d, d_y = spec.p, spec.d, spec.d_y
     n_batch = buf.shape[0]
     a = spec.lags.coeffs
+    # spline terms evaluate one basis per (knot vector, buffer row): the lag-j
+    # term at step s reuses the basis built for the X of step s - j. Keys hold
+    # knot vectors by value, as each lag of a loaded fit has its own copy.
+    bases: dict[tuple[KnotVector, int], np.ndarray] = {}
     clamped = 0
     for s in range(steps):
         pos = p + s
@@ -318,14 +328,24 @@ def _iterate_inner(spec, buf, eps_path, steps):
             for j in range(p + 1):
                 x_lag = x_new if j == 0 else buf[:, pos - j, 0]
                 for term in spec.impact[i][j]:
-                    if term.kind == "spline":
-                        clamped += int(np.count_nonzero((x_lag < term.knots.lo) | (x_lag > term.knots.hi)))
-                    acc += term(x_lag)
+                    if term.kind != "spline":
+                        acc += term(x_lag)
+                        continue
+                    kv = term.knots
+                    clamped += int(np.count_nonzero((x_lag < kv.lo) | (x_lag > kv.hi)))
+                    key = (kv, pos - j)
+                    basis = bases.get(key)
+                    if basis is None:
+                        basis = bases[key] = bspline_matrix(kv, x_lag)
+                    acc += term.from_basis(basis)
             acc += spec.b0_21[i] * eps_path[:, s, 0] + eps_path[:, s, 1 + i]
             new[:, 1 + i] = acc
         if not np.all(np.isfinite(new)):
             raise PathDivergedError(f"path diverged at step {s + 1}")
         buf[:, pos] = new
+        if bases:
+            # the next step reads rows pos + 1 - p .. pos
+            bases = {key: b for key, b in bases.items() if key[1] > pos - p}
     return buf[:, p:], clamped
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sievar
 from sievar.basis import (
@@ -35,6 +37,32 @@ def cox_de_boor_naive(t, degree, i, x):
             t, degree - 1, i + 1, x
         )
     return left + right
+
+
+def bspline_matrix_full_table(kv, x):
+    """Cox-de Boor over every knot interval: the reference the local
+    evaluator must match bit for bit."""
+    x = np.clip(np.asarray(x, dtype=float), kv.lo, kv.hi)
+    t = kv.knots
+    m = t.size
+    n = x.size
+    values = np.zeros((n, m - 1))
+    last = 0
+    for i in range(m - 1):
+        if t[i + 1] > t[i]:
+            values[:, i] = (x >= t[i]) & (x < t[i + 1])
+            last = i
+    values[x == kv.hi, :] = 0.0
+    values[x == kv.hi, last] = 1.0
+    for k in range(1, kv.degree + 1):
+        for i in range(m - k - 1):
+            acc = np.zeros(n)
+            if t[i + k] > t[i]:
+                acc += (x - t[i]) / (t[i + k] - t[i]) * values[:, i]
+            if t[i + k + 1] > t[i + 1]:
+                acc += (t[i + k + 1] - x) / (t[i + k + 1] - t[i + 1]) * values[:, i + 1]
+            values[:, i] = acc
+    return values[:, : kv.dim]
 
 
 KVS = [
@@ -81,6 +109,36 @@ def test_matches_naive_cox_de_boor(kv):
     for col in range(kv.dim):
         naive = np.array([cox_de_boor_naive(t, kv.degree, col, x) for x in xs])
         np.testing.assert_allclose(ours[:, col], naive, atol=1e-12)
+
+
+_finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def clamped_knot_vectors(draw):
+    lo = draw(st.floats(-10.0, 10.0, **_finite))
+    hi = lo + draw(st.floats(1e-3, 20.0, **_finite))
+    inside = st.floats(lo, hi, exclude_min=True, exclude_max=True, **_finite)
+    interior = sorted(draw(st.lists(inside, max_size=8, unique=True)))
+    # below ~1e-307 the full table's weights (x - t) / gap for functions off
+    # the point's span overflow to inf, and inf * 0 puts NaN in its rows
+    assume(np.min(np.diff([lo, *interior, hi])) > 1e-300)
+    return KnotVector(draw(st.integers(0, 5)), tuple(interior), lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kv=clamped_knot_vectors(), data=st.data())
+def test_local_evaluation_equals_full_table(kv, data):
+    t = kv.knots
+    inside = data.draw(st.lists(st.floats(kv.lo, kv.hi, **_finite), max_size=20))
+    outside = [kv.lo - 1.0, kv.hi + 1.0, -np.inf, np.inf]
+    x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), outside, inside])
+    ours = bspline_matrix(kv, x)
+    reference = bspline_matrix_full_table(kv, x)
+    np.testing.assert_array_equal(ours, reference)
+    assert ours.tobytes() == reference.tobytes()  # signed zeros too
+    assert np.max(np.abs(ours.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all(np.count_nonzero(ours, axis=1) <= kv.degree + 1)
 
 
 @pytest.mark.parametrize("kv", KVS[:4])

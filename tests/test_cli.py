@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievar
+import sievar.model
 from sievar import dataio
 from sievar.cli import main
 from sievar.irf import ShockSpec
@@ -154,16 +155,26 @@ def test_irf_population_overlay(tmp_path):
     assert methods == {"estimated", "parametric_max0", "linear_closed_form", "population"}
 
 
-def test_irf_fit_bundle_roundtrip(tmp_path):
+def test_irf_fit_bundle_roundtrip(tmp_path, monkeypatch):
     spec = sievar.builtin_dgp(2)
     path = sievar.simulate(spec, 400, seed=5)
     fit = sievar.fit_two_step(path, make_plan(path.x))
     dataio.save_fitted(fit, tmp_path / "bundle")
     reloaded = dataio.load_fitted(tmp_path / "bundle")
+    # each lag of the reloaded fit holds its own, equal knot vector
+    lag0, lag1 = (terms[0].knots for terms in reloaded.impact[0])
+    assert lag0 == lag1 and lag0 is not lag1
     shock = ShockSpec(1.0, sievar.RelaxationFn.symmetric_bump(3, 4), 8)
+    calls = []
+    real = sievar.model.bspline_matrix
+    monkeypatch.setattr(sievar.model, "bspline_matrix", lambda kv, x: calls.append(kv) or real(kv, x))
     a = sievar.estimated_irf(fit, path, shock)
+    in_memory_calls = len(calls)
     b = sievar.estimated_irf(reloaded, path, shock)
     np.testing.assert_array_equal(a.values, b.values)
+    assert a.clamped == b.clamped
+    # the per-step spline basis is shared by value, not by object
+    assert len(calls) == 2 * in_memory_calls
 
 
 BUNDLE_PATH = sievar.simulate(sievar.builtin_dgp(2), 300, seed=21)
@@ -226,6 +237,32 @@ def test_mc_command_writes_schema(tmp_path):
     assert len(rows) == 2 * 5  # vars x horizons
     assert all(r["n_ok"] == "8" for r in rows)
     assert (run_dir / "study.svg").exists()
+
+
+def test_mc_run_manifest_matches_direct_study(tmp_path):
+    cfg = {
+        "dgp": 2, "n": 240, "replications": 6, "population_replications": 1000,
+        "deltas": [1.0, -1.0], "horizon": 4, "estimators": ["sieve"], "seed": 4,
+    }
+    code, out = run_cli(tmp_path, "mc", cfg)
+    assert code == 0
+    run_dir = only_run_dir(out, "mc")
+    manifest = json.loads((run_dir / "run.json").read_text())
+    direct = sievar.run_study(sievar.default_study_config(
+        2, n=240, mc_replications=6, pop_replications=1000, deltas=(1.0, -1.0),
+        horizon=4, estimators=("sieve",), master_seed=4,
+    ))
+    assert manifest["n_ok"] == direct.n_ok == 6
+    assert manifest["failed"] == len(direct.failed)
+    assert manifest["failure_causes"] == direct.failure_causes
+    assert manifest["clamped"] == direct.clamped > 0
+    assert manifest["population_max_mc_se"] == [
+        {"delta": delta, "max_mc_se": float(np.max(direct.population[delta].mc_se))}
+        for delta in (-1.0, 1.0)
+    ]
+    assert manifest["sievar_version"] == sievar.__version__
+    assert manifest["numpy_version"] == np.__version__
+    assert (run_dir / "config.json").exists()
 
 
 def test_mc_paper_scale_flag_respects_explicit_counts(tmp_path):

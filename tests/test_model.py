@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import sievar
+import sievar.model
+from sievar.basis import KnotVector
 from sievar.model import (
     InnovationLaw,
     LagPolynomial,
@@ -149,6 +151,70 @@ def test_simulate_batch_matches_per_seed_simulate(dgp_id):
             np.testing.assert_array_equal(path.z, single.z)
         else:
             np.testing.assert_allclose(path.z, single.z, rtol=0.0, atol=1e-12)
+
+
+def reference_iterate(spec, state, eps):
+    """The forward recursion with every impact term evaluated through
+    ``NonlinFn.__call__`` at every step, so no spline basis is shared."""
+    n_batch, steps, d = eps.shape
+    p = spec.p
+    buf = np.concatenate([state, np.zeros((n_batch, steps, d))], axis=1)
+    clamped = 0
+    for s in range(steps):
+        pos = p + s
+        new = np.tile(spec.mu, (n_batch, 1))
+        for k in range(1, p + 1):
+            new += buf[:, pos - k] @ spec.lags.coeffs[k - 1].T
+        new[:, 0] += eps[:, s, 0]
+        for i in range(spec.d_y):
+            acc = new[:, 1 + i]
+            for j in range(p + 1):
+                x_lag = new[:, 0] if j == 0 else buf[:, pos - j, 0]
+                for term in spec.impact[i][j]:
+                    if term.kind == "spline":
+                        clamped += int(np.count_nonzero((x_lag < term.knots.lo) | (x_lag > term.knots.hi)))
+                    acc += term(x_lag)
+            acc += spec.b0_21[i] * eps[:, s, 0] + eps[:, s, 1 + i]
+        buf[:, pos] = new
+    return buf[:, p:], clamped
+
+
+def _spline(kv, scale, seed):
+    coeffs = np.random.default_rng(seed).normal(size=kv.dim)
+    return NonlinFn("spline", scale, kv, tuple(coeffs))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("batch", [1, 64])
+def test_spline_basis_cache_is_exact(shared, batch, monkeypatch):
+    kv = KnotVector(3, (-0.5, 0.4), -1.5, 1.5)
+    twin = KnotVector(3, (-0.5, 0.4), -1.5, 1.5)  # equal value, distinct object
+    other = KnotVector(2, (0.0,), -1.0, 1.2)
+    lag2 = twin if shared else other
+    impact = (
+        ((_spline(kv, 0.7, 1), NonlinFn("max0", 0.2)), (_spline(kv, -0.4, 2),), (_spline(lag2, 0.3, 3),)),
+        ((), (_spline(twin, 0.5, 4),), (NonlinFn("identity", 0.1),)),
+    )
+    lags = np.stack([np.diag([0.5, 0.3, 0.2]), np.full((3, 3), 0.05)])
+    spec = ModelSpec(
+        d_y=2, p=2, mu=np.array([0.1, 0.0, -0.2]), lags=LagPolynomial(lags), impact=impact,
+        b0_21=np.array([0.4, -0.3]), innovation=InnovationLaw(sigma=(1.0, 0.5, 0.5), bound=3.0),
+    )
+    steps = 40
+    rng = np.random.default_rng(7)
+    state = rng.normal(size=(batch, 2, 3))
+    eps = rng.normal(size=(batch, steps, 3))
+    calls = []
+    real = sievar.model.bspline_matrix
+    monkeypatch.setattr(sievar.model, "bspline_matrix", lambda k, x: calls.append(k) or real(k, x))
+    paths, clamped = iterate_paths(spec, state, eps)
+    monkeypatch.undo()
+    expected, expected_clamped = reference_iterate(spec, state, eps)
+    np.testing.assert_array_equal(paths, expected)
+    assert clamped == expected_clamped > 0
+    # one basis per (knot vector, buffer row): rows 0..steps+1 when every lag
+    # shares kv; else rows 1..steps+1 (lags 0, 1) plus 0..steps-1 (lag 2)
+    assert len(calls) == (steps + 2 if shared else (steps + 1) + steps)
 
 
 def test_simulate_divergence_raises():
