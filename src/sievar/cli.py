@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -411,13 +412,23 @@ def cmd_diagnose(cfg: dict, args) -> int:
     mode = cfg.get("mode", "both")
     seed = int(cfg.get("seed", 0))
     lines = []
+    manifest = {
+        "sievar_version": __version__, "numpy_version": np.__version__, "mode": mode, "seed": seed,
+        "replications": None, "fit_residual": None, "dependence_s": None,
+        "samples": None, "h_cap": None, "h_star": None, "c_z": None, "stability_s": None,
+    }
     if mode in ("dependence", "both"):
+        start = time.perf_counter()
         profile = estimate_delta_r(
             spec,
             r=float(cfg.get("r", 2.0)),
             h_max=int(cfg.get("h_max", 10)),
             replications=int(cfg.get("replications", 2000)),
             seed=seed,
+        )
+        manifest.update(
+            replications=profile.replications, fit_residual=profile.fit_residual,
+            dependence_s=time.perf_counter() - start,
         )
         with open(out_dir / "dependence.csv", "w", encoding="utf-8") as fh:
             fh.write("h,delta_r\n")
@@ -429,11 +440,12 @@ def cmd_diagnose(cfg: dict, args) -> int:
             f"  (log-fit rms {profile.fit_residual:.3g})",
         ]
     if mode in ("stability", "both"):
-        report = find_h_star(
-            spec,
-            h_cap=int(cfg.get("h_cap", 10)),
-            samples=int(cfg.get("samples", 200)),
-            seed=seed,
+        start = time.perf_counter()
+        h_cap = int(cfg.get("h_cap", 10))
+        report = find_h_star(spec, h_cap=h_cap, samples=int(cfg.get("samples", 200)), seed=seed)
+        manifest.update(
+            samples=report.samples, h_cap=h_cap, h_star=report.h_star, c_z=report.c_z,
+            stability_s=time.perf_counter() - start,
         )
         lines += [
             f"stability probe ({report.samples} samples; estimates are lower bounds)",
@@ -442,6 +454,7 @@ def cmd_diagnose(cfg: dict, args) -> int:
             + " ".join(f"{v:.4g}" for v in report.decay),
         ]
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print("\n".join(lines))
     _echo_config(out_dir, cfg)
     return EXIT_OK

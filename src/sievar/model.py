@@ -288,8 +288,10 @@ def iterate_paths(
     """Iterate the pseudo-reduced recursion over a batch of paths.
 
     ``state`` is (B, p, d) with the most recent lag last; ``eps_path`` is
-    (B, T, d), row s supplying (eps_1, xi_2) for step s. Returns the (B, T, d)
-    continuation and the count of clamped spline-impact evaluations.
+    (B, T, d), row s supplying (eps_1, xi_2) for step s. Returns a fresh
+    C-contiguous (B, T, d) continuation, which shares no memory with the
+    inputs, and the count of clamped spline-impact evaluations. Neither
+    input is written.
     """
     state = np.asarray(state, dtype=float)
     eps_path = np.asarray(eps_path, dtype=float)
@@ -297,36 +299,39 @@ def iterate_paths(
         state = state[None, :, :]
     if eps_path.ndim == 2:
         eps_path = eps_path[None, :, :]
-    n_batch, steps = eps_path.shape[0], eps_path.shape[1]
+    n_batch = eps_path.shape[0]
     p, d = spec.p, spec.d
     if state.shape != (n_batch, max(p, 1), d) and state.shape != (n_batch, p, d):
         raise ValueError(f"state must be ({n_batch}, {p}, {d})")
-    buf = np.concatenate([state[:, -p:] if p else np.zeros((n_batch, 0, d)), np.zeros((n_batch, steps, d))], axis=1)
+    # the last p states as contiguous (B, d) arrays, oldest first
+    recent = [state[:, k].copy() for k in range(state.shape[1] - p, state.shape[1])]
     # divergence is detected via isfinite; the overflow itself is expected there
     with np.errstate(over="ignore", invalid="ignore"):
-        return _iterate_inner(spec, buf, eps_path, steps)
+        return _iterate_inner(spec, recent, eps_path)
 
 
-def _iterate_inner(spec, buf, eps_path, steps):
-    p, d, d_y = spec.p, spec.d, spec.d_y
-    n_batch = buf.shape[0]
+def _iterate_inner(spec, recent, eps_path):
+    p, d_y = spec.p, spec.d_y
+    n_batch, steps, d = eps_path.shape
     a = spec.lags.coeffs
-    # spline terms evaluate one basis per (knot vector, buffer row): the lag-j
+    out = np.empty((n_batch, steps, d))
+    # spline terms evaluate one basis per (knot vector, time index): the lag-j
     # term at step s reuses the basis built for the X of step s - j. Keys hold
     # knot vectors by value, as each lag of a loaded fit has its own copy.
     bases: dict[tuple[KnotVector, int], np.ndarray] = {}
     clamped = 0
     for s in range(steps):
         pos = p + s
+        eps = eps_path[:, s].copy()
         new = np.tile(spec.mu, (n_batch, 1))
         for k in range(1, p + 1):
-            new += buf[:, pos - k] @ a[k - 1].T
-        new[:, 0] += eps_path[:, s, 0]
+            new += recent[p - k] @ a[k - 1].T
+        new[:, 0] += eps[:, 0]
         x_new = new[:, 0]
         for i in range(d_y):
             acc = new[:, 1 + i]
             for j in range(p + 1):
-                x_lag = x_new if j == 0 else buf[:, pos - j, 0]
+                x_lag = x_new if j == 0 else recent[p - j][:, 0]
                 for term in spec.impact[i][j]:
                     if term.kind != "spline":
                         acc += term(x_lag)
@@ -338,15 +343,17 @@ def _iterate_inner(spec, buf, eps_path, steps):
                     if basis is None:
                         basis = bases[key] = bspline_matrix(kv, x_lag)
                     acc += term.from_basis(basis)
-            acc += spec.b0_21[i] * eps_path[:, s, 0] + eps_path[:, s, 1 + i]
+            acc += spec.b0_21[i] * eps[:, 0] + eps[:, 1 + i]
             new[:, 1 + i] = acc
         if not np.all(np.isfinite(new)):
             raise PathDivergedError(f"path diverged at step {s + 1}")
-        buf[:, pos] = new
+        out[:, s] = new
+        if p:
+            recent = recent[1:] + [new]
         if bases:
-            # the next step reads rows pos + 1 - p .. pos
+            # the next step reads time indices pos + 1 - p .. pos
             bases = {key: b for key, b in bases.items() if key[1] > pos - p}
-    return buf[:, p:], clamped
+    return out, clamped
 
 
 def simulate(

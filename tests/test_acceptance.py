@@ -2,6 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion. Tolerances are fixed here, not calibrated at run time.
+Every test here carries the ``slow`` marker; ``pytest -m "not slow"``
+skips the module.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from sievar.model import InnovationLaw, LagPolynomial, ModelSpec, StabilityWarni
 from sievar.study import StudyConfig, default_study_config, derive_seed, run_study, run_study_variant_phi_shift
 
 from conftest import make_plan
+
+pytestmark = pytest.mark.slow
 
 BUMP34 = RelaxationFn.symmetric_bump(3.0, 4.0)
 

@@ -289,6 +289,35 @@ def test_diagnose_ar1_report(tmp_path, capsys):
     assert list(rows[0]) == ["h", "delta_r"]
 
 
+def test_diagnose_run_manifest_matches_direct_calls(tmp_path):
+    cfg = {"dgp": 2, "mode": "both", "replications": 300, "h_max": 5, "samples": 12, "h_cap": 4, "seed": 6}
+    code, out = run_cli(tmp_path, "diagnose", cfg)
+    assert code == 0
+    run_dir = only_run_dir(out, "diagnose")
+    manifest = json.loads((run_dir / "run.json").read_text())
+    spec = sievar.builtin_dgp(2)
+    profile = sievar.estimate_delta_r(spec, h_max=5, replications=300, seed=6)
+    report = sievar.find_h_star(spec, h_cap=4, samples=12, seed=6)
+    assert manifest["replications"] == profile.replications == 300
+    assert manifest["fit_residual"] == profile.fit_residual
+    assert (manifest["samples"], manifest["h_cap"]) == (report.samples, 4) == (12, 4)
+    assert manifest["h_star"] == report.h_star
+    assert manifest["c_z"] == report.c_z
+    assert (manifest["mode"], manifest["seed"]) == ("both", 6)
+    assert manifest["dependence_s"] >= 0.0 and manifest["stability_s"] >= 0.0
+    assert manifest["sievar_version"] == sievar.__version__
+    assert manifest["numpy_version"] == np.__version__
+    assert (run_dir / "config.json").exists()
+
+    stability_only = tmp_path / "stability"
+    stability_only.mkdir()
+    code, out = run_cli(stability_only, "diagnose", {"ar": [0.5], "mode": "stability", "samples": 8, "seed": 1})
+    assert code == 0
+    manifest = json.loads((only_run_dir(out, "diagnose") / "run.json").read_text())
+    assert manifest["replications"] is manifest["dependence_s"] is None
+    assert manifest["h_star"] == 1 and manifest["stability_s"] >= 0.0
+
+
 def test_relax_check_exit_codes(tmp_path):
     good = {"relaxation": {"kind": "symmetric_bump", "c": 3.0, "alpha": 4.0},
             "deltas": [1.0, -1.0], "support": [-3, 3]}

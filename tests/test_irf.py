@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sievar
 import sievar.cli
@@ -76,6 +78,31 @@ def test_compatibility_verdicts(bump34):
     worst = np.max(grid + np.asarray(relax_eval(bump34, grid)) * 5.0)
     verdict = check_compatibility(bump34, 5.0, (-3, 3))
     assert verdict.worst_margin == pytest.approx(3.0 - worst, abs=1e-6)
+
+
+_relaxations = st.one_of(
+    st.builds(RelaxationFn.symmetric_bump, c=st.floats(0.2, 6.0), alpha=st.floats(0.5, 8.0)),
+    st.builds(
+        lambda a, width, alpha: RelaxationFn.interval_bump(a, a + width, alpha),
+        a=st.floats(-6.0, 4.0), width=st.floats(0.2, 8.0), alpha=st.floats(0.5, 8.0),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rho=_relaxations,
+    delta=st.floats(0.05, 6.0).flatmap(lambda m: st.sampled_from((m, -m))),
+    lo=st.floats(-6.0, -0.5),
+    hi=st.floats(0.5, 6.0),
+)
+def test_compatibility_verdict_agrees_with_dense_grid(rho, delta, lo, hi):
+    verdict = check_compatibility(rho, delta, (lo, hi))
+    assume(abs(verdict.worst_margin) > 1e-6)
+    grid = np.linspace(lo, hi, 200_000)
+    mapped = grid + np.asarray(relax_eval(rho, grid)) * delta
+    past = mapped > hi if delta > 0 else mapped < lo
+    assert verdict.compatible == (not past.any())
 
 
 def test_dgp7_relaxation_compatible_with_two():

@@ -217,6 +217,36 @@ def test_spline_basis_cache_is_exact(shared, batch, monkeypatch):
     assert len(calls) == (steps + 2 if shared else (steps + 1) + steps)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("batch", [1, 64])
+def test_iterate_paths_returns_fresh_contiguous_rows(p, batch):
+    kv = KnotVector(3, (0.0,), -2.0, 2.0)
+    impact = tuple(((_spline(kv, 0.4, 5 + j), NonlinFn("max0", -0.3)),) + tuple(
+        (_spline(kv, 0.2, 9 + k),) for k in range(1, p + 1)
+    ) for j in range(2))
+    lags = np.array([np.full((3, 3), 0.1) + np.diag([0.3, 0.2, 0.1]) / (k + 1) for k in range(p)])
+    spec = ModelSpec(
+        d_y=2, p=p, mu=np.array([0.1, -0.1, 0.2]), lags=LagPolynomial(lags.reshape(p, 3, 3)),
+        impact=impact, b0_21=np.array([0.5, -0.2]),
+        innovation=InnovationLaw(sigma=(1.0, 0.5, 0.5), bound=3.0),
+    )
+    rng = np.random.default_rng(p + batch)
+    state = rng.normal(size=(batch, max(p, 1), 3))
+    eps = rng.normal(size=(batch, 30, 3))
+    state_before, eps_before = state.copy(), eps.copy()
+    paths, clamped = iterate_paths(spec, state, eps)
+    expected, expected_clamped = reference_iterate(spec, state[:, state.shape[1] - p :], eps)
+    np.testing.assert_array_equal(paths, expected)
+    assert clamped == expected_clamped
+    assert paths.flags.c_contiguous and paths.shape == (batch, 30, 3)
+    np.testing.assert_array_equal(state, state_before)
+    np.testing.assert_array_equal(eps, eps_before)
+    kept = paths.copy()
+    state[...] = np.nan
+    eps[...] = np.nan
+    np.testing.assert_array_equal(paths, kept)
+
+
 def test_simulate_divergence_raises():
     with pytest.warns(StabilityWarning):
         spec = ar_spec(1.5)
