@@ -322,7 +322,7 @@ def _iterate_inner(spec, recent, eps_path):
     clamped = 0
     for s in range(steps):
         pos = p + s
-        eps = eps_path[:, s].copy()
+        eps = eps_path[:, s]
         new = np.tile(spec.mu, (n_batch, 1))
         for k in range(1, p + 1):
             new += recent[p - k] @ a[k - 1].T
