@@ -7,7 +7,6 @@ from .basis import (
     GramDiagnostics,
     KnotVector,
     SievePlan,
-    bspline_eval,
     bspline_matrix,
     build_design,
     gram_diagnostics,
@@ -46,7 +45,6 @@ from .irf import (
     linearized_reduction,
     population_irf,
     relax_eval,
-    shocked_path,
 )
 from .model import (
     InnovationLaw,

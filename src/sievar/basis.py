@@ -20,7 +20,6 @@ __all__ = [
     "SievePlan",
     "DesignMatrix",
     "GramDiagnostics",
-    "bspline_eval",
     "bspline_matrix",
     "knots_from_quantiles",
     "build_design",
@@ -106,28 +105,35 @@ def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     n = x.size
     # span j runs from interior knot j-1 to interior knot j; x = hi falls in the last
     span = np.searchsorted(kv.interior, x, side="right")
-    t = kv.span_knots.take(span, axis=1)
+    t = kv.span_knots
     live = np.ones((1, n))
+    # each level gathers only its own knot rows and works in place, so that a
+    # call's temporaries stay small enough for the heap to reuse them
     for k in range(1, deg + 1):
         # live[r] is the level-(k-1) function whose first knot is t[deg-k+1+r]
-        lo, hi = t[deg - k + 1 : deg + 1], t[deg + 1 : deg + k + 1]
+        lo = t[deg - k + 1 : deg + 1].take(span, axis=1)
+        hi = t[deg + 1 : deg + k + 1].take(span, axis=1)
         gap = hi - lo
         # a zero-width gap becomes inf, so its term is exactly +0 (numerators are
         # >= 0 on the span), as if skipped like the full recursion skips it
-        gap = np.where(gap > 0, gap, np.inf)
-        new = np.zeros((k + 1, n))
-        new[:k] = (hi - x) / gap * live
-        new[1:] += (x - lo) / gap * live
+        gap[~(gap > 0)] = np.inf
+        new = np.empty((k + 1, n))
+        np.subtract(hi, x, out=new[:k])
+        del hi
+        new[:k] /= gap
+        new[:k] *= live
+        new[k] = 0.0
+        np.subtract(x, lo, out=lo)
+        lo /= gap
+        lo *= live
+        new[1:] += lo
         live = new
     values = np.zeros((n, kv.dim))
+    flat = values.reshape(-1)
     first = span + kv.dim * np.arange(n)
-    values.reshape(-1)[first + np.arange(deg + 1)[:, None]] = live
+    for r in range(deg + 1):
+        flat[first + r] = live[r]
     return values
-
-
-def bspline_eval(kv: KnotVector, x: float) -> np.ndarray:
-    """Basis values at a single point (length dim, sums to one)."""
-    return bspline_matrix(kv, np.array([x]))[0]
 
 
 def linear_projection(kv: KnotVector) -> np.ndarray:

@@ -202,7 +202,8 @@ def write_study(result: StudyResult, file: Path) -> None:
 
 def save_fitted(fit: FittedModel, file: Path) -> None:
     """Write the fitted model as one JSON document: the model, the plan or
-    form, the coefficient tables, the first stage and the residuals.
+    form, the coefficient tables, the first stage, the residuals and the
+    generated-regressor source.
 
     Floats are written by ``repr``, so the bundle round-trips exactly.
     """
@@ -224,12 +225,14 @@ def save_fitted(fit: FittedModel, file: Path) -> None:
         "residuals2": fit.residuals2.tolist(),
         "regularized": fit.regularized,
         "n_obs": fit.n_obs,
+        "generated": fit.generated,
     }
     Path(file).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_fitted(file: Path) -> FittedModel:
-    """Reconstruct the fitted model written by ``save_fitted``; exact round-trip."""
+    """Reconstruct the fitted model written by ``save_fitted``; exact round-trip.
+    A bundle without a ``generated`` key loads as a first-stage fit."""
     doc = json.loads(Path(file).read_text(encoding="utf-8"))
     spec = spec_from_config(doc["model"])
     first = doc["first_stage"]
@@ -252,4 +255,5 @@ def load_fitted(file: Path) -> FittedModel:
         coefficients=tuple(doc["coefficients"]),
         regularized=doc["regularized"],
         n_obs=doc["n_obs"],
+        generated=doc.get("generated", "first_stage"),
     )

@@ -47,6 +47,7 @@ __all__ = [
 
 RANK_RTOL = 1e-10
 RIDGE_SCALE = 1e-8
+GENERATED_SOURCES = ("first_stage", "true_innovations")
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,9 @@ class FittedModel(ModelSpec):
     The impact splines are stored with their linear channel folded into
     ``b0_21`` (the generated-regressor coefficient) and the lag matrices, so
     ``impact_function`` exposes the identified total lag-wise impact.
+    ``generated`` names what filled the generated-regressor slot in stage II:
+    ``"first_stage"`` residuals (the model then reproduces its sample from
+    its residuals) or the ``"true_innovations"`` of an infeasible fit.
     """
 
     plan: SievePlan | None = None
@@ -155,11 +159,14 @@ class FittedModel(ModelSpec):
     coefficients: tuple[dict[str, float], ...] = ()
     regularized: bool = False
     n_obs: int = 0
+    generated: str = "first_stage"
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.first_stage is None or self.residuals2 is None:
             raise ValueError("fitted model requires first-stage and stage-II residuals")
+        if self.generated not in GENERATED_SOURCES:
+            raise ValueError(f"generated regressor source must be one of {GENERATED_SOURCES}")
 
     def impact_function(self, equation: int, lag: int):
         """Identified total impact of X_{t-lag} on one equation, zero at zero.
@@ -200,6 +207,7 @@ def _fit_stage_two(
     generated: np.ndarray,
     first: FirstStageFit,
     p: int,
+    source: str = "first_stage",
 ) -> FittedModel:
     """Stage-II least squares on ``layout``'s design, mapped back to the model.
 
@@ -262,6 +270,7 @@ def _fit_stage_two(
         ),
         regularized=first.regularized or fit.regularized,
         n_obs=x.size,
+        generated=source,
     )
 
 
@@ -278,7 +287,8 @@ def fit_infeasible(data, plan: SievePlan) -> FittedModel:
     if eps is None:
         raise ValueError("infeasible fit requires simulated data carrying true innovations")
     first = first_stage(x, y, plan.p)
-    return _fit_stage_two(plan, x, y, np.asarray(eps, dtype=float)[plan.p :, 0], first, plan.p)
+    generated = np.asarray(eps, dtype=float)[plan.p :, 0]
+    return _fit_stage_two(plan, x, y, generated, first, plan.p, "true_innovations")
 
 
 def fit_parametric(data, p: int, form: ParametricForm) -> FittedModel:

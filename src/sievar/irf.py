@@ -1,10 +1,12 @@
 """Nonlinear impulse responses via forward iteration with relaxed shocks.
 
 The impact perturbation replaces the structural innovation eps_1t by
-eps_1t + delta * rho(eps_1t) and both paths are iterated forward with the
-same innovations; the response is the average shocked-minus-baseline
-difference. A closed-form moving-average recursion is provided as the
-linear oracle.
+eps_1t + delta * rho(eps_1t); the shocked path reuses the baseline's
+innovations, and the response is the average shocked-minus-baseline
+difference. The population response iterates both paths. The plug-in sample
+response of a fit that reproduces its sample from its residuals takes the
+observed continuation as the baseline and iterates only the shocked paths.
+A closed-form moving-average recursion is provided as the linear oracle.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import _as_xy
 from .model import (
     LagPolynomial,
     ModelSpec,
-    SimPath,
     derive_seed,
     draw_clipped,
     iterate_paths,
@@ -34,7 +36,6 @@ __all__ = [
     "SupportWarning",
     "relax_eval",
     "check_compatibility",
-    "shocked_path",
     "population_irf",
     "estimated_irf",
     "linear_irf",
@@ -179,7 +180,8 @@ class ShockSpec:
 
 @dataclass(frozen=True)
 class IrfResult:
-    """(H+1) x d response matrix with provenance."""
+    """(H+1) x d response matrix with provenance. ``clamped`` counts the
+    spline evaluations outside the knot domain in the iterated paths."""
 
     values: np.ndarray
     variables: tuple[str, ...]
@@ -208,32 +210,6 @@ def _warn_if_unrelaxed(spec: ModelSpec, shock: ShockSpec) -> None:
             SupportWarning,
             stacklevel=3,
         )
-
-
-def shocked_path(
-    model: ModelSpec,
-    history: np.ndarray,
-    eps_future: np.ndarray,
-    shock: ShockSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Baseline and shocked continuations from one history.
-
-    ``history`` holds the p most recent states (oldest first, shape (p, d));
-    ``eps_future`` supplies rows (eps_1, xi_2) for the impact step and the
-    following H steps (shape (H+1, d)). Both paths reuse identical
-    innovations; the impact row's structural innovation is perturbed by
-    delta * rho on the shocked side only.
-    """
-    history = np.asarray(history, dtype=float)
-    eps_future = np.asarray(eps_future, dtype=float)
-    if eps_future.shape[0] != shock.horizon + 1:
-        raise ValueError("eps_future must cover the impact step plus the horizon")
-    baseline, _ = iterate_paths(model, history[None], eps_future[None])
-    shocked_eps = eps_future.copy()
-    w = shock.delta * float(np.asarray(relax_eval(shock.relaxation, eps_future[0, 0])))
-    shocked_eps[0, 0] += w
-    shocked, _ = iterate_paths(model, history[None], shocked_eps[None])
-    return baseline[0], shocked[0]
 
 
 def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
@@ -330,24 +306,21 @@ def population_irf(
 
 
 def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 4096) -> IrfResult:
-    """Plug-in sample IRF: average forward-iterated residual paths over t.
+    """Plug-in sample IRF: the mean over impact times t of the shocked path
+    minus the baseline path, both continuing the observed history at t.
 
     Every impact time with a full H-step residual future contributes (the
-    common-t convention); a zero shock gives an exactly zero response. A fit
-    whose one-step baseline X does not reproduce the sample's X (the first
-    stage is exact for sieve, infeasible and parametric fits alike) raises
-    ``ValueError``.
+    common-t convention). A first-stage fit reproduces its sample from its
+    residuals, so its baseline is the observed window z[t+p .. t+p+H] and only
+    the impact times with a nonzero shock delta * rho(eps_1t) are iterated: a
+    zero shock iterates nothing and gives an exactly zero response. An
+    infeasible fit does not reproduce its sample, so both of its paths are
+    iterated from every impact time. ``clamped`` counts the clamped spline
+    evaluations of the iterated paths. A fit whose one-step predictions from
+    the observed histories miss the sample (in every column, or in X alone
+    for an infeasible fit) raises ``ValueError``.
     """
-    if isinstance(data, SimPath):
-        x, y = data.x, data.y
-    elif hasattr(data, "x") and hasattr(data, "y"):
-        x, y = np.asarray(data.x, float), np.asarray(data.y, float)
-    else:
-        x, y = data
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-    if y.ndim == 1:
-        y = y[:, None]
+    x, y, _ = _as_xy(data)
     if fit.first_stage is None or fit.residuals2 is None:
         raise ValueError("estimated_irf needs a fitted model with residuals")
     n = x.size
@@ -360,30 +333,34 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
     usable = n - p - h
     z = np.column_stack([x, y])
     resid = np.column_stack([fit.first_stage.residuals, fit.residuals2])
-    rho_vals = np.asarray(relax_eval(shock.relaxation, resid[:, 0]))
-    ranges = _chunk_ranges(usable, chunk)
-    tolerance = 1e-8 * (1.0 + float(np.max(np.abs(z))))
+    replay = fit.generated == "first_stage"
+    history, ahead = np.arange(p)[None, :], np.arange(h + 1)[None, :]
+    # the X step is the first stage for every fit kind; the Y steps reproduce
+    # the sample only when stage II used the first-stage residuals
+    step, _ = iterate_paths(fit, z[np.arange(n - p)[:, None] + history], resid[:, None, :])
+    cols = slice(None) if replay else slice(0, 1)
+    miss = float(np.max(np.abs(step[:, 0, cols] - z[p:, cols])))
+    if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(z)))):
+        raise ValueError(
+            f"fit was not produced from this sample: its residuals "
+            f"miss the observations by {miss:.3g}"
+        )
+    w = shock.delta * np.asarray(relax_eval(shock.relaxation, resid[:usable, 0]))
+    rows = np.flatnonzero(w) if replay else np.arange(usable)
 
     def worker(start: int, stop: int):
-        idx = np.arange(start, stop)
-        state = z[idx[:, None] + np.arange(p)[None, :]]
-        eps_path = resid[idx[:, None] + np.arange(h + 1)[None, :]]
-        shocked_eps = eps_path.copy()
-        shocked_eps[:, 0, 0] += shock.delta * rho_vals[idx]
-        base, clamp_b = iterate_paths(fit, state, eps_path)
-        # only the X step is exact for every fit kind: an infeasible fit's
-        # Y equations use the true innovations, not the first-stage residuals
-        miss = float(np.max(np.abs(base[:, 0, 0] - z[idx + p, 0])))
-        if not miss <= tolerance:
-            raise ValueError(
-                f"fit was not produced from this sample: its first-stage residuals "
-                f"miss the observations by {miss:.3g}"
-            )
-        shocked, clamp_s = iterate_paths(fit, state, shocked_eps)
-        diff = shocked - base
-        return diff.sum(axis=0), clamp_b + clamp_s
+        idx = rows[start:stop, None]
+        state = z[idx + history]
+        eps_path = resid[idx + ahead]
+        if replay:
+            base, clamp_b = z[idx + p + ahead], 0
+        else:
+            base, clamp_b = iterate_paths(fit, state, eps_path)
+        eps_path[:, 0, 0] += w[idx[:, 0]]
+        shocked, clamp_s = iterate_paths(fit, state, eps_path)
+        return (shocked - base).sum(axis=0), clamp_b + clamp_s
 
-    parts = _run_chunks(worker, ranges, threads)
+    parts = _run_chunks(worker, _chunk_ranges(rows.size, chunk), threads)
     total = np.zeros((h + 1, d))
     clamped = 0
     for s, cl in parts:

@@ -2,9 +2,11 @@
 simulated population reference, reproducing the benchmark experiments.
 
 Replication r always consumes the stream derived from (master_seed, r).
-Replications run in chunks of ``REPLICATION_CHUNK`` whose paths are simulated
-together in one batch, so results are bit-identical for any thread count;
-the fixed chunking fixes the rounding of the batched simulation.
+The paths of up to ``SIMULATION_BATCH`` replications are simulated together
+in one batch; the fixed batching fixes the rounding of the simulation. The
+moments are summed per chunk of ``REPLICATION_CHUNK`` replications and the
+chunk sums merged in chunk order, so results are bit-identical for any
+thread count.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
 
 ESTIMATOR_TAGS = ("parametric_true", "parametric_max0", "sieve")
 REPLICATION_CHUNK = 25
+SIMULATION_BATCH = 250
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,9 @@ def default_study_config(dgp_id: int, **overrides) -> StudyConfig:
 @dataclass(frozen=True)
 class StudyResult:
     """Moments over the successful replications. ``clamped`` sums their
-    estimated IRFs' clamped spline evaluations; ``failure_causes`` counts
-    the failed replications by exception class name."""
+    estimated IRFs' ``clamped`` counts (spline evaluations outside the knot
+    domain in the iterated paths); ``failure_causes`` counts the failed
+    replications by exception class name."""
 
     config: StudyConfig
     population: dict[float, IrfResult]
@@ -223,20 +227,21 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
+        seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
         for start in range(0, m, REPLICATION_CHUNK):
-            reps = range(start, min(start + REPLICATION_CHUNK, m))
-            seeds = [derive_seed(cfg.master_seed, 2, r) for r in reps]
-            try:
-                paths = simulate_batch(spec, cfg.n, seeds, cfg.burn_in)
-            except PathDivergedError:
-                # re-simulate one by one so only the diverged replications fail
-                paths = None
             # per-chunk partial sums, merged in chunk order
             chunk_sums = {k: np.zeros(shape) for k in keys}
             chunk_sq = {k: np.zeros(shape) for k in keys}
-            for i, r in enumerate(reps):
+            for r in range(start, min(start + REPLICATION_CHUNK, m)):
+                if r % SIMULATION_BATCH == 0:
+                    try:
+                        paths = simulate_batch(spec, cfg.n, seeds[r : r + SIMULATION_BATCH], cfg.burn_in)
+                    except PathDivergedError:
+                        # re-simulate one by one so only the diverged replications fail
+                        paths = None
                 try:
-                    path = paths[i] if paths is not None else simulate(spec, cfg.n, seeds[i], cfg.burn_in)
+                    path = (paths[r % SIMULATION_BATCH] if paths is not None
+                            else simulate(spec, cfg.n, seeds[r], cfg.burn_in))
                     errs, rep_clamped = replicate(path)
                 except (RuntimeError, np.linalg.LinAlgError) as exc:
                     failed.append(r)

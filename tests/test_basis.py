@@ -11,7 +11,6 @@ from sievar.basis import (
     SievePlan,
     block_matrix,
     block_to_full_coeffs,
-    bspline_eval,
     bspline_matrix,
     build_design,
     clamp_count,
@@ -86,19 +85,19 @@ def test_partition_of_unity_on_grid(kv):
 
 def test_cubic_single_knot_sums_to_one():
     kv = KnotVector(3, (0.0,), -3.0, 3.0)
-    vals = bspline_eval(kv, 0.7)
+    vals = bspline_matrix(kv, [0.7])[0]
     assert abs(vals.sum() - 1.0) < 1e-12
 
 
 def test_degree_zero_whole_interval_indicator():
     kv = KnotVector(0, (), 0.0, 1.0)
     assert kv.dim == 1
-    np.testing.assert_allclose(bspline_eval(kv, 0.4), [1.0])
+    np.testing.assert_allclose(bspline_matrix(kv, [0.4])[0], [1.0])
 
 
 def test_degree_one_hat_at_knot():
     kv = KnotVector(1, (0.0,), -1.0, 1.0)
-    np.testing.assert_allclose(bspline_eval(kv, 0.0), [0.0, 1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(bspline_matrix(kv, [0.0])[0], [0.0, 1.0, 0.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("kv", KVS[:3])
@@ -165,8 +164,8 @@ def test_linear_reproduction(kv):
 
 def test_out_of_domain_clamps():
     kv = KnotVector(3, (0.0,), -3.0, 3.0)
-    np.testing.assert_array_equal(bspline_eval(kv, 5.0), bspline_eval(kv, 3.0))
-    np.testing.assert_array_equal(bspline_eval(kv, -9.0), bspline_eval(kv, -3.0))
+    np.testing.assert_array_equal(bspline_matrix(kv, [5.0])[0], bspline_matrix(kv, [3.0])[0])
+    np.testing.assert_array_equal(bspline_matrix(kv, [-9.0])[0], bspline_matrix(kv, [-3.0])[0])
     assert clamp_count(kv, np.array([-4.0, 0.0, 3.5, 2.0])) == 2
 
 

@@ -222,6 +222,35 @@ def test_fitted_bundle_round_trip_is_exact(fit, regularized):
     assert back.parametric_form == fit.parametric_form
     assert back.regularized == fit.regularized
     assert back.n_obs == fit.n_obs
+    assert back.generated == fit.generated
+
+
+def test_infeasible_bundle_keeps_its_marker(tmp_path):
+    path = sievar.simulate(sievar.builtin_dgp(2), 300, seed=6)
+    fit = sievar.fit_infeasible(path, make_plan(path.x))
+    dataio.save_fitted(fit, tmp_path / "fitted.json")
+    back = dataio.load_fitted(tmp_path / "fitted.json")
+    assert back.generated == fit.generated == "true_innovations"
+    shock = ShockSpec(1.0, sievar.RelaxationFn.symmetric_bump(3, 4), 6)
+    a = sievar.estimated_irf(fit, path, shock)
+    b = sievar.estimated_irf(back, path, shock)
+    np.testing.assert_array_equal(a.values, b.values)
+    assert a.clamped == b.clamped
+
+
+def test_bundle_without_marker_loads_as_first_stage(tmp_path):
+    fit = sievar.fit_infeasible(BUNDLE_PATH, make_plan(BUNDLE_PATH.x))
+    dataio.save_fitted(fit, tmp_path / "fitted.json")
+    doc = json.loads((tmp_path / "fitted.json").read_text())
+    del doc["generated"]
+    (tmp_path / "fitted.json").write_text(json.dumps(doc))
+    assert dataio.load_fitted(tmp_path / "fitted.json").generated == "first_stage"
+
+
+def test_unknown_generated_source_rejected():
+    fit = sievar.fit_two_step(BUNDLE_PATH, make_plan(BUNDLE_PATH.x))
+    with pytest.raises(ValueError, match="generated regressor source"):
+        dataclasses.replace(fit, generated="oracle")
 
 
 def test_mc_command_writes_schema(tmp_path):

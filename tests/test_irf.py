@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +25,9 @@ from sievar.irf import (
     linearized_reduction,
     population_irf,
     relax_eval,
-    shocked_path,
 )
-from sievar.model import InnovationLaw, LagPolynomial, ModelSpec
-from sievar.study import derive_seed
+from sievar.model import InnovationLaw, LagPolynomial, ModelSpec, iterate_paths
+from sievar.study import _fit_one, default_study_config, derive_seed
 
 from conftest import make_plan
 
@@ -111,43 +112,52 @@ def test_dgp7_relaxation_compatible_with_two():
         assert check_compatibility(rho, delta, (-5, 5)).compatible
 
 
-def test_shocked_path_zero_delta_bit_exact(dgp2, bump34):
-    history = np.array([[0.4, -0.2]])
-    eps = np.array([[0.5, 0.1], [-0.2, 0.3], [1.0, -0.7]])
-    base, shocked = shocked_path(dgp2, history, eps, ShockSpec(0.0, bump34, 2))
-    np.testing.assert_array_equal(base, shocked)
+def test_population_irf_zero_delta_bit_exact(dgp2, bump34):
+    res = population_irf(dgp2, ShockSpec(0.0, bump34, 4), replications=700, seed=8, chunk=256)
+    np.testing.assert_array_equal(res.values, 0.0)
+    np.testing.assert_array_equal(res.mc_se, 0.0)
 
 
-def test_shocked_path_baseline_invariance(dgp2, bump34):
-    history = np.array([[1.0, 0.5]])
-    eps = np.array([[0.2, -0.1], [0.4, 0.6]])
-    base1, _ = shocked_path(dgp2, history, eps, ShockSpec(1.0, bump34, 1))
-    base2, _ = shocked_path(dgp2, history, eps, ShockSpec(-0.7, bump34, 1))
-    np.testing.assert_array_equal(base1, base2)
+def _shocked(eps, delta, rho):
+    out = eps.copy()
+    out[:, 0, 0] += delta * np.asarray(relax_eval(rho, eps[:, 0, 0]))
+    return out
 
 
-def test_shocked_path_linear_history_independent(dgp2):
-    lin = sievar.linearized(dgp2)
-    rho = RelaxationFn.constant_one()
-    eps = np.array([[0.3, 0.2], [0.1, -0.5], [-0.4, 0.9], [0.0, 0.0]])
-    shock = ShockSpec(1.0, rho, 3)
-    h1 = np.array([[0.7, -1.2]])
-    h2 = np.array([[-2.0, 0.4]])
-    b1, s1 = shocked_path(lin, h1, eps, shock)
-    b2, s2 = shocked_path(lin, h2, eps, shock)
-    np.testing.assert_allclose(s1 - b1, s2 - b2, atol=1e-12)
-    # and the difference equals the closed-form MA response
-    lags, b_eff, _ = linearized_reduction(lin)
-    ma = linear_irf(lags, b_eff, 1.0, 3)
-    np.testing.assert_allclose(s1 - b1, ma.values, atol=1e-12)
+def test_iterate_paths_baseline_invariance(dgp2, bump34):
+    history = np.array([[[1.0, 0.5]]])
+    eps = np.array([[[0.2, -0.1], [0.4, 0.6]]])
+    base1, _ = iterate_paths(dgp2, history, eps)
+    for delta in (1.0, -0.7):
+        shocked, _ = iterate_paths(dgp2, history, _shocked(eps, delta, bump34))
+        assert not np.array_equal(shocked, base1)
+        base2, _ = iterate_paths(dgp2, history, eps)
+        np.testing.assert_array_equal(base1, base2)
+    np.testing.assert_array_equal(eps, [[[0.2, -0.1], [0.4, 0.6]]])
 
 
-def test_shocked_path_hand_values(dgp2):
+def test_estimated_irf_linear_history_independent(dgp2):
+    # every history of a linear fit responds alike, so on any sample the
+    # plug-in average is the closed-form MA response of the fitted coefficients
+    shock = ShockSpec(1.0, RelaxationFn.constant_one(), 3)
+    for seed in (4, 12):
+        path = sievar.simulate(sievar.linearized(dgp2), 400, seed=seed)
+        fit = sievar.fit_two_step(path, sievar.SievePlan(x_blocks=(None, None)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportWarning)
+            est = estimated_irf(fit, path, shock, chunk=64)
+        ma = linear_irf(fit.lags, fit.b0_21, 1.0, 3)
+        np.testing.assert_allclose(est.values, ma.values, rtol=0, atol=1e-12)
+
+
+def test_iterate_paths_hand_values(dgp2):
     # linearized DGP 2, unit impact: Y differences 0.5 then 0.80
     lin = sievar.linearized(dgp2)
-    eps = np.array([[0.3, 0.2], [0.1, -0.5]])
-    base, shocked = shocked_path(lin, np.array([[0.5, 0.1]]), eps, ShockSpec(1.0, RelaxationFn.constant_one(), 1))
-    diff = shocked - base
+    history = np.array([[[0.5, 0.1]]])
+    eps = np.array([[[0.3, 0.2], [0.1, -0.5]]])
+    base, _ = iterate_paths(lin, history, eps)
+    shocked, _ = iterate_paths(lin, history, _shocked(eps, 1.0, RelaxationFn.constant_one()))
+    diff = (shocked - base)[0]
     assert diff[0, 1] == pytest.approx(0.5, abs=1e-12)
     assert diff[1, 1] == pytest.approx(0.80, abs=1e-12)
 
@@ -348,3 +358,132 @@ def test_out_of_support_impact_raises_typed_error(dgp2, tmp_path, monkeypatch):
     cfg_file.write_text(json.dumps(cfg))
     code = sievar.cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "runs"), "irf"])
     assert code == sievar.cli.EXIT_COMPAT
+
+
+def oracle_estimated_irf(fit, path, shock, chunk=4096):
+    """The two-pass plug-in IRF: iterate baseline and shocked paths from every
+    impact time and average their difference (no sample check)."""
+    x, y = path.x, path.y
+    p, d, h = fit.p, fit.d, shock.horizon
+    usable = x.size - p - h
+    z = np.column_stack([x, y])
+    resid = np.column_stack([fit.first_stage.residuals, fit.residuals2])
+    rho_vals = np.asarray(relax_eval(shock.relaxation, resid[:, 0]))
+    total = np.zeros((h + 1, d))
+    clamped = 0
+    for start in range(0, usable, chunk):
+        idx = np.arange(start, min(start + chunk, usable))
+        state = z[idx[:, None] + np.arange(p)[None, :]]
+        eps_path = resid[idx[:, None] + np.arange(h + 1)[None, :]]
+        shocked_eps = eps_path.copy()
+        shocked_eps[:, 0, 0] += shock.delta * rho_vals[idx]
+        base, clamp_b = iterate_paths(fit, state, eps_path)
+        shocked, clamp_s = iterate_paths(fit, state, shocked_eps)
+        diff = shocked - base
+        total += diff.sum(axis=0)
+        clamped += clamp_b + clamp_s
+    return total / usable, clamped
+
+
+STUDY_ESTIMATORS = ("parametric_true", "parametric_max0", "sieve")
+
+
+@pytest.mark.parametrize("dgp_id", range(1, 8))
+def test_estimated_irf_matches_two_pass_oracle(dgp_id):
+    cfg = default_study_config(dgp_id, n=300, horizon=8)
+    path = sievar.simulate(sievar.builtin_dgp(dgp_id), cfg.n, seed=dgp_id + 70)
+    tolerance = 1e-12 * (1.0 + float(np.max(np.abs(path.z))))
+    fits = {tag: _fit_one(cfg, tag, path) for tag in STUDY_ESTIMATORS}
+    fits["infeasible"] = sievar.fit_infeasible(path, sievar.study._study_plan(cfg, path.x))
+    for delta in (-1.0, 0.0, 1.0):
+        shock = ShockSpec(delta, cfg.relaxation, cfg.horizon)
+        for tag, fit in fits.items():
+            res = estimated_irf(fit, path, shock, chunk=128)
+            oracle, clamped = oracle_estimated_irf(fit, path, shock, chunk=128)
+            if tag == "infeasible":
+                np.testing.assert_array_equal(res.values, oracle)
+                assert res.clamped == clamped
+            else:
+                np.testing.assert_allclose(res.values, oracle, rtol=0, atol=tolerance, err_msg=tag)
+    assert fits["infeasible"].generated == "true_innovations"
+    assert {fits[tag].generated for tag in STUDY_ESTIMATORS} == {"first_stage"}
+
+
+def _counting_iterate():
+    """An ``iterate_paths`` stand-in that records (rows, steps, clamped) per call."""
+    calls = []
+
+    def counting(spec, state, eps_path):
+        out, clamped = iterate_paths(spec, state, eps_path)
+        calls.append((*np.shape(eps_path)[:2], clamped))
+        return out, clamped
+
+    return calls, counting
+
+
+IDLE_PATH = sievar.simulate(sievar.builtin_dgp(2), 240, seed=17)
+IDLE_FITS = (
+    sievar.fit_two_step(IDLE_PATH, make_plan(IDLE_PATH.x)),
+    sievar.fit_parametric(IDLE_PATH, 1, sievar.benchmark_true_form(2)),
+    sievar.fit_parametric(IDLE_PATH, 1, sievar.max0_prior_form(1)),
+)
+_RESID_LO = float(IDLE_FITS[0].first_stage.residuals.min())
+_RESID_HI = float(IDLE_FITS[0].first_stage.residuals.max())
+
+
+def _bump_beyond_residuals(gap, width, alpha, above):
+    a = _RESID_HI + gap if above else _RESID_LO - gap - width
+    return RelaxationFn.interval_bump(a, a + width, alpha)
+
+
+_idle_shocks = st.one_of(
+    # a zero shock with any relaxation
+    st.tuples(st.sampled_from((0.0, -0.0)), _relaxations),
+    # any shock whose relaxation is zero at every residual
+    st.tuples(
+        st.floats(-4.0, 4.0),
+        st.builds(
+            _bump_beyond_residuals, gap=st.floats(0.0, 3.0), width=st.floats(0.1, 5.0),
+            alpha=st.floats(0.5, 8.0), above=st.booleans(),
+        ),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shock=_idle_shocks, fit_index=st.integers(0, 2), horizon=st.integers(0, 20))
+def test_idle_shock_iterates_nothing(shock, fit_index, horizon):
+    delta, rho = shock
+    fit = IDLE_FITS[fit_index]
+    calls, counting = _counting_iterate()
+    with mock.patch.object(sievar.irf, "iterate_paths", counting):
+        res = estimated_irf(fit, IDLE_PATH, ShockSpec(delta, rho, horizon))
+    np.testing.assert_array_equal(res.values, 0.0)
+    assert res.clamped == 0
+    # only the sample check: one step from every observed history
+    assert [call[:2] for call in calls] == [(IDLE_PATH.n - fit.p, 1)]
+
+
+@pytest.mark.parametrize("fit", IDLE_FITS, ids=("sieve", "parametric_true", "parametric_max0"))
+def test_estimated_irf_row_step_count(fit):
+    # a narrow bump leaves many impact times unshocked; only the shocked ones iterate
+    shock = ShockSpec(1.5, RelaxationFn.symmetric_bump(0.8, 2.0), 10)
+    usable = IDLE_PATH.n - fit.p - shock.horizon
+    live = np.count_nonzero(np.asarray(relax_eval(shock.relaxation, fit.first_stage.residuals[:usable])))
+    assert 0 < live < usable
+    calls, counting = _counting_iterate()
+    with mock.patch.object(sievar.irf, "iterate_paths", counting):
+        res = estimated_irf(fit, IDLE_PATH, shock, chunk=50)
+    row_steps = sum(rows * steps for rows, steps, _ in calls)
+    assert row_steps == live * (shock.horizon + 1) + (IDLE_PATH.n - fit.p)
+    # clamped counts the shocked paths only, not the sample check
+    assert res.clamped == sum(clamped for _, _, clamped in calls[1:])
+
+
+def test_estimated_irf_rejects_mislabelled_infeasible_fit(bump34):
+    path = sievar.simulate(sievar.builtin_dgp(2), 300, seed=3)
+    fit = sievar.fit_infeasible(path, make_plan(path.x))
+    shock = ShockSpec(1.0, bump34, 6)
+    estimated_irf(fit, path, shock)
+    with pytest.raises(ValueError, match="not produced from this sample"):
+        estimated_irf(dataclasses.replace(fit, generated="first_stage"), path, shock)

@@ -182,6 +182,46 @@ def test_failed_replications_excluded_and_abort(monkeypatch):
     with pytest.raises(RuntimeError, match="replications failed"):
         run_study(small_cfg(mc_replications=20, pop_replications=500))
 
+    # one row of a full simulation batch leaves the finite range
+    monkeypatch.undo()
+    cfg = small_cfg(mc_replications=study_mod.SIMULATION_BATCH + 10, pop_replications=500,
+                    horizon=2, burn_in=50, max_failure_fraction=0.01)
+    bad = derive_seed(cfg.master_seed, 2, 137)
+    real_draw = sievar.model.draw_innovations
+    monkeypatch.setattr(
+        sievar.model, "draw_innovations",
+        lambda spec, n, seed: np.full((n, spec.d), np.inf) if seed == bad else real_draw(spec, n, seed),
+    )
+    batches = []
+    real_batch = study_mod.simulate_batch
+    monkeypatch.setattr(study_mod, "simulate_batch", lambda *a: batches.append(len(a[2])) or real_batch(*a))
+    res = run_study(cfg)
+    assert batches == [study_mod.SIMULATION_BATCH, 10]
+    assert res.failed == (137,)
+    assert res.failure_causes == {"PathDivergedError": 1}
+    assert res.n_ok == cfg.mc_replications - 1
+
+
+@pytest.mark.parametrize("dgp_id", [2, 7])
+def test_simulation_batch_only_moves_rounding(dgp_id, monkeypatch):
+    cfg = default_study_config(dgp_id, n=400, mc_replications=60, pop_replications=500,
+                               horizon=4, master_seed=9)
+    big = run_study(cfg)
+    batches = []
+    real_batch = study_mod.simulate_batch
+    monkeypatch.setattr(study_mod, "simulate_batch", lambda *a: batches.append(len(a[2])) or real_batch(*a))
+    monkeypatch.setattr(study_mod, "SIMULATION_BATCH", study_mod.REPLICATION_CHUNK)
+    small = run_study(cfg)
+    assert batches == [25, 25, 10]
+    assert small.n_ok == big.n_ok == 60 and small.clamped == big.clamped
+    for key in big.mse:
+        for moment in ("mse", "bias", "se"):
+            a, b = getattr(big, moment)[key], getattr(small, moment)[key]
+            if dgp_id == 7:  # diagonal lags: batching does not touch the rounding
+                np.testing.assert_array_equal(a, b)
+            else:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
 
 def test_failed_replication_contributes_nothing(monkeypatch):
     """A replication failing in its last IRF adds no partial error sums."""
