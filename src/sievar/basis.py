@@ -29,7 +29,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Clamped (open-uniform) knot configuration for one spline block."""
+    """Clamped (open-uniform) knot configuration for one spline block.
+
+    Its tables (``span_knots``, ``span_gaps``, ``greville`` and
+    ``linear_projection``) are computed on first use, once per object, and
+    are read-only arrays.
+    """
 
     degree: int
     interior: tuple[float, ...]
@@ -71,23 +76,54 @@ class KnotVector:
         """(2*degree + 2, #interior + 1) table: column j holds the knots that
         define the degree+1 basis functions nonzero on the j-th knot span."""
         width = 2 * self.degree + 2
-        table = np.lib.stride_tricks.sliding_window_view(self.knots, width).T.copy()
-        table.flags.writeable = False
-        return table
+        return _read_only(np.lib.stride_tricks.sliding_window_view(self.knots, width).T.copy())
 
+    @cached_property
+    def span_gaps(self) -> tuple[np.ndarray, ...]:
+        """Per recursion level k = 1..degree, the (k, #interior + 1) knot gaps
+        t_{i+k} - t_i of the level-(k-1) functions live on each span, with a
+        zero-width gap stored as inf so its Cox-de Boor term is exactly +0."""
+        t, deg = self.span_knots, self.degree
+        gaps = []
+        for k in range(1, deg + 1):
+            gap = t[deg + 1 : deg + k + 1] - t[deg - k + 1 : deg + 1]
+            gap[~(gap > 0)] = np.inf
+            gaps.append(_read_only(gap))
+        return tuple(gaps)
+
+    @cached_property
     def greville(self) -> np.ndarray:
         """Greville abscissae; the identity map is x = sum_i greville_i * b_i(x)."""
-        if self.degree == 0:
-            t = self.knots
-            return 0.5 * (t[:-1] + t[1:])
         t = self.knots
-        return np.array([t[i + 1 : i + 1 + self.degree].mean() for i in range(self.dim)])
+        if self.degree == 0:
+            return _read_only(0.5 * (t[:-1] + t[1:]))
+        return _read_only(np.array([t[i + 1 : i + 1 + self.degree].mean() for i in range(self.dim)]))
+
+    @cached_property
+    def linear_projection(self) -> np.ndarray:
+        """L2(uniform[lo,hi]) projection of each basis function onto {1, x}.
+
+        A (2, dim) array of (alpha_i, beta_i) with proj b_i = alpha_i + beta_i * x.
+        Gauss-Legendre per knot span is exact for piecewise polynomials.
+        """
+        nodes, weights = np.polynomial.legendre.leggauss(self.degree + 2)
+        spans = np.concatenate([[self.lo], np.asarray(self.interior), [self.hi]])
+        xs, ws = [], []
+        for a, b in zip(spans[:-1], spans[1:]):
+            xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
+            ws.append(0.5 * (b - a) * weights)
+        xq = np.concatenate(xs)
+        wq = np.concatenate(ws)
+        basis = bspline_matrix(self, xq)
+        lin = np.column_stack([np.ones_like(xq), xq])
+        gram = (lin * wq[:, None]).T @ lin
+        cross = (lin * wq[:, None]).T @ basis
+        return _read_only(np.linalg.solve(gram, cross))
 
 
-def clamp_count(kv: KnotVector, x: np.ndarray | float) -> int:
-    """Number of evaluation points outside [lo, hi] (clamped to the boundary)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return int(np.count_nonzero((x < kv.lo) | (x > kv.hi)))
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
@@ -113,10 +149,9 @@ def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
         # live[r] is the level-(k-1) function whose first knot is t[deg-k+1+r]
         lo = t[deg - k + 1 : deg + 1].take(span, axis=1)
         hi = t[deg + 1 : deg + k + 1].take(span, axis=1)
-        gap = hi - lo
-        # a zero-width gap becomes inf, so its term is exactly +0 (numerators are
+        # a zero-width gap is inf, so its term is exactly +0 (numerators are
         # >= 0 on the span), as if skipped like the full recursion skips it
-        gap[~(gap > 0)] = np.inf
+        gap = kv.span_gaps[k - 1].take(span, axis=1)
         new = np.empty((k + 1, n))
         np.subtract(hi, x, out=new[:k])
         del hi
@@ -136,28 +171,6 @@ def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def linear_projection(kv: KnotVector) -> np.ndarray:
-    """L2(uniform[lo,hi]) projection of each basis function onto {1, x}.
-
-    Returns a (2, dim) array of (alpha_i, beta_i) with
-    proj b_i = alpha_i + beta_i * x. Gauss-Legendre per knot span is exact
-    for piecewise polynomials.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(kv.degree + 2)
-    spans = np.concatenate([[kv.lo], np.asarray(kv.interior), [kv.hi]])
-    xs, ws = [], []
-    for a, b in zip(spans[:-1], spans[1:]):
-        xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * weights)
-    xq = np.concatenate(xs)
-    wq = np.concatenate(ws)
-    basis = bspline_matrix(kv, xq)
-    lin = np.column_stack([np.ones_like(xq), xq])
-    gram = (lin * wq[:, None]).T @ lin
-    cross = (lin * wq[:, None]).T @ basis
-    return np.linalg.solve(gram, cross)
-
-
 def block_width(kv: KnotVector) -> int:
     """Design columns contributed by one block after identification drops."""
     return max(kv.dim - (2 if kv.degree >= 1 else 1), 0)
@@ -171,7 +184,7 @@ def block_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     raw = bspline_matrix(kv, x)
     if kv.degree == 0:
         return raw[:, 1:]
-    ab = linear_projection(kv)
+    ab = kv.linear_projection
     xc = np.clip(np.asarray(x, dtype=float), kv.lo, kv.hi)
     centered = raw - ab[0][None, :] - xc[:, None] * ab[1][None, :]
     return centered[:, 2:]
@@ -188,12 +201,12 @@ def block_to_full_coeffs(kv: KnotVector, block_coeffs: np.ndarray) -> np.ndarray
     if kv.degree == 0:
         full[1:] = block_coeffs
         return full
-    ab = linear_projection(kv)
+    ab = kv.linear_projection
     full[2:] = block_coeffs
     const = float(ab[0, 2:] @ block_coeffs)
     slope = float(ab[1, 2:] @ block_coeffs)
     full -= const
-    full -= slope * kv.greville()
+    full -= slope * kv.greville
     return full
 
 

@@ -61,8 +61,8 @@ def _warm_states(spec: ModelSpec, eps: np.ndarray) -> np.ndarray:
 
 
 def _stationary_states(spec: ModelSpec, size: int, seed: int, burn_in: int) -> np.ndarray:
-    sigma = np.asarray(spec.innovation.sigma)
-    eps = draw_clipped(philox(seed), (size, burn_in, spec.d), spec.innovation.bound) * sigma
+    eps = draw_clipped(philox(seed), (size, burn_in, spec.d), spec.innovation.bound)
+    eps *= np.asarray(spec.innovation.sigma)
     return _warm_states(spec, eps)
 
 
@@ -87,10 +87,10 @@ def estimate_delta_r(
     comps = tuple(components) if components is not None else tuple(range(spec.d))
     state_a = _stationary_states(spec, replications, derive_seed(seed, 11), burn_in)
     state_b = _stationary_states(spec, replications, derive_seed(seed, 12), burn_in)
-    sigma = np.asarray(spec.innovation.sigma)
     shared = draw_clipped(
         philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec.innovation.bound
-    ) * sigma
+    )
+    shared *= np.asarray(spec.innovation.sigma)
     path_a, _ = iterate_paths(spec, state_a, shared)
     path_b, _ = iterate_paths(spec, state_b, shared)
     gap = np.linalg.norm(path_a[:, :, comps] - path_b[:, :, comps], axis=2)
@@ -144,15 +144,17 @@ def _sample_states_eps(
     lo, hi = box
     states = np.empty((samples, p, spec.d))
     eps = np.empty((samples, h_cap, spec.d))
-    burn = [
+    burn = np.stack([
         draw_clipped(philox(derive_seed(seed, 32, k)), (400, spec.d), bound)
         for k in range(0, samples, 2)
-    ]
-    states[::2] = _warm_states(spec, np.stack(burn) * sigma)
+    ])
+    burn *= sigma
+    states[::2] = _warm_states(spec, burn)
     for k in range(samples):
         gen = philox(derive_seed(seed, 31, k))
         if k % 2 == 0:
-            eps[k] = draw_clipped(gen, (h_cap, spec.d), bound) * sigma
+            eps[k] = draw_clipped(gen, (h_cap, spec.d), bound)
+            eps[k] *= sigma
         else:
             states[k] = gen.uniform(lo, hi).reshape(p, spec.d)
             eps[k] = gen.uniform(-bound * sigma, bound * sigma, size=(h_cap, spec.d))

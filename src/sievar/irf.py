@@ -216,6 +216,11 @@ def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Read-only (rows, width, d) view of the width-long windows of (n, d) rows."""
+    return np.lib.stride_tricks.sliding_window_view(a, width, axis=0).transpose(0, 2, 1)
+
+
 def _run_chunks(worker, ranges, threads: int):
     if threads <= 1 or len(ranges) <= 1:
         return [worker(*r) for r in ranges]
@@ -258,7 +263,9 @@ def population_irf(
         sigma = np.asarray(spec.innovation.sigma)
 
         def draw(steps: int) -> np.ndarray:
-            return draw_clipped(gen, (size, steps, d), spec.innovation.bound) * sigma
+            eps = draw_clipped(gen, (size, steps, d), spec.innovation.bound)
+            eps *= sigma
+            return eps
 
         state = np.zeros((size, max(spec.p, 1), d))
         if burn_in > 0:
@@ -334,10 +341,14 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
     z = np.column_stack([x, y])
     resid = np.column_stack([fit.first_stage.residuals, fit.residuals2])
     replay = fit.generated == "first_stage"
-    history, ahead = np.arange(p)[None, :], np.arange(h + 1)[None, :]
+    # read-only window views, row t starting at time t: the p-state history
+    # before impact t, its residual future and its observed continuation
+    histories = _windows(z, p)
+    futures = _windows(resid, h + 1)
+    observed = _windows(z[p:], h + 1)
     # the X step is the first stage for every fit kind; the Y steps reproduce
     # the sample only when stage II used the first-stage residuals
-    step, _ = iterate_paths(fit, z[np.arange(n - p)[:, None] + history], resid[:, None, :])
+    step, _ = iterate_paths(fit, histories[: n - p], resid[:, None, :])
     cols = slice(None) if replay else slice(0, 1)
     miss = float(np.max(np.abs(step[:, 0, cols] - z[p:, cols])))
     if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(z)))):
@@ -349,14 +360,14 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
     rows = np.flatnonzero(w) if replay else np.arange(usable)
 
     def worker(start: int, stop: int):
-        idx = rows[start:stop, None]
-        state = z[idx + history]
-        eps_path = resid[idx + ahead]
+        live = rows[start:stop]
+        state = histories[live]
+        eps_path = futures[live]  # indexing by row copies, so the shock below stays local
         if replay:
-            base, clamp_b = z[idx + p + ahead], 0
+            base, clamp_b = observed[live], 0
         else:
             base, clamp_b = iterate_paths(fit, state, eps_path)
-        eps_path[:, 0, 0] += w[idx[:, 0]]
+        eps_path[:, 0, 0] += w[live]
         shocked, clamp_s = iterate_paths(fit, state, eps_path)
         return (shocked - base).sum(axis=0), clamp_b + clamp_s
 

@@ -8,9 +8,10 @@ The pseudo-reduced form iterated here is
 
 with the structural series ordered first and only its shocks identified.
 Impact maps G_j are sums of simple terms so linear and nonlinear pieces of
-one lag live side by side. In the forward iteration a spline term of lag j
-reads the X of j steps back, so each step evaluates one B-spline basis per
-distinct knot vector at its new X and the later lags reuse it.
+one lag live side by side. In the forward iteration a term of lag j reads
+the X of j steps back, so each step evaluates one unscaled feature per term
+kind at its new X (f(x) for a transform, the B-spline basis for a knot
+vector) and every lag applies its own scale to it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,9 @@ class NonlinFn:
             out = self.from_basis(bspline_matrix(self.knots, np.atleast_1d(x)))
             # a 0-d input gives a scalar, as the other kinds do
             return out.reshape(np.shape(x))[()]
-        return self.scale * out
+        # 1.0 * out == out bit for bit, so a unit scale skips the product,
+        # unless that would hand back the caller's own array
+        return self.scale * out if self.scale != 1.0 or out is x else out
 
     def from_basis(self, basis: np.ndarray) -> np.ndarray:
         """Spline term value from its (n, dim) basis matrix at n points."""
@@ -102,6 +105,10 @@ class NonlinFn:
 
 
 ImpactMap = tuple[tuple[tuple[NonlinFn, ...], ...], ...]
+
+# unit-scale transforms: the forward iteration evaluates f(x) once per time
+# index through these and scales it per term
+_UNIT = {kind: NonlinFn(kind) for kind in NONLIN_KINDS if kind != "spline"}
 
 
 @dataclass(frozen=True)
@@ -266,7 +273,8 @@ def philox(key: int) -> np.random.Generator:
 
 def draw_clipped(gen: np.random.Generator, shape: tuple[int, ...], bound: float) -> np.ndarray:
     """Unit-scale clip(N(0,1), -bound, bound) draws; callers scale by sigma."""
-    return np.clip(gen.standard_normal(shape), -bound, bound)
+    draws = gen.standard_normal(shape)
+    return np.clip(draws, -bound, bound, out=draws)
 
 
 def draw_innovations(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
@@ -278,8 +286,8 @@ def draw_innovations(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be at least 1")
     clipped = draw_clipped(philox(seed), (spec.d, n), spec.innovation.bound)
-    sigma = np.asarray(spec.innovation.sigma)
-    return (sigma[:, None] * clipped).T
+    clipped *= np.asarray(spec.innovation.sigma)[:, None]
+    return clipped.T
 
 
 def iterate_paths(
@@ -315,15 +323,19 @@ def _iterate_inner(spec, recent, eps_path):
     n_batch, steps, d = eps_path.shape
     a = spec.lags.coeffs
     out = np.empty((n_batch, steps, d))
-    # spline terms evaluate one basis per (knot vector, time index): the lag-j
-    # term at step s reuses the basis built for the X of step s - j. Keys hold
-    # knot vectors by value, as each lag of a loaded fit has its own copy.
-    bases: dict[tuple[KnotVector, int], np.ndarray] = {}
+    # one unscaled feature per (term kind, time index): f(x) for a transform,
+    # the basis and its clamp count for a spline. The lag-j term at step s
+    # reuses the feature of the X of step s - j and applies its own scale. Keys
+    # hold knot vectors by value, as each lag of a loaded fit has its own copy.
+    features: dict[tuple[str | KnotVector, int], object] = {}
     clamped = 0
+    # copying one tiled block per step is faster than a per-step tile or a
+    # broadcast fill of the (d,) vector when d is small
+    mu_rows = np.tile(spec.mu, (n_batch, 1))
     for s in range(steps):
         pos = p + s
         eps = eps_path[:, s]
-        new = np.tile(spec.mu, (n_batch, 1))
+        new = mu_rows.copy()
         for k in range(1, p + 1):
             new += recent[p - k] @ a[k - 1].T
         new[:, 0] += eps[:, 0]
@@ -333,16 +345,23 @@ def _iterate_inner(spec, recent, eps_path):
             for j in range(p + 1):
                 x_lag = x_new if j == 0 else recent[p - j][:, 0]
                 for term in spec.impact[i][j]:
-                    if term.kind != "spline":
-                        acc += term(x_lag)
-                        continue
-                    kv = term.knots
-                    clamped += int(np.count_nonzero((x_lag < kv.lo) | (x_lag > kv.hi)))
-                    key = (kv, pos - j)
-                    basis = bases.get(key)
-                    if basis is None:
-                        basis = bases[key] = bspline_matrix(kv, x_lag)
-                    acc += term.from_basis(basis)
+                    spline = term.kind == "spline"
+                    key = (term.knots if spline else term.kind, pos - j)
+                    feature = features.get(key)
+                    if feature is None:
+                        if spline:
+                            kv = term.knots
+                            n_out = int(np.count_nonzero((x_lag < kv.lo) | (x_lag > kv.hi)))
+                            feature = (bspline_matrix(kv, x_lag), n_out)
+                        else:
+                            feature = _UNIT[term.kind](x_lag)
+                        features[key] = feature
+                    if spline:
+                        # clamped counts every term evaluation, shared basis or not
+                        clamped += feature[1]
+                        acc += term.from_basis(feature[0])
+                    else:
+                        acc += term.scale * feature
             acc += spec.b0_21[i] * eps[:, 0] + eps[:, 1 + i]
             new[:, 1 + i] = acc
         if not np.all(np.isfinite(new)):
@@ -350,9 +369,9 @@ def _iterate_inner(spec, recent, eps_path):
         out[:, s] = new
         if p:
             recent = recent[1:] + [new]
-        if bases:
+        if features:
             # the next step reads time indices pos + 1 - p .. pos
-            bases = {key: b for key, b in bases.items() if key[1] > pos - p}
+            features = {key: f for key, f in features.items() if key[1] > pos - p}
     return out, clamped
 
 

@@ -13,11 +13,11 @@ from sievar.basis import (
     block_to_full_coeffs,
     bspline_matrix,
     build_design,
-    clamp_count,
     gram_diagnostics,
     knots_from_quantiles,
 )
 from sievar.estimator import first_stage
+from sievar.model import InnovationLaw, LagPolynomial, ModelSpec, NonlinFn, iterate_paths
 from sievar.study import derive_seed
 
 from conftest import make_plan
@@ -159,14 +159,61 @@ def test_linear_reproduction(kv):
     coef, *_ = np.linalg.lstsq(basis, grid, rcond=None)
     assert np.max(np.abs(basis @ coef - grid)) < 1e-8
     # Greville identity reproduces x exactly
-    np.testing.assert_allclose(basis @ kv.greville(), grid, atol=1e-10)
+    np.testing.assert_allclose(basis @ kv.greville, grid, atol=1e-10)
 
 
-def test_out_of_domain_clamps():
+@pytest.mark.parametrize("kv", KVS)
+def test_knot_tables_are_read_only_and_exact(kv):
+    t, deg = kv.knots, kv.degree
+    tables = (kv.span_knots, *kv.span_gaps, kv.greville, kv.linear_projection)
+    assert not any(table.flags.writeable for table in tables)
+    with pytest.raises(ValueError, match="read-only"):
+        kv.greville[0] = 1.0
+    assert kv.linear_projection is kv.linear_projection  # computed once
+    spans = len(kv.interior) + 1
+    assert len(kv.span_gaps) == deg
+    for k, gaps in enumerate(kv.span_gaps, start=1):
+        fresh = np.array(
+            [[t[j + deg + 1 + r] - t[j + deg - k + 1 + r] for j in range(spans)] for r in range(k)]
+        )
+        fresh[fresh <= 0] = np.inf
+        np.testing.assert_array_equal(gaps, fresh)
+    if deg == 0:
+        np.testing.assert_array_equal(kv.greville, 0.5 * (t[:-1] + t[1:]))
+    else:
+        np.testing.assert_array_equal(kv.greville, [np.mean(t[i + 1 : i + 1 + deg]) for i in range(kv.dim)])
+    # projection onto {1, x} from a dense midpoint rule: Gram and cross moments
+    grid = np.linspace(kv.lo, kv.hi, 200_001)
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    lin = np.column_stack([np.ones_like(mid), mid])
+    proj = np.linalg.solve(lin.T @ lin, lin.T @ bspline_matrix(kv, mid))
+    np.testing.assert_allclose(kv.linear_projection, proj, rtol=0, atol=1e-8)
+
+
+def test_out_of_domain_clamps(monkeypatch):
     kv = KnotVector(3, (0.0,), -3.0, 3.0)
     np.testing.assert_array_equal(bspline_matrix(kv, [5.0])[0], bspline_matrix(kv, [3.0])[0])
     np.testing.assert_array_equal(bspline_matrix(kv, [-9.0])[0], bspline_matrix(kv, [-3.0])[0])
-    assert clamp_count(kv, np.array([-4.0, 0.0, 3.5, 2.0])) == 2
+    # the forward iteration counts clamped points per term evaluation, also
+    # when the lag-1 term reuses the basis the lag-0 term built a step before
+    spline = NonlinFn("spline", 1.0, kv, (0.0,) * kv.dim)
+    spec = ModelSpec(
+        d_y=1, p=1, mu=np.zeros(2), lags=LagPolynomial(np.zeros((1, 2, 2))),
+        impact=(((spline,), (spline,)),), b0_21=np.zeros(1),
+        innovation=InnovationLaw(sigma=(1.0, 1.0), bound=5.0),
+    )
+    xs = np.array([-4.0, 0.0, 3.5, 2.0])  # two points outside [-3, 3]
+    state = np.zeros((4, 1, 2))
+    state[:, 0, 0] = xs
+    eps = np.zeros((4, 2, 2))
+    eps[:, 0, 0] = xs  # X_0 = xs, X_1 = 0
+    calls = []
+    real = sievar.model.bspline_matrix
+    monkeypatch.setattr(sievar.model, "bspline_matrix", lambda k, x: calls.append(k) or real(k, x))
+    _, clamped = iterate_paths(spec, state, eps)
+    # step 0: lag 0 at X_0, lag 1 at the state; step 1: lag 0 at X_1, lag 1 reuses X_0
+    assert clamped == 2 + 2 + 0 + 2
+    assert len(calls) == 3
 
 
 def test_degenerate_knots_rejected():

@@ -487,3 +487,30 @@ def test_estimated_irf_rejects_mislabelled_infeasible_fit(bump34):
     estimated_irf(fit, path, shock)
     with pytest.raises(ValueError, match="not produced from this sample"):
         estimated_irf(dataclasses.replace(fit, generated="first_stage"), path, shock)
+
+
+def _snapshot(*arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def test_irfs_leave_their_inputs_unchanged(dgp2, bump34):
+    path = sievar.simulate(dgp2, 300, seed=23)
+    plan = make_plan(path.x)
+    fits = (sievar.fit_two_step(path, plan), sievar.fit_infeasible(path, plan))
+    shock = ShockSpec(1.0, bump34, 6)
+    for fit in fits:
+        inputs = (
+            path.x, path.y, path.eps, fit.first_stage.residuals, fit.residuals2,
+            fit.first_stage.pi1, fit.mu, fit.lags.coeffs, fit.b0_21,
+        )
+        before = _snapshot(*inputs)
+        first = estimated_irf(fit, path, shock, chunk=64)
+        again = estimated_irf(fit, path, shock, threads=2, chunk=64)
+        for now, then in zip(inputs, before):
+            assert now.tobytes() == then.tobytes()
+        np.testing.assert_array_equal(first.values, again.values)
+    state = (dgp2.mu, dgp2.lags.coeffs, dgp2.b0_21)
+    before = _snapshot(*state)
+    population_irf(dgp2, shock, replications=600, seed=4, burn_in=30, threads=2, chunk=200)
+    for now, then in zip(state, before):
+        assert now.tobytes() == then.tobytes()

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievar
 import sievar.model
 from sievar.basis import KnotVector
 from sievar.model import (
+    NONLIN_KINDS,
     InnovationLaw,
     LagPolynomial,
     ModelSpec,
@@ -14,8 +17,10 @@ from sievar.model import (
     PathDivergedError,
     StabilityWarning,
     builtin_dgp,
+    draw_clipped,
     draw_innovations,
     iterate_paths,
+    philox,
     simulate,
     simulate_batch,
 )
@@ -63,6 +68,8 @@ def test_nonlin_kinds():
     np.testing.assert_allclose(phi(x), (x - 1) * (0.5 + np.tanh(x - 1) / 2))
     np.testing.assert_allclose(NonlinFn("smooth_phi_shift")(x), phi(x + 1.0), atol=1e-15)
     assert NonlinFn("zero", 5.0)(2.0) == 0.0
+    identity = NonlinFn("identity")(x)
+    assert identity is not x and identity.tobytes() == x.tobytes()  # never the caller's array
     with pytest.raises(ValueError, match="unknown impact kind"):
         NonlinFn("sigmoid")
 
@@ -81,6 +88,17 @@ def test_draw_innovations_zero_sigma():
     law = InnovationLaw(sigma=(0.0, 0.0), bound=3.0)
     spec = ModelSpec(spec.d_y, spec.p, spec.mu, spec.lags, spec.impact, spec.b0_21, law)
     np.testing.assert_array_equal(draw_innovations(spec, 100, seed=1), 0.0)
+
+
+def test_draw_clipped_is_the_clipped_stream():
+    shape, bound = (3, 50, 2), 1.5
+    gen, twin = philox(17), philox(17)
+    draws = draw_clipped(gen, shape, bound)
+    expected = np.clip(twin.standard_normal(shape), -bound, bound)
+    assert draws.tobytes() == expected.tobytes()
+    assert np.count_nonzero(np.abs(draws) == bound) > 0
+    # the generator's next draw is unchanged
+    np.testing.assert_array_equal(gen.standard_normal(7), twin.standard_normal(7))
 
 
 def test_draw_innovations_deterministic():
@@ -155,7 +173,7 @@ def test_simulate_batch_matches_per_seed_simulate(dgp_id):
 
 def reference_iterate(spec, state, eps):
     """The forward recursion with every impact term evaluated through
-    ``NonlinFn.__call__`` at every step, so no spline basis is shared."""
+    ``NonlinFn.__call__`` at every step, so no feature or basis is shared."""
     n_batch, steps, d = eps.shape
     p = spec.p
     buf = np.concatenate([state, np.zeros((n_batch, steps, d))], axis=1)
@@ -215,6 +233,47 @@ def test_spline_basis_cache_is_exact(shared, batch, monkeypatch):
     # one basis per (knot vector, buffer row): rows 0..steps+1 when every lag
     # shares kv; else rows 1..steps+1 (lags 0, 1) plus 0..steps-1 (lag 2)
     assert len(calls) == (steps + 2 if shared else (steps + 1) + steps)
+
+
+KV_A = KnotVector(3, (-0.5, 0.4), -1.5, 1.5)
+KV_A_TWIN = KnotVector(3, (-0.5, 0.4), -1.5, 1.5)  # equal value, distinct object, as in a loaded fit
+KV_B = KnotVector(1, (0.0,), -1.0, 1.2)
+
+
+@st.composite
+def impact_terms(draw):
+    kind = draw(st.sampled_from(NONLIN_KINDS))
+    scale = draw(st.floats(-0.5, 0.5, allow_subnormal=False))
+    if kind != "spline":
+        return NonlinFn(kind, scale)
+    return _spline(draw(st.sampled_from((KV_A, KV_A_TWIN, KV_B))), scale, draw(st.integers(0, 99)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from((0, 1, 2)), batch=st.sampled_from((1, 64)), d_y=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1), data=st.data(),
+)
+def test_feature_cache_equals_per_term_oracle(p, batch, d_y, seed, data):
+    impact = [[data.draw(st.lists(impact_terms(), max_size=3)) for _ in range(p + 1)] for _ in range(d_y)]
+    # always one kind at two scales and equal but distinct knot vectors, at lags 0 and p
+    impact[0][0] += [NonlinFn("smooth_phi", 0.3), _spline(KV_A, 0.5, 1)]
+    impact[0][p] += [NonlinFn("smooth_phi", -0.2), _spline(KV_A_TWIN, -0.4, 2)]
+    d = 1 + d_y
+    rng = np.random.default_rng(seed)
+    lags = rng.uniform(-0.15, 0.15, size=(p, d, d))
+    lags[:, 0, 1:] = 0.0  # X follows its own lags, so cubes of X cannot feed back into X
+    spec = ModelSpec(
+        d_y=d_y, p=p, mu=rng.uniform(-0.2, 0.2, d), lags=LagPolynomial(lags.reshape(p, d, d)),
+        impact=impact, b0_21=rng.uniform(-0.5, 0.5, d_y),
+        innovation=InnovationLaw(sigma=(1.0,) * d, bound=3.0),
+    )
+    state = rng.uniform(-2.0, 2.0, size=(batch, max(p, 1), d))
+    eps = rng.uniform(-2.0, 2.0, size=(batch, 12, d))
+    paths, clamped = iterate_paths(spec, state, eps)
+    expected, expected_clamped = reference_iterate(spec, state[:, state.shape[1] - p :], eps)
+    assert paths.tobytes() == expected.tobytes()
+    assert clamped == expected_clamped
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
