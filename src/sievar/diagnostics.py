@@ -8,9 +8,10 @@ companion-form state map along sampled states and innovation sequences;
 the reported constants are maxima over the sample, hence lower bounds on
 the true suprema.
 
-Every forward iteration runs batched: the probe's burn-ins, its h-step
-finite-difference paths and its one-step innovation perturbations are one
-``iterate_paths`` call each over all samples, and all spectral norms come
+Every forward iteration runs batched over all samples: the burn-ins are one
+``final_states`` call each, which keeps only the state a burn-in hands on,
+and the probe's h-step finite-difference paths and its one-step innovation
+perturbations are one ``iterate_paths`` call each. All spectral norms come
 from one stacked SVD. Each sample keeps its own random stream, so the
 numbers match a sample-by-sample probe exactly when the lag matrices are
 diagonal; otherwise a many-row matrix product can round differently, which
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, derive_seed, draw_clipped, iterate_paths, philox
+from .model import ModelSpec, derive_seed, draw_clipped, final_states, iterate_paths, philox
 
 __all__ = [
     "DependenceProfile",
@@ -53,17 +54,10 @@ class DependenceProfile:
         return self.delta_hat.size
 
 
-def _warm_states(spec: ModelSpec, eps: np.ndarray) -> np.ndarray:
-    """Last companion state after iterating (B, T, d) innovations from zero."""
-    p = max(spec.p, 1)
-    warm, _ = iterate_paths(spec, np.zeros((eps.shape[0], p, spec.d)), eps)
-    return warm[:, -p:, :]
-
-
 def _stationary_states(spec: ModelSpec, size: int, seed: int, burn_in: int) -> np.ndarray:
     eps = draw_clipped(philox(seed), (size, burn_in, spec.d), spec.innovation.bound)
     eps *= np.asarray(spec.innovation.sigma)
-    return _warm_states(spec, eps)
+    return final_states(spec, np.zeros((size, max(spec.p, 1), spec.d)), eps)
 
 
 def estimate_delta_r(
@@ -84,6 +78,9 @@ def estimate_delta_r(
     """
     if replications < 100:
         raise ValueError("need at least 100 coupling replications")
+    if burn_in < 1:
+        # two zero states would couple trivially
+        raise ValueError("burn_in must be at least 1")
     comps = tuple(components) if components is not None else tuple(range(spec.d))
     state_a = _stationary_states(spec, replications, derive_seed(seed, 11), burn_in)
     state_b = _stationary_states(spec, replications, derive_seed(seed, 12), burn_in)
@@ -136,7 +133,7 @@ def _sample_states_eps(
     Even samples come from the stationary law, odd ones uniformly from the
     sampled box. Sample k draws from its own stream ``(seed, 31, k)`` and its
     burn-in from ``(seed, 32, k)``, so any prefix of the samples is the same
-    for every sample count. The burn-ins run in one batched call.
+    for every sample count. The burn-ins run in one batched ``final_states`` call.
     """
     p = max(spec.p, 1)
     sigma = np.asarray(spec.innovation.sigma)
@@ -149,7 +146,7 @@ def _sample_states_eps(
         for k in range(0, samples, 2)
     ])
     burn *= sigma
-    states[::2] = _warm_states(spec, burn)
+    states[::2] = final_states(spec, np.zeros((burn.shape[0], p, spec.d)), burn)
     for k in range(samples):
         gen = philox(derive_seed(seed, 31, k))
         if k % 2 == 0:

@@ -23,6 +23,7 @@ from .model import (
     ModelSpec,
     derive_seed,
     draw_clipped,
+    final_states,
     iterate_paths,
     philox,
 )
@@ -269,8 +270,7 @@ def population_irf(
 
         state = np.zeros((size, max(spec.p, 1), d))
         if burn_in > 0:
-            warm, _ = iterate_paths(spec, state, draw(burn_in))
-            state = warm[:, -max(spec.p, 1) :, :]
+            state = final_states(spec, state, draw(burn_in))
         eps_path = draw(h + 1)
         shocked_eps = eps_path.copy()
         w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps_path[:, 0, 0]))

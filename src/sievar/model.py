@@ -38,6 +38,7 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "iterate_paths",
+    "final_states",
     "builtin_dgp",
     "linearized",
 ]
@@ -46,7 +47,12 @@ NONLIN_KINDS = ("zero", "identity", "max0", "cube", "smooth_phi", "smooth_phi_sh
 
 
 class PathDivergedError(RuntimeError):
-    """Raised when a simulated path leaves the finite range."""
+    """Raised when a simulated path leaves the finite range; ``step`` is the
+    1-based step at which it did, when known."""
+
+    def __init__(self, message: str, step: int | None = None) -> None:
+        super().__init__(message)
+        self.step = step
 
 
 class StabilityWarning(RuntimeWarning):
@@ -177,7 +183,8 @@ class InnovationLaw:
 
 def _normalize_impact(impact, d_y: int, p: int) -> ImpactMap:
     rows: list[tuple[tuple[NonlinFn, ...], ...]] = []
-    impact = tuple(impact) if impact is not None else tuple(() for _ in range(d_y))
+    # None means no terms at any lag
+    impact = tuple(impact) if impact is not None else (((),) * (p + 1),) * d_y
     if len(impact) != d_y:
         raise ValueError(f"impact map must have one row per Y equation ({d_y})")
     for row in impact:
@@ -299,8 +306,28 @@ def iterate_paths(
     (B, T, d), row s supplying (eps_1, xi_2) for step s. Returns a fresh
     C-contiguous (B, T, d) continuation, which shares no memory with the
     inputs, and the count of clamped spline-impact evaluations. Neither
-    input is written.
+    input is written. A caller that needs only the state the iteration
+    ends in, such as a burn-in, calls ``final_states`` instead.
     """
+    out, clamped, _ = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=True)
+    return out, clamped
+
+
+def final_states(spec: ModelSpec, state: np.ndarray, eps_path: np.ndarray) -> np.ndarray:
+    """The fresh (B, max(p, 1), d) companion state after ``iterate_paths``.
+
+    Same arguments, validation and arithmetic as ``iterate_paths``, but no
+    path is stored: the result is byte-equal to the last max(p, 1) rows of
+    the input state followed by the path, and memory stays O(B p d) for any
+    T. Burn-ins use it, since only the state they hand on is read.
+    """
+    _, _, recent = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=False)
+    return np.stack(recent, axis=1)
+
+
+def _lag_state(spec, state, eps_path):
+    """The last max(p, 1) states as contiguous (B, d) copies, oldest first
+    (none for an empty p = 0 state), and the validated (B, T, d) innovations."""
     state = np.asarray(state, dtype=float)
     eps_path = np.asarray(eps_path, dtype=float)
     if state.ndim == 2:
@@ -311,18 +338,16 @@ def iterate_paths(
     p, d = spec.p, spec.d
     if state.shape != (n_batch, max(p, 1), d) and state.shape != (n_batch, p, d):
         raise ValueError(f"state must be ({n_batch}, {p}, {d})")
-    # the last p states as contiguous (B, d) arrays, oldest first
-    recent = [state[:, k].copy() for k in range(state.shape[1] - p, state.shape[1])]
-    # divergence is detected via isfinite; the overflow itself is expected there
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _iterate_inner(spec, recent, eps_path)
+    return [row.copy() for row in state[:, -max(p, 1) :].swapaxes(0, 1)], eps_path
 
 
-def _iterate_inner(spec, recent, eps_path):
+# divergence is detected via isfinite; the overflow itself is expected there
+@np.errstate(over="ignore", invalid="ignore")
+def _iterate_inner(spec, recent, eps_path, keep_path):
     p, d_y = spec.p, spec.d_y
     n_batch, steps, d = eps_path.shape
     a = spec.lags.coeffs
-    out = np.empty((n_batch, steps, d))
+    out = np.empty((n_batch, steps, d)) if keep_path else None
     # one unscaled feature per (term kind, time index): f(x) for a transform,
     # the basis and its clamp count for a spline. The lag-j term at step s
     # reuses the feature of the X of step s - j and applies its own scale. Keys
@@ -365,14 +390,15 @@ def _iterate_inner(spec, recent, eps_path):
             acc += spec.b0_21[i] * eps[:, 0] + eps[:, 1 + i]
             new[:, 1 + i] = acc
         if not np.all(np.isfinite(new)):
-            raise PathDivergedError(f"path diverged at step {s + 1}")
-        out[:, s] = new
-        if p:
-            recent = recent[1:] + [new]
+            raise PathDivergedError(f"path diverged at step {s + 1}", step=s + 1)
+        if keep_path:
+            out[:, s] = new
+        # the last max(p, 1) states; the lag-k product reads recent[p - k]
+        recent = recent[1:] + [new]
         if features:
             # the next step reads time indices pos + 1 - p .. pos
             features = {key: f for key, f in features.items() if key[1] > pos - p}
-    return out, clamped
+    return out, clamped, recent
 
 
 def simulate(
@@ -401,7 +427,8 @@ def simulate(
 def simulate_batch(
     spec: ModelSpec, n: int, seeds, burn_in: int = 500
 ) -> list[SimPath]:
-    """``simulate`` for many seeds in one ``iterate_paths`` call.
+    """``simulate`` for many seeds in one batched burn-in and one batched
+    ``iterate_paths`` call over the n kept steps.
 
     Row r draws its innovations from ``seeds[r]``'s own stream, exactly as
     ``simulate(spec, n, seeds[r], burn_in)`` does. The rows are iterated
@@ -410,19 +437,31 @@ def simulate_batch(
     diverging row raises ``PathDivergedError`` for the whole batch.
     """
     seeds = tuple(seeds)
-    eps = np.stack([draw_innovations(spec, burn_in + n, s) for s in seeds])
+    eps = np.empty((len(seeds), burn_in + n, spec.d))
+    for row, seed in zip(eps, seeds):
+        row[...] = draw_innovations(spec, burn_in + n, seed)
     return _paths_from(spec, n, eps, seeds, burn_in)
 
 
 def _paths_from(spec: ModelSpec, n: int, eps: np.ndarray, seeds, burn_in: int) -> list[SimPath]:
-    """Iterate (R, burn_in + n, d) innovations from a zero state into R paths."""
+    """Iterate (R, burn_in + n, d) innovations from a zero state into R paths.
+
+    The burn-in keeps only the state it hands on. A divergence reports its
+    step counted from the first burn-in step.
+    """
     if n < max(spec.p + 1, 1):
         raise ValueError("n must exceed the lag order")
     state = np.zeros((eps.shape[0], max(spec.p, 1), spec.d))
-    paths, _ = iterate_paths(spec, state, eps)
+    if burn_in > 0:
+        state = final_states(spec, state, eps[:, :burn_in])
+    try:
+        paths, _ = iterate_paths(spec, state, eps[:, burn_in:])
+    except PathDivergedError as exc:
+        step = burn_in + exc.step
+        raise PathDivergedError(f"path diverged at step {step}", step=step) from None
     return [
         SimPath(x=z[:, 0], y=z[:, 1:], eps=e[burn_in:], seed=seed, burn_in=burn_in)
-        for z, e, seed in zip(paths[:, burn_in:], eps, seeds)
+        for z, e, seed in zip(paths, eps, seeds)
     ]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,9 +55,26 @@ def test_ar1_coupling_ratio_and_decay_fit():
     assert np.all(np.diff(profile.delta_hat) <= 1e-12)  # monotone decay
 
 
+def test_coupling_memory_is_one_burn_in_block():
+    # each coupling copy's burn-in keeps only its final state, so the traced
+    # peak is one (2000, 500, 2) innovation block plus small change
+    spec = sievar.builtin_dgp(2)
+    estimate_delta_r(spec, replications=100, seed=0, burn_in=5)
+    block = 2000 * 500 * spec.d * 8
+    tracemalloc.start()
+    try:
+        estimate_delta_r(spec, replications=2000, seed=0, burn_in=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block
+
+
 def test_replication_floor():
     with pytest.raises(ValueError, match="100"):
         estimate_delta_r(ar_spec(0.5), replications=50)
+    with pytest.raises(ValueError, match="burn_in"):
+        estimate_delta_r(ar_spec(0.5), replications=100, burn_in=0)
 
 
 def test_contractivity_ar1():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -227,6 +228,22 @@ def test_population_impact_identity(dgp2, bump34, dgp2_pop_irf):
 
 def test_population_clamp_counter_zero_for_builtin(dgp2_pop_irf):
     assert dgp2_pop_irf.clamped == 0
+
+
+def test_population_chunk_memory_is_one_burn_in_block():
+    # a burn-in keeps only the state it hands on, so one chunk's traced peak
+    # is its (4096, 500, 2) innovation block plus small change
+    spec = sievar.builtin_dgp(7)
+    shock = ShockSpec(2.0, RelaxationFn.symmetric_bump(5.0, 3.9), 20)
+    population_irf(spec, shock, replications=64, seed=0, burn_in=5, chunk=64)
+    block = 4096 * 500 * spec.d * 8
+    tracemalloc.start()
+    try:
+        population_irf(spec, shock, replications=4096, seed=0, burn_in=500, threads=1, chunk=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block
 
 
 def test_population_nonrelaxed_warns(dgp2):

@@ -17,8 +17,10 @@ from sievar.model import (
     PathDivergedError,
     StabilityWarning,
     builtin_dgp,
+    derive_seed,
     draw_clipped,
     draw_innovations,
+    final_states,
     iterate_paths,
     philox,
     simulate,
@@ -274,6 +276,97 @@ def test_feature_cache_equals_per_term_oracle(p, batch, d_y, seed, data):
     expected, expected_clamped = reference_iterate(spec, state[:, state.shape[1] - p :], eps)
     assert paths.tobytes() == expected.tobytes()
     assert clamped == expected_clamped
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from((0, 1, 2)), batch=st.sampled_from((1, 3, 64)), d_y=st.integers(1, 2),
+    steps=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), data=st.data(),
+)
+def test_final_states_equals_iterate_paths_oracle(p, batch, d_y, steps, seed, data):
+    impact = [[data.draw(st.lists(impact_terms(), max_size=3)) for _ in range(p + 1)] for _ in range(d_y)]
+    # a spline at lags 0 and p: states and innovations reach outside its knot domain
+    impact[0][0] += [_spline(KV_A, 0.5, 1)]
+    impact[0][p] += [_spline(KV_A_TWIN, -0.4, 2)]
+    d = 1 + d_y
+    rng = np.random.default_rng(seed)
+    lags = rng.uniform(-0.15, 0.15, size=(p, d, d))  # non-diagonal
+    lags[:, 0, 1:] = 0.0  # X follows its own lags, so cubes of X cannot feed back into X
+    spec = ModelSpec(
+        d_y=d_y, p=p, mu=rng.uniform(-0.2, 0.2, d), lags=LagPolynomial(lags.reshape(p, d, d)),
+        impact=impact, b0_21=rng.uniform(-0.5, 0.5, d_y),
+        innovation=InnovationLaw(sigma=(1.0,) * d, bound=3.0),
+    )
+    q = max(p, 1)
+    state = rng.uniform(-2.0, 2.0, size=(batch, q, d))
+    eps = rng.uniform(-2.0, 2.0, size=(batch, steps, d))
+    state_before, eps_before = state.copy(), eps.copy()
+    final = final_states(spec, state, eps)
+    paths, _ = iterate_paths(spec, state, eps)
+    # the last q rows of the path, preceded by the input state when steps < q
+    expected = np.concatenate([state, paths], axis=1)[:, -q:]
+    if steps >= q:
+        np.testing.assert_array_equal(expected, paths[:, -q:])
+    assert final.shape == (batch, q, d) and final.flags.c_contiguous
+    assert final.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(state, state_before)
+    np.testing.assert_array_equal(eps, eps_before)
+    assert not np.shares_memory(final, state)
+
+
+def test_final_states_of_an_empty_lag_zero_state():
+    spec = zero_spec(p=0)
+    eps = np.arange(12.0).reshape(2, 3, 2)
+    np.testing.assert_array_equal(final_states(spec, np.zeros((2, 0, 2)), eps), eps[:, -1:])
+    with pytest.raises(ValueError, match="state must be"):
+        final_states(spec, np.zeros((3, 1, 2)), eps)
+
+
+def one_call_simulate_batch(spec, n, seeds, burn_in):
+    """``simulate_batch`` as one ``iterate_paths`` call over the burn-in and
+    the kept steps from innovations stacked per seed: (paths, innovations)."""
+    eps = np.stack([draw_innovations(spec, burn_in + n, s) for s in seeds])
+    paths, _ = iterate_paths(spec, np.zeros((len(seeds), max(spec.p, 1), spec.d)), eps)
+    return paths[:, burn_in:], eps[:, burn_in:]
+
+
+@pytest.mark.parametrize("dgp_id", range(1, 8))
+@pytest.mark.parametrize("batch", [1, 25])
+@pytest.mark.parametrize("burn_in", [0, 1, 37])
+def test_simulate_batch_equals_one_call_oracle(dgp_id, batch, burn_in):
+    spec = builtin_dgp(dgp_id)
+    seeds = [derive_seed(dgp_id, burn_in, r) for r in range(batch)]
+    paths = simulate_batch(spec, 60, seeds, burn_in=burn_in)
+    z, eps = one_call_simulate_batch(spec, 60, seeds, burn_in)
+    assert np.stack([path.z for path in paths]).tobytes() == z.tobytes()
+    assert np.stack([path.eps for path in paths]).tobytes() == eps.tobytes()
+    assert [(path.seed, path.burn_in) for path in paths] == [(s, burn_in) for s in seeds]
+
+
+@pytest.mark.parametrize("burn_in", [0, 100, 1750, 2000])
+def test_divergence_step_counts_from_the_first_burn_in_step(burn_in):
+    # X_t = 1.5 X_{t-1} + eps_t from zero leaves the finite range at step 1751
+    # of seed 1's stream, whether that step falls in the burn-in or after it
+    with pytest.warns(StabilityWarning):
+        spec = ar_spec(1.5)
+    for call in (lambda: simulate(spec, 2000, seed=1, burn_in=burn_in),
+                 lambda: simulate_batch(spec, 2000, (1, 2), burn_in=burn_in)):
+        with pytest.raises(PathDivergedError, match=r"at step 1751$") as info:
+            call()
+        assert info.value.step == 1751
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_impact_none_means_no_terms_at_every_lag(p):
+    base = zero_spec(d_y=2, p=p)
+    spec = ModelSpec(
+        d_y=2, p=p, mu=base.mu, lags=base.lags, impact=None, b0_21=base.b0_21,
+        innovation=base.innovation,
+    )
+    assert spec.impact == (((),) * (p + 1),) * 2
+    eps = np.random.default_rng(p).normal(size=(3, 8, 3))
+    state = np.ones((3, max(p, 1), 3))
+    np.testing.assert_array_equal(iterate_paths(spec, state, eps)[0], iterate_paths(base, state, eps)[0])
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
