@@ -11,7 +11,7 @@ column stay identified next to the blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "DesignMatrix",
     "GramDiagnostics",
     "bspline_matrix",
+    "span_offsets",
     "knots_from_quantiles",
     "build_design",
     "gram_diagnostics",
@@ -31,9 +32,9 @@ __all__ = [
 class KnotVector:
     """Clamped (open-uniform) knot configuration for one spline block.
 
-    Its tables (``span_knots``, ``span_gaps``, ``greville`` and
-    ``linear_projection``) are computed on first use, once per object, and
-    are read-only arrays.
+    Its tables (``span_knots``, ``span_gaps``, ``span_power``, ``greville``
+    and ``linear_projection``) are computed on first use, once per object,
+    and are read-only arrays.
     """
 
     degree: int
@@ -92,6 +93,32 @@ class KnotVector:
         return tuple(gaps)
 
     @cached_property
+    def span_power(self) -> np.ndarray:
+        """(#interior + 1, degree + 1, degree + 1) pp-form table: entry
+        [j, r, m] is the coefficient of (x - t_j)^m, with t_j the left knot of
+        span j, in the r-th basis function live on span j (basis index j + r).
+
+        On each span the live functions are one polynomial each (de Boor, A
+        Practical Guide to Splines, 1978). They are interpolated at degree+1
+        Chebyshev points inside the span, solved on the unit interval, and
+        coefficient m is divided by width^m.
+        """
+        deg = self.degree
+        left, right = self.span_knots[deg], self.span_knots[deg + 1]
+        width = right - left
+        spans = width.size
+        # interior points of the unit interval, so each lies in its own span
+        unit = 0.5 - 0.5 * np.cos((2 * np.arange(deg + 1) + 1) * np.pi / (2 * deg + 2))
+        points = left[:, None] + width[:, None] * unit
+        basis = bspline_matrix(self, points).reshape(spans, deg + 1, -1)
+        live = np.stack([basis[j, :, j : j + deg + 1] for j in range(spans)])
+        # solve at the offsets the rounded points really have, as fractions of the width
+        unit_offsets = (points - left[:, None]) / width[:, None]
+        power = np.linalg.solve(unit_offsets[:, :, None] ** np.arange(deg + 1), live)
+        power /= (width[:, None] ** np.arange(deg + 1))[:, :, None]
+        return _read_only(np.ascontiguousarray(power.swapaxes(1, 2)))
+
+    @cached_property
     def greville(self) -> np.ndarray:
         """Greville abscissae; the identity map is x = sum_i greville_i * b_i(x)."""
         t = self.knots
@@ -106,7 +133,7 @@ class KnotVector:
         A (2, dim) array of (alpha_i, beta_i) with proj b_i = alpha_i + beta_i * x.
         Gauss-Legendre per knot span is exact for piecewise polynomials.
         """
-        nodes, weights = np.polynomial.legendre.leggauss(self.degree + 2)
+        nodes, weights = _gauss_legendre(self.degree + 2)
         spans = np.concatenate([[self.lo], np.asarray(self.interior), [self.hi]])
         xs, ws = [], []
         for a, b in zip(spans[:-1], spans[1:]):
@@ -126,6 +153,33 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
+@cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per count."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    return _read_only(nodes), _read_only(weights)
+
+
+def _clamp_to_spans(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened x clamped to the domain, and each point's knot span."""
+    x = np.clip(np.asarray(x, dtype=float), kv.lo, kv.hi).reshape(-1)
+    # span j runs from interior knot j-1 to interior knot j (the right knots of
+    # all spans but the last); x = hi falls in the last
+    return x, np.searchsorted(kv.span_knots[kv.degree + 1, :-1], x, side="right")
+
+
+def span_offsets(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each point's knot span, its offset from the span's left knot, and the
+    count of points outside the domain, clamped as in ``bspline_matrix``.
+
+    ``x`` is flattened. NaN stays NaN in the offset and is not counted.
+    """
+    x = np.asarray(x, dtype=float)
+    clamped, span = _clamp_to_spans(kv, x)
+    offset = clamped - kv.span_knots[kv.degree].take(span)
+    return span, offset, int(np.count_nonzero((x < kv.lo) | (x > kv.hi)))
+
+
 def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     """Evaluate all basis functions at each point; out-of-domain x is clamped.
 
@@ -136,11 +190,9 @@ def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     1978), with the same arithmetic as the recursion over every function,
     so the matrix is the same to the last bit.
     """
-    x = np.clip(np.asarray(x, dtype=float), kv.lo, kv.hi).reshape(-1)
+    x, span = _clamp_to_spans(kv, x)
     deg = kv.degree
     n = x.size
-    # span j runs from interior knot j-1 to interior knot j; x = hi falls in the last
-    span = np.searchsorted(kv.interior, x, side="right")
     t = kv.span_knots
     live = np.ones((1, n))
     # each level gathers only its own knot rows and works in place, so that a
@@ -324,10 +376,15 @@ def build_design(
 
     cols: list[np.ndarray] = [np.ones((n - p, 1))]
     labels = ["intercept"]
+    # block_matrix works row by row, so each knot vector is evaluated once over
+    # the whole sample and lag j takes rows p-j .. n-j-1 of it
+    blocks: dict[KnotVector, np.ndarray] = {}
     for idx, (j, term) in enumerate(layout.x_terms):
         x_lag = x[p - j : n - j]
         if isinstance(term, KnotVector):
-            cols.append(block_matrix(term, x_lag))
+            if term not in blocks:
+                blocks[term] = block_matrix(term, x)
+            cols.append(blocks[term][p - j : n - j])
             start = term.dim - block_width(term)
             labels += [f"spline:x_lag{j}:b{i}" for i in range(start, term.dim)]
         else:

@@ -9,19 +9,22 @@ The pseudo-reduced form iterated here is
 with the structural series ordered first and only its shocks identified.
 Impact maps G_j are sums of simple terms so linear and nonlinear pieces of
 one lag live side by side. In the forward iteration a term of lag j reads
-the X of j steps back, so each step evaluates one unscaled feature per term
-kind at its new X (f(x) for a transform, the B-spline basis for a knot
-vector) and every lag applies its own scale to it.
+the X of j steps back, so each step evaluates one feature per term kind at
+its new X and every lag reuses it: f(x) for a transform, to which each term
+applies its own scale, and for a knot vector each point's knot span and
+offset, from which each spline term evaluates its own per-span polynomial.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .basis import KnotVector, bspline_matrix
+# bspline_matrix is not called here, but perfbench's tracer wraps it in this module too
+from .basis import KnotVector, bspline_matrix, span_offsets  # noqa: F401
 
 __all__ = [
     "NonlinFn",
@@ -64,8 +67,12 @@ class NonlinFn:
     """One additive impact term: scale * kind(x).
 
     ``smooth_phi`` is (x-1)(0.5 + tanh(x-1)/2); ``smooth_phi_shift`` shifts its
-    argument by +1 so the map closely tracks max(0, x). Spline terms clamp
-    their argument to the knot domain.
+    argument by +1 so the map closely tracks max(0, x). A spline term is
+    scale * sum_i coeffs[i] * b_i(x) with its argument clamped to the knot
+    domain. It is evaluated from one polynomial per knot span: the term
+    folds its scale and coefficients into its knot vector's ``span_power``
+    table once, and ``__call__`` and the forward iteration both evaluate
+    through that table.
     """
 
     kind: str
@@ -98,16 +105,34 @@ class NonlinFn:
         elif self.kind == "smooth_phi_shift":
             out = x * (0.5 + np.tanh(x) / 2.0)
         else:
-            out = self.from_basis(bspline_matrix(self.knots, np.atleast_1d(x)))
+            span, offset, _ = span_offsets(self.knots, x)
             # a 0-d input gives a scalar, as the other kinds do
-            return out.reshape(np.shape(x))[()]
+            return self.from_spans(span, offset).reshape(np.shape(x))[()]
         # 1.0 * out == out bit for bit, so a unit scale skips the product,
         # unless that would hand back the caller's own array
         return self.scale * out if self.scale != 1.0 or out is x else out
 
-    def from_basis(self, basis: np.ndarray) -> np.ndarray:
-        """Spline term value from its (n, dim) basis matrix at n points."""
-        return self.scale * (basis @ np.asarray(self.coeffs))
+    @cached_property
+    def _span_table(self) -> np.ndarray:
+        """(#spans, degree + 1) power coefficients in the offset from each
+        span's left knot of this spline term, scale included."""
+        kv = self.knots
+        live = np.arange(kv.span_power.shape[0])[:, None] + np.arange(kv.degree + 1)
+        table = self.scale * np.einsum("sr,srm->sm", np.asarray(self.coeffs)[live], kv.span_power)
+        table.flags.writeable = False
+        return table
+
+    def from_spans(self, span: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """Spline term value at points given by ``span_offsets``: a gather of
+        each point's span polynomial and a Horner pass in its offset."""
+        coef = self._span_table.take(span, axis=0)
+        # starting from 0 * offset keeps a NaN point NaN at degree 0 too
+        value = offset * 0.0
+        value += coef[:, -1]
+        for m in range(coef.shape[1] - 2, -1, -1):
+            value *= offset
+            value += coef[:, m]
+        return value
 
 
 ImpactMap = tuple[tuple[tuple[NonlinFn, ...], ...], ...]
@@ -348,10 +373,10 @@ def _iterate_inner(spec, recent, eps_path, keep_path):
     n_batch, steps, d = eps_path.shape
     a = spec.lags.coeffs
     out = np.empty((n_batch, steps, d)) if keep_path else None
-    # one unscaled feature per (term kind, time index): f(x) for a transform,
-    # the basis and its clamp count for a spline. The lag-j term at step s
-    # reuses the feature of the X of step s - j and applies its own scale. Keys
-    # hold knot vectors by value, as each lag of a loaded fit has its own copy.
+    # one feature per (term kind, time index): the unscaled f(x) for a
+    # transform, the knot spans, offsets and clamp count for a spline. The
+    # lag-j term at step s reuses the feature of the X of step s - j. Keys hold
+    # knot vectors by value, as each lag of a loaded fit has its own copy.
     features: dict[tuple[str | KnotVector, int], object] = {}
     clamped = 0
     # copying one tiled block per step is faster than a per-step tile or a
@@ -374,17 +399,12 @@ def _iterate_inner(spec, recent, eps_path, keep_path):
                     key = (term.knots if spline else term.kind, pos - j)
                     feature = features.get(key)
                     if feature is None:
-                        if spline:
-                            kv = term.knots
-                            n_out = int(np.count_nonzero((x_lag < kv.lo) | (x_lag > kv.hi)))
-                            feature = (bspline_matrix(kv, x_lag), n_out)
-                        else:
-                            feature = _UNIT[term.kind](x_lag)
+                        feature = span_offsets(term.knots, x_lag) if spline else _UNIT[term.kind](x_lag)
                         features[key] = feature
                     if spline:
-                        # clamped counts every term evaluation, shared basis or not
-                        clamped += feature[1]
-                        acc += term.from_basis(feature[0])
+                        # clamped counts every term evaluation, shared spans or not
+                        clamped += feature[2]
+                        acc += term.from_spans(feature[0], feature[1])
                     else:
                         acc += term.scale * feature
             acc += spec.b0_21[i] * eps[:, 0] + eps[:, 1 + i]

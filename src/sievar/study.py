@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,11 +102,15 @@ class StudyConfig:
             raise ValueError("burn_in must be non-negative")
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
-        p = builtin_dgp(self.dgp_id).p
-        if self.n <= self.horizon + p:
-            raise ValueError(f"n must exceed horizon + lag order ({self.horizon + p})")
+        if self.n <= self.horizon + self.p:
+            raise ValueError(f"n must exceed horizon + lag order ({self.horizon + self.p})")
         if not 0.0 <= self.max_failure_fraction <= 1.0:
             raise ValueError("max_failure_fraction must lie in [0, 1]")
+
+    @cached_property
+    def p(self) -> int:
+        """Lag order of the generating process, which every fit uses."""
+        return builtin_dgp(self.dgp_id).p
 
     def paper_scale(self) -> "StudyConfig":
         return replace(self, mc_replications=10_000, pop_replications=100_000)
@@ -161,21 +166,19 @@ class StudyResult:
 def _study_plan(cfg: StudyConfig, x: np.ndarray) -> SievePlan:
     lo, hi = (float(x.min()), float(x.max())) if cfg.domain is None else cfg.domain
     kv = KnotVector(degree=cfg.degree, interior=cfg.knots, lo=lo, hi=hi)
-    spec = builtin_dgp(cfg.dgp_id)
-    return SievePlan(x_blocks=tuple(kv for _ in range(spec.p + 1)))
+    return SievePlan(x_blocks=tuple(kv for _ in range(cfg.p + 1)))
 
 
 def _fit_one(cfg: StudyConfig, tag: str, path) -> FittedModel:
-    spec_p = builtin_dgp(cfg.dgp_id).p
     if tag == "sieve":
         return fit_two_step(path, _study_plan(cfg, path.x))
     if tag == "parametric_true":
         form = benchmark_true_form(cfg.dgp_id)
         if cfg.phi_shift and cfg.dgp_id == 7:
             form = replace(form, terms=tuple((j, "smooth_phi_shift") for j, _ in form.terms))
-        return fit_parametric(path, spec_p, form)
+        return fit_parametric(path, cfg.p, form)
     if tag == "parametric_max0":
-        return fit_parametric(path, spec_p, max0_prior_form(spec_p))
+        return fit_parametric(path, cfg.p, max0_prior_form(cfg.p))
     raise ValueError(f"unknown estimator tag {tag!r}")
 
 

@@ -15,6 +15,7 @@ from sievar.basis import (
     build_design,
     gram_diagnostics,
     knots_from_quantiles,
+    span_offsets,
 )
 from sievar.estimator import first_stage
 from sievar.model import InnovationLaw, LagPolynomial, ModelSpec, NonlinFn, iterate_paths
@@ -195,7 +196,7 @@ def test_out_of_domain_clamps(monkeypatch):
     np.testing.assert_array_equal(bspline_matrix(kv, [5.0])[0], bspline_matrix(kv, [3.0])[0])
     np.testing.assert_array_equal(bspline_matrix(kv, [-9.0])[0], bspline_matrix(kv, [-3.0])[0])
     # the forward iteration counts clamped points per term evaluation, also
-    # when the lag-1 term reuses the basis the lag-0 term built a step before
+    # when the lag-1 term reuses the spans the lag-0 term found a step before
     spline = NonlinFn("spline", 1.0, kv, (0.0,) * kv.dim)
     spec = ModelSpec(
         d_y=1, p=1, mu=np.zeros(2), lags=LagPolynomial(np.zeros((1, 2, 2))),
@@ -208,8 +209,8 @@ def test_out_of_domain_clamps(monkeypatch):
     eps = np.zeros((4, 2, 2))
     eps[:, 0, 0] = xs  # X_0 = xs, X_1 = 0
     calls = []
-    real = sievar.model.bspline_matrix
-    monkeypatch.setattr(sievar.model, "bspline_matrix", lambda k, x: calls.append(k) or real(k, x))
+    real = sievar.model.span_offsets
+    monkeypatch.setattr(sievar.model, "span_offsets", lambda k, x: calls.append(k) or real(k, x))
     _, clamped = iterate_paths(spec, state, eps)
     # step 0: lag 0 at X_0, lag 1 at the state; step 1: lag 0 at X_1, lag 1 reuses X_0
     assert clamped == 2 + 2 + 0 + 2
@@ -257,6 +258,82 @@ def test_quantile_knots_symmetry_oracle():
     sample = np.clip(gen.standard_normal(10_000), -3, 3)
     kv = knots_from_quantiles(sample, 1, 3)
     assert abs(kv.interior[0]) < 0.05
+
+
+@st.composite
+def zero_domain_knot_vectors(draw):
+    """Clamped knot vectors on a domain around 0, no span below 1e-3 of it."""
+    width = draw(st.floats(1e-2, 500.0, **_finite))
+    lo = -width * draw(st.floats(0.0, 1.0, **_finite))
+    hi = lo + width
+    inside = st.floats(lo, hi, exclude_min=True, exclude_max=True, **_finite)
+    interior = sorted(draw(st.lists(inside, max_size=8, unique=True)))
+    assume(np.min(np.diff([lo, *interior, hi])) >= 1e-3 * width)
+    return KnotVector(draw(st.integers(0, 5)), tuple(interior), lo, hi)
+
+
+def _chebyshev_unit(degree):
+    return 0.5 - 0.5 * np.cos((2 * np.arange(degree + 1) + 1) * np.pi / (2 * degree + 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kv=zero_domain_knot_vectors())
+def test_span_power_reproduces_basis_at_its_nodes(kv):
+    power = kv.span_power
+    assert not power.flags.writeable
+    assert power is kv.span_power  # computed once
+    deg = kv.degree
+    left, right = kv.span_knots[deg], kv.span_knots[deg + 1]
+    assert power.shape == (left.size, deg + 1, deg + 1)
+    for j in range(left.size):
+        x = left[j] + (right[j] - left[j]) * _chebyshev_unit(deg)
+        powers = (x - left[j])[:, None] ** np.arange(deg + 1)
+        live = bspline_matrix(kv, x)[:, j : j + deg + 1]
+        np.testing.assert_allclose(powers @ power[j].T, live, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kv=zero_domain_knot_vectors(), scale=st.floats(-5.0, 5.0, **_finite), data=st.data())
+def test_span_table_matches_basis_path(kv, scale, data):
+    coeffs = np.array(data.draw(st.lists(st.floats(-10.0, 10.0, **_finite), min_size=kv.dim, max_size=kv.dim)))
+    term = NonlinFn("spline", scale, kv, tuple(coeffs))
+    t = kv.knots
+    inside = data.draw(st.lists(st.floats(kv.lo, kv.hi, **_finite), max_size=20))
+    outside = [kv.lo - 1.0, kv.hi + 1.0, -np.inf, np.inf]
+    x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), outside, inside])
+    expected = scale * (bspline_matrix(kv, x) @ coeffs)
+    tol = 1e-12 * (1.0 + abs(scale) * np.max(np.abs(coeffs)))
+    np.testing.assert_allclose(term(x), expected, rtol=0, atol=tol)
+    span, offset, n_out = span_offsets(kv, x)
+    assert n_out == np.count_nonzero((x < kv.lo) | (x > kv.hi))
+    assert term.from_spans(span, offset).tobytes() == term(x).tobytes()
+    # NaN in gives NaN out, at every degree, and is not counted as clamped
+    with_nan = np.append(x, np.nan)
+    values = term(with_nan)
+    assert np.isnan(values[-1]) and np.all(np.isfinite(values[:-1]))
+    assert span_offsets(kv, with_nan)[2] == n_out
+
+
+DESIGN_PATH = sievar.simulate(sievar.builtin_dgp(2), 200, seed=13)
+_DESIGN_KV = KnotVector(3, (-0.5, 0.5), float(DESIGN_PATH.x.min()), float(DESIGN_PATH.x.max()))
+_DESIGN_BLOCKS = (
+    None,
+    _DESIGN_KV,
+    KnotVector(3, (-0.5, 0.5), _DESIGN_KV.lo, _DESIGN_KV.hi),  # equal value, distinct object
+    KnotVector(1, (0.0,), _DESIGN_KV.lo, _DESIGN_KV.hi),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(st.sampled_from(_DESIGN_BLOCKS), min_size=1, max_size=4))
+def test_shared_design_block_equals_per_lag_blocks(blocks):
+    plan = SievePlan(x_blocks=tuple(blocks))
+    x, y, p = DESIGN_PATH.x, DESIGN_PATH.y, plan.p
+    design = build_design(plan, x, y, np.zeros(x.size), p)
+    spline = sum(c.startswith("spline:") for c in design.column_labels)
+    per_lag = [block_matrix(kv, x[p - j : x.size - j]) for j, kv in plan.x_terms]
+    expected = np.column_stack(per_lag) if per_lag else np.zeros((x.size - p, 0))
+    assert design.values[:, 1 : 1 + spline].tobytes() == expected.tobytes()
 
 
 def test_quantile_knots_zero_count():

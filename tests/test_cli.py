@@ -166,14 +166,14 @@ def test_irf_fit_bundle_roundtrip(tmp_path, monkeypatch):
     assert lag0 == lag1 and lag0 is not lag1
     shock = ShockSpec(1.0, sievar.RelaxationFn.symmetric_bump(3, 4), 8)
     calls = []
-    real = sievar.model.bspline_matrix
-    monkeypatch.setattr(sievar.model, "bspline_matrix", lambda kv, x: calls.append(kv) or real(kv, x))
+    real = sievar.model.span_offsets
+    monkeypatch.setattr(sievar.model, "span_offsets", lambda kv, x: calls.append(kv) or real(kv, x))
     a = sievar.estimated_irf(fit, path, shock)
     in_memory_calls = len(calls)
     b = sievar.estimated_irf(reloaded, path, shock)
     np.testing.assert_array_equal(a.values, b.values)
     assert a.clamped == b.clamped
-    # the per-step spline basis is shared by value, not by object
+    # the per-step spline spans are shared by value, not by object
     assert len(calls) == 2 * in_memory_calls
 
 

@@ -206,7 +206,7 @@ def _spline(kv, scale, seed):
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("batch", [1, 64])
-def test_spline_basis_cache_is_exact(shared, batch, monkeypatch):
+def test_spline_span_cache_is_exact(shared, batch, monkeypatch):
     kv = KnotVector(3, (-0.5, 0.4), -1.5, 1.5)
     twin = KnotVector(3, (-0.5, 0.4), -1.5, 1.5)  # equal value, distinct object
     other = KnotVector(2, (0.0,), -1.0, 1.2)
@@ -225,14 +225,14 @@ def test_spline_basis_cache_is_exact(shared, batch, monkeypatch):
     state = rng.normal(size=(batch, 2, 3))
     eps = rng.normal(size=(batch, steps, 3))
     calls = []
-    real = sievar.model.bspline_matrix
-    monkeypatch.setattr(sievar.model, "bspline_matrix", lambda k, x: calls.append(k) or real(k, x))
+    real = sievar.model.span_offsets
+    monkeypatch.setattr(sievar.model, "span_offsets", lambda k, x: calls.append(k) or real(k, x))
     paths, clamped = iterate_paths(spec, state, eps)
     monkeypatch.undo()
     expected, expected_clamped = reference_iterate(spec, state, eps)
     np.testing.assert_array_equal(paths, expected)
     assert clamped == expected_clamped > 0
-    # one basis per (knot vector, buffer row): rows 0..steps+1 when every lag
+    # one span lookup per (knot vector, buffer row): rows 0..steps+1 when every lag
     # shares kv; else rows 1..steps+1 (lags 0, 1) plus 0..steps-1 (lag 2)
     assert len(calls) == (steps + 2 if shared else (steps + 1) + steps)
 

@@ -41,6 +41,16 @@ def test_reproducible_and_thread_invariant():
         np.testing.assert_array_equal(a.population[d].values, c.population[d].values)
 
 
+def test_study_builds_the_dgp_spec_once(monkeypatch):
+    cfg = small_cfg(mc_replications=3, pop_replications=64, estimators=study_mod.ESTIMATOR_TAGS)
+    calls = []
+    real = study_mod.builtin_dgp
+    monkeypatch.setattr(study_mod, "builtin_dgp", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert run_study(cfg).n_ok == 3
+    # the configuration knows its lag order, so the fits build no spec
+    assert len(calls) == 1
+
+
 def test_derived_seeds_disjoint():
     seeds = {derive_seed(5, 2, r) for r in range(1000)}
     assert len(seeds) == 1000
