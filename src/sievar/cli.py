@@ -355,6 +355,8 @@ def cmd_mc(cfg: dict, args) -> int:
         "failed": len(result.failed),
         "failure_causes": result.failure_causes,
         "clamped": result.clamped,
+        "threads": study_cfg.threads,
+        "processes": result.processes,
         "population_max_mc_se": [
             {"delta": delta, "max_mc_se": float(np.max(irf.mc_se))}
             for delta, irf in sorted(result.population.items())
@@ -487,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker thread cap for IRF averaging; results do not depend on it",
+        help="worker thread cap for IRF averaging, and for mc the number of processes "
+        "the replications run in (forked workers, used when BLAS is pinned to one "
+        "thread); results do not depend on it",
     )
     parser.add_argument("--out", default="runs", help="output base directory")
     parser.add_argument(

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, derive_seed, draw_clipped, final_states, iterate_paths, philox
+from .model import (
+    ModelSpec,
+    derive_seed,
+    draw_clipped,
+    final_states,
+    iterate_paths,
+    philox,
+    scale_innovations,
+)
 
 __all__ = [
     "DependenceProfile",
@@ -56,7 +64,7 @@ class DependenceProfile:
 
 def _stationary_states(spec: ModelSpec, size: int, seed: int, burn_in: int) -> np.ndarray:
     eps = draw_clipped(philox(seed), (size, burn_in, spec.d), spec.innovation.bound)
-    eps *= np.asarray(spec.innovation.sigma)
+    scale_innovations(eps, spec.innovation.sigma)
     return final_states(spec, np.zeros((size, max(spec.p, 1), spec.d)), eps)
 
 
@@ -87,7 +95,7 @@ def estimate_delta_r(
     shared = draw_clipped(
         philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec.innovation.bound
     )
-    shared *= np.asarray(spec.innovation.sigma)
+    scale_innovations(shared, spec.innovation.sigma)
     path_a, _ = iterate_paths(spec, state_a, shared)
     path_b, _ = iterate_paths(spec, state_b, shared)
     gap = np.linalg.norm(path_a[:, :, comps] - path_b[:, :, comps], axis=2)
@@ -145,7 +153,7 @@ def _sample_states_eps(
         draw_clipped(philox(derive_seed(seed, 32, k)), (400, spec.d), bound)
         for k in range(0, samples, 2)
     ])
-    burn *= sigma
+    scale_innovations(burn, sigma)
     states[::2] = final_states(spec, np.zeros((burn.shape[0], p, spec.d)), burn)
     for k in range(samples):
         gen = philox(derive_seed(seed, 31, k))

@@ -26,6 +26,7 @@ from .model import (
     final_states,
     iterate_paths,
     philox,
+    scale_innovations,
 )
 
 __all__ = [
@@ -261,12 +262,10 @@ def population_irf(
     def worker(start: int, stop: int):
         size = stop - start
         gen = philox(derive_seed(seed, start // chunk))
-        sigma = np.asarray(spec.innovation.sigma)
 
         def draw(steps: int) -> np.ndarray:
             eps = draw_clipped(gen, (size, steps, d), spec.innovation.bound)
-            eps *= sigma
-            return eps
+            return scale_innovations(eps, spec.innovation.sigma)
 
         state = np.zeros((size, max(spec.p, 1), d))
         if burn_in > 0:

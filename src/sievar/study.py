@@ -3,21 +3,34 @@ simulated population reference, reproducing the benchmark experiments.
 
 Replication r always consumes the stream derived from (master_seed, r).
 The paths of up to ``SIMULATION_BATCH`` replications are simulated together
-in one batch; the fixed batching fixes the rounding of the simulation. The
-moments are summed per chunk of ``REPLICATION_CHUNK`` replications and the
+in one batch, always in the calling process; the fixed batching fixes the
+rounding of the simulation. With ``threads > 1`` the fits and IRFs of each
+batch are split into contiguous shares over the calling process and
+``threads - 1`` forked worker processes. The workers run only where
+``os.fork`` exists, the calling process runs a single thread, and BLAS is
+pinned to one thread (see the ``sievar`` package docstring); otherwise the
+calling process fits every replication itself. The moments are summed per
+chunk of ``REPLICATION_CHUNK`` replications, in replication order, and the
 chunk sums merged in chunk order, so results are bit-identical for any
 thread count.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
+import traceback
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
+from . import _BLAS_PINNED
 from .basis import KnotVector, SievePlan
 from .estimator import (
     FittedModel,
@@ -63,9 +76,11 @@ SIMULATION_BATCH = 250
 class StudyConfig:
     """Desk-scale defaults; `paper_scale()` switches to the published counts.
 
-    ``threads`` caps the worker threads of the population reference; the
-    replications run in order on the calling thread. Results are identical
-    for any value.
+    ``threads`` caps the worker threads of the population reference and
+    the processes the replications' fits and IRFs run in: the calling
+    process and up to ``threads - 1`` forked workers, when BLAS is pinned to
+    one thread (see the module docstring). Results are identical for any
+    value.
     """
 
     dgp_id: int
@@ -138,7 +153,9 @@ class StudyResult:
     """Moments over the successful replications. ``clamped`` sums their
     estimated IRFs' ``clamped`` counts (spline evaluations outside the knot
     domain in the iterated paths); ``failure_causes`` counts the failed
-    replications by exception class name."""
+    replications by exception class name. ``processes`` is the number of
+    processes the fits and IRFs were split over: 1 when the worker
+    processes could not run."""
 
     config: StudyConfig
     population: dict[float, IrfResult]
@@ -149,6 +166,7 @@ class StudyResult:
     failed: tuple[int, ...]
     clamped: int
     failure_causes: dict[str, int]
+    processes: int
 
     def rows(self):
         """Flat (estimator, delta, var, h, mse, bias, se, n_ok) records."""
@@ -180,6 +198,88 @@ def _fit_one(cfg: StudyConfig, tag: str, path) -> FittedModel:
     if tag == "parametric_max0":
         return fit_parametric(path, cfg.p, max0_prior_form(cfg.p))
     raise ValueError(f"unknown estimator tag {tag!r}")
+
+
+def _simulate_batch(spec, cfg: StudyConfig, seeds: list[int]) -> list:
+    """Paths of one simulation batch. When a row diverges, the paths are
+    simulated one by one, and a path that fails holds its failure cause."""
+    try:
+        return simulate_batch(spec, cfg.n, seeds, cfg.burn_in)
+    except PathDivergedError:
+        pass
+    paths: list = []
+    for seed in seeds:
+        try:
+            paths.append(simulate(spec, cfg.n, seed, cfg.burn_in))
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            paths.append(type(exc).__name__)
+    return paths
+
+
+def _can_fork() -> bool:
+    """Forked workers are safe and fast only from a single-threaded process
+    whose BLAS runs one thread; otherwise they compete for the cores."""
+    return hasattr(os, "fork") and _BLAS_PINNED and threading.active_count() == 1
+
+
+def _map_in_processes(fn, items: list, processes: int) -> list:
+    """``[fn(x) for x in items]``, with the items split into contiguous
+    shares over ``processes`` processes: this one and forked children.
+
+    A child sends its share's results, or the exception it raised, through a
+    pipe and leaves through ``os._exit``. An exception raised in a child is
+    raised here. Every child is reaped before this returns or raises, and
+    killed first if this process raised.
+    """
+    processes = max(1, min(processes, len(items)))
+    cuts = [len(items) * i // processes for i in range(processes + 1)]
+    children = []
+    try:
+        for i in range(1, processes):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(fn, items[cuts[i] : cuts[i + 1]], read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [fn(x) for x in items[: cuts[1]]]
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"study worker {pid} exited without sending its results")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _child(fn, share: list, read_fd: int, write_fd: int) -> None:
+    """Body of a forked worker: send ``(True, results)`` or ``(False,
+    exception)`` and leave without running the parent's cleanup. A child
+    that cannot send its message sends nothing, which the parent reports."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            message = (True, [fn(x) for x in share])
+        except BaseException as exc:
+            exc.add_note(f"raised in a study worker process:\n{traceback.format_exc()}")
+            message = (False, exc)
+        payload = pickle.dumps(message)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
@@ -217,39 +317,43 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     n_ok = clamped = 0
     failed: list[int] = []
     causes: Counter[str] = Counter()
+    processes = min(cfg.threads, m) if _can_fork() else 1
 
-    def replicate(path) -> tuple[dict, int]:
-        fits = {tag: _fit_one(cfg, tag, path) for tag in cfg.estimators}
-        errs, rep_clamped = {}, 0
-        for tag, delta in keys:
-            est = estimated_irf(fits[tag], path, ShockSpec(delta, est_rho, cfg.horizon))
-            errs[(tag, delta)] = est.values - population[delta].values
-            rep_clamped += est.clamped
+    def replicate(path) -> tuple[dict, int] | str:
+        """Errors and clamped count of one replication, or its failure cause."""
+        if isinstance(path, str):
+            return path
+        try:
+            fits = {tag: _fit_one(cfg, tag, path) for tag in cfg.estimators}
+            errs, rep_clamped = {}, 0
+            for tag, delta in keys:
+                est = estimated_irf(fits[tag], path, ShockSpec(delta, est_rho, cfg.horizon))
+                errs[(tag, delta)] = est.values - population[delta].values
+                rep_clamped += est.clamped
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            return type(exc).__name__
         return errs, rep_clamped
+
+    def outcomes():
+        seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
+        for start in range(0, m, SIMULATION_BATCH):
+            paths = _simulate_batch(spec, cfg, seeds[start : start + SIMULATION_BATCH])
+            yield from _map_in_processes(replicate, paths, processes)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
-        for start in range(0, m, REPLICATION_CHUNK):
+        results = enumerate(outcomes())
+        for _ in range(0, m, REPLICATION_CHUNK):
             # per-chunk partial sums, merged in chunk order
             chunk_sums = {k: np.zeros(shape) for k in keys}
             chunk_sq = {k: np.zeros(shape) for k in keys}
-            for r in range(start, min(start + REPLICATION_CHUNK, m)):
-                if r % SIMULATION_BATCH == 0:
-                    try:
-                        paths = simulate_batch(spec, cfg.n, seeds[r : r + SIMULATION_BATCH], cfg.burn_in)
-                    except PathDivergedError:
-                        # re-simulate one by one so only the diverged replications fail
-                        paths = None
-                try:
-                    path = (paths[r % SIMULATION_BATCH] if paths is not None
-                            else simulate(spec, cfg.n, seeds[r], cfg.burn_in))
-                    errs, rep_clamped = replicate(path)
-                except (RuntimeError, np.linalg.LinAlgError) as exc:
+            for r, outcome in islice(results, REPLICATION_CHUNK):
+                if isinstance(outcome, str):
                     failed.append(r)
-                    causes[type(exc).__name__] += 1
+                    causes[outcome] += 1
                     continue
+                errs, rep_clamped = outcome
                 for k in keys:
                     chunk_sums[k] += errs[k]
                     chunk_sq[k] += errs[k] ** 2
@@ -277,6 +381,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         failed=tuple(failed),
         clamped=clamped,
         failure_causes=dict(causes),
+        processes=processes,
     )
 
 

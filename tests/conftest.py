@@ -1,9 +1,16 @@
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-import sievar
+# One BLAS thread, set before numpy loads, so run_study's worker processes
+# run under the tests as they do under the benchmark.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import sievar  # noqa: E402
 
 
 @pytest.fixture(scope="session")

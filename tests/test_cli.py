@@ -273,10 +273,12 @@ def test_mc_run_manifest_matches_direct_study(tmp_path):
         "dgp": 2, "n": 240, "replications": 6, "population_replications": 1000,
         "deltas": [1.0, -1.0], "horizon": 4, "estimators": ["sieve"], "seed": 4,
     }
-    code, out = run_cli(tmp_path, "mc", cfg)
+    code, out = run_cli(tmp_path, "mc", cfg, "--threads", "2")
     assert code == 0
     run_dir = only_run_dir(out, "mc")
     manifest = json.loads((run_dir / "run.json").read_text())
+    # the replications ran in two processes; the direct study runs in one
+    assert manifest["threads"] == manifest["processes"] == 2
     direct = sievar.run_study(sievar.default_study_config(
         2, n=240, mc_replications=6, pop_replications=1000, deltas=(1.0, -1.0),
         horizon=4, estimators=("sieve",), master_seed=4,
@@ -285,6 +287,7 @@ def test_mc_run_manifest_matches_direct_study(tmp_path):
     assert manifest["failed"] == len(direct.failed)
     assert manifest["failure_causes"] == direct.failure_causes
     assert manifest["clamped"] == direct.clamped > 0
+    assert direct.processes == 1
     assert manifest["population_max_mc_se"] == [
         {"delta": delta, "max_mc_se": float(np.max(direct.population[delta].mc_se))}
         for delta in (-1.0, 1.0)

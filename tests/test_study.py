@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,17 +33,123 @@ def small_cfg(**overrides):
     return StudyConfig(**base)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_reproducible_and_thread_invariant():
-    cfg = small_cfg()
+    cfg = small_cfg(dgp_id=5, mc_replications=60, estimators=study_mod.ESTIMATOR_TAGS)
     a = run_study(cfg)
     b = run_study(cfg)
-    c = run_study(replace(cfg, threads=4))
-    for key in a.mse:
-        np.testing.assert_array_equal(a.mse[key], b.mse[key])
-        np.testing.assert_array_equal(a.mse[key], c.mse[key])
-        np.testing.assert_array_equal(a.bias[key], c.bias[key])
-    for d in cfg.deltas:
-        np.testing.assert_array_equal(a.population[d].values, c.population[d].values)
+    assert a.processes == 1
+    for threads in (2, 3):
+        c = run_study(replace(cfg, threads=threads))
+        assert_no_child_left()
+        # conftest pins BLAS, so the worker processes run
+        assert c.processes == threads
+        assert (c.n_ok, c.failed, c.clamped) == (a.n_ok, a.failed, a.clamped)
+        for key in a.mse:
+            np.testing.assert_array_equal(a.mse[key], b.mse[key])
+            np.testing.assert_array_equal(a.mse[key], c.mse[key])
+            np.testing.assert_array_equal(a.bias[key], c.bias[key])
+            np.testing.assert_array_equal(a.se[key], c.se[key])
+        for d in cfg.deltas:
+            np.testing.assert_array_equal(a.population[d].values, c.population[d].values)
+
+
+def test_worker_failures_match_one_process(monkeypatch):
+    cfg = small_cfg(mc_replications=60, pop_replications=500, max_failure_fraction=0.1)
+    # one failing replication in each process's share at three threads
+    bad = {derive_seed(cfg.master_seed, 2, r) for r in (3, 31, 59)}
+    real_fit = study_mod._fit_one
+
+    def fit(cfg, tag, path):
+        if path.seed in bad:
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_fit(cfg, tag, path)
+
+    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    serial = run_study(cfg)
+    assert serial.failed == (3, 31, 59)
+    for threads in (2, 3):
+        res = run_study(replace(cfg, threads=threads))
+        assert_no_child_left()
+        assert res.processes == threads
+        assert res.failed == serial.failed
+        assert res.failure_causes == serial.failure_causes == {"LinAlgError": 3}
+        for key in serial.mse:
+            np.testing.assert_array_equal(res.mse[key], serial.mse[key])
+
+
+@pytest.mark.parametrize("bad_rep", [5, 30])
+def test_worker_exception_reraised_without_leftover_child(monkeypatch, bad_rep):
+    """An error that is no replication failure stops the study, whether it is
+    raised in the calling process's share (5) or in the worker's (30)."""
+    cfg = small_cfg(pop_replications=500, threads=2)
+    bad = derive_seed(cfg.master_seed, 2, bad_rep)
+    real_fit = study_mod._fit_one
+
+    def fit(cfg, tag, path):
+        if path.seed == bad:
+            raise KeyError(f"replication {bad_rep}")
+        return real_fit(cfg, tag, path)
+
+    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    with pytest.raises(KeyError, match=f"replication {bad_rep}") as info:
+        run_study(cfg)
+    assert_no_child_left()
+    in_worker = any("study worker" in note for note in getattr(info.value, "__notes__", ()))
+    assert in_worker == (bad_rep >= cfg.mc_replications // 2)
+
+
+def test_worker_that_dies_is_reported(monkeypatch):
+    cfg = small_cfg(pop_replications=500, threads=2)
+    parent = os.getpid()
+    real_fit = study_mod._fit_one
+
+    def fit(cfg, tag, path):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_fit(cfg, tag, path)
+
+    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    with pytest.raises(ChildProcessError, match="without sending its results"):
+        run_study(cfg)
+    assert_no_child_left()
+
+
+BLAS_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import sievar
+from sievar.study import StudyConfig, run_study
+cfg = StudyConfig(dgp_id=2, mc_replications=4, pop_replications=500, estimators=("sieve",), threads=2)
+names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+print(json.dumps({"env": [os.environ.get(v) for v in names], "processes": run_study(cfg).processes}))
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, openblas, env, processes",
+    [
+        ("sievar-first", None, ["1", "1", "1"], 2),
+        ("sievar-first", "2", ["2", "1", "1"], 1),  # the caller's value is kept
+        ("numpy-first", None, [None, None, None], 1),  # too late to pin
+        ("numpy-first", "1", ["1", None, None], 1),
+    ],
+)
+def test_import_pins_blas_or_falls_back_to_one_process(mode, openblas, env, processes):
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if openblas is not None:
+        child_env["OPENBLAS_NUM_THREADS"] = openblas
+    src = str(Path(sievar.__file__).resolve().parent.parent)
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE, mode], env=child_env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {"env": env, "processes": processes}
 
 
 def test_study_builds_the_dgp_spec_once(monkeypatch):
@@ -210,6 +321,10 @@ def test_failed_replications_excluded_and_abort(monkeypatch):
     assert res.failed == (137,)
     assert res.failure_causes == {"PathDivergedError": 1}
     assert res.n_ok == cfg.mc_replications - 1
+    # the failure cause of a path passes through a worker's share too
+    forked = run_study(replace(cfg, threads=2))
+    assert forked.processes == 2
+    assert (forked.failed, forked.failure_causes) == (res.failed, res.failure_causes)
 
 
 @pytest.mark.parametrize("dgp_id", [2, 7])
