@@ -11,6 +11,7 @@ A closed-form moving-average recursion is provided as the linear oracle.
 
 from __future__ import annotations
 
+import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -258,34 +259,50 @@ def population_irf(
             shock.relaxation, shock.delta, spec.innovation.support(0)
         )
     ranges = _chunk_ranges(replications, chunk)
+    # Every draw of a chunk goes into one buffer per concurrent worker, which
+    # this thread allocates. Burn-in blocks that the pool threads allocated
+    # came from their malloc arenas, where a small allocation outliving a
+    # freed block could split its space, so that the arena grew by a block.
+    buffers: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(min(threads, len(ranges))):
+        buffers.put(np.empty(min(chunk, replications) * max(burn_in, h + 1) * d))
 
     def worker(start: int, stop: int):
         size = stop - start
         gen = philox(derive_seed(seed, start // chunk))
+        buffer = buffers.get()
 
         def draw(steps: int) -> np.ndarray:
-            eps = draw_clipped(gen, (size, steps, d), spec.innovation.bound)
+            # the buffer's first size * steps * d values; a burn-in's draws
+            # are dead once its final state is taken
+            eps = buffer[: size * steps * d].reshape(size, steps, d)
+            draw_clipped(gen, eps.shape, spec.innovation.bound, eps)
             return scale_innovations(eps, spec.innovation.sigma)
 
-        state = np.zeros((size, max(spec.p, 1), d))
-        if burn_in > 0:
-            state = final_states(spec, state, draw(burn_in))
-        eps_path = draw(h + 1)
-        shocked_eps = eps_path.copy()
-        w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps_path[:, 0, 0]))
-        shocked_eps[:, 0, 0] += w
-        if compat is not None and compat.compatible:
-            lo, hi = spec.innovation.support(0)
-            bad = np.count_nonzero((shocked_eps[:, 0, 0] < lo - 1e-9) | (shocked_eps[:, 0, 0] > hi + 1e-9))
-            if bad:
-                raise IncompatibleShockError(
-                    f"{bad} shocked impacts left the innovation support although the "
-                    "compatibility check passed"
-                )
-        base, clamp_b = iterate_paths(spec, state, eps_path)
-        shocked, clamp_s = iterate_paths(spec, state, shocked_eps)
-        diff = shocked - base
-        return diff.sum(axis=0), (diff**2).sum(axis=0), clamp_b + clamp_s
+        try:
+            state = np.zeros((size, max(spec.p, 1), d))
+            if burn_in > 0:
+                state = final_states(spec, state, draw(burn_in))
+            eps_path = draw(h + 1)
+            w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps_path[:, 0, 0]))
+            if compat is not None and compat.compatible:
+                lo, hi = spec.innovation.support(0)
+                impact = eps_path[:, 0, 0] + w
+                bad = np.count_nonzero((impact < lo - 1e-9) | (impact > hi + 1e-9))
+                if bad:
+                    raise IncompatibleShockError(
+                        f"{bad} shocked impacts left the innovation support although the "
+                        "compatibility check passed"
+                    )
+            base, clamp_b = iterate_paths(spec, state, eps_path)
+            # the shocked path reuses the baseline's innovations, and the
+            # differences and their squares overwrite the paths
+            eps_path[:, 0, 0] += w
+            shocked, clamp_s = iterate_paths(spec, state, eps_path)
+            diff = np.subtract(shocked, base, out=shocked)
+            return diff.sum(axis=0), np.square(diff, out=base).sum(axis=0), clamp_b + clamp_s
+        finally:
+            buffers.put(buffer)
 
     parts = _run_chunks(worker, ranges, threads)
     total = np.zeros((h + 1, d))

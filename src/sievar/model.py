@@ -13,6 +13,14 @@ the X of j steps back, so each step evaluates one feature per term kind at
 its new X and every lag reuses it: f(x) for a transform, to which each term
 applies its own scale, and for a knot vector each point's knot span and
 offset, from which each spline term evaluates its own per-span polynomial.
+
+The iteration works component-major: a batch of B states is held as a
+contiguous (d, B) block rather than as B rows of d. The lag product is then
+A_k @ S, an orientation in which BLAS is four to six times faster than
+S @ A_k' for d of 2 or 3 and B in the thousands. Each per-variable
+operation (the X row, each Y row, its impact features and innovations)
+runs on a contiguous length-B row instead of a strided column. Callers
+still pass and receive (B, T, d) arrays.
 """
 
 from __future__ import annotations
@@ -304,9 +312,12 @@ def philox(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(key)))
 
 
-def draw_clipped(gen: np.random.Generator, shape: tuple[int, ...], bound: float) -> np.ndarray:
-    """Unit-scale clip(N(0,1), -bound, bound) draws; callers scale by sigma."""
-    draws = gen.standard_normal(shape)
+def draw_clipped(
+    gen: np.random.Generator, shape: tuple[int, ...], bound: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unit-scale clip(N(0,1), -bound, bound) draws; callers scale by sigma.
+    A C-contiguous ``out`` of the given shape receives the same draws."""
+    draws = gen.standard_normal(shape, out=out)
     return np.clip(draws, -bound, bound, out=draws)
 
 
@@ -346,9 +357,16 @@ def iterate_paths(
     inputs, and the count of clamped spline-impact evaluations. Neither
     input is written. A caller that needs only the state the iteration
     ends in, such as a burn-in, calls ``final_states`` instead.
+
+    The iteration works component-major: each state is a contiguous (d, B)
+    block, so the lag product is A_k @ S, the orientation in which BLAS is
+    fast for small d, and every per-variable step (the X row, each Y row,
+    each impact feature and innovation add) runs on a contiguous length-B
+    row. The innovations are read through a (T, d, B) view, and the path is
+    built as (T, d, B) and copied into the (B, T, d) result once.
     """
     out, clamped, _ = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=True)
-    return out, clamped
+    return out.transpose(2, 0, 1).copy(), clamped
 
 
 def final_states(spec: ModelSpec, state: np.ndarray, eps_path: np.ndarray) -> np.ndarray:
@@ -360,53 +378,61 @@ def final_states(spec: ModelSpec, state: np.ndarray, eps_path: np.ndarray) -> np
     T. Burn-ins use it, since only the state they hand on is read.
     """
     _, _, recent = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=False)
-    return np.stack(recent, axis=1)
+    return np.stack(recent).transpose(2, 0, 1).copy()
 
 
 def _lag_state(spec, state, eps_path):
-    """The last max(p, 1) states as contiguous (B, d) copies, oldest first
-    (none for an empty p = 0 state), and the validated (B, T, d) innovations."""
+    """The last max(p, 1) states as contiguous (d, B) copies, oldest first
+    (none for an empty p = 0 state), and the validated innovations as a
+    (T, d, B) view."""
     state = np.asarray(state, dtype=float)
     eps_path = np.asarray(eps_path, dtype=float)
+    p, d = spec.p, spec.d
+    if eps_path.ndim not in (2, 3) or eps_path.shape[-1] != d:
+        raise ValueError(f"eps_path must be (B, T, {d}) or (T, {d}), got shape {eps_path.shape}")
     if state.ndim == 2:
         state = state[None, :, :]
     if eps_path.ndim == 2:
         eps_path = eps_path[None, :, :]
     n_batch = eps_path.shape[0]
-    p, d = spec.p, spec.d
     if state.shape != (n_batch, max(p, 1), d) and state.shape != (n_batch, p, d):
         raise ValueError(f"state must be ({n_batch}, {p}, {d})")
-    return [row.copy() for row in state[:, -max(p, 1) :].swapaxes(0, 1)], eps_path
+    return list(state[:, -max(p, 1) :].transpose(1, 2, 0).copy()), eps_path.transpose(1, 2, 0)
 
 
 # divergence is detected via isfinite; the overflow itself is expected there
 @np.errstate(over="ignore", invalid="ignore")
 def _iterate_inner(spec, recent, eps_path, keep_path):
     p, d_y = spec.p, spec.d_y
-    n_batch, steps, d = eps_path.shape
+    steps, d, n_batch = eps_path.shape
     a = spec.lags.coeffs
-    out = np.empty((n_batch, steps, d)) if keep_path else None
+    mu = spec.mu[:, None]
+    out = np.empty((steps, d, n_batch)) if keep_path else None
     # one feature per (term kind, time index): the unscaled f(x) for a
     # transform, the knot spans, offsets and clamp count for a spline. The
     # lag-j term at step s reuses the feature of the X of step s - j. Keys hold
     # knot vectors by value, as each lag of a loaded fit has its own copy.
     features: dict[tuple[str | KnotVector, int], object] = {}
     clamped = 0
-    # copying one tiled block per step is faster than a per-step tile or a
-    # broadcast fill of the (d,) vector when d is small
-    mu_rows = np.tile(spec.mu, (n_batch, 1))
     for s in range(steps):
         pos = p + s
-        eps = eps_path[:, s]
-        new = mu_rows.copy()
-        for k in range(1, p + 1):
-            new += recent[p - k] @ a[k - 1].T
-        new[:, 0] += eps[:, 0]
-        x_new = new[:, 0]
+        eps = eps_path[s]
+        new = out[s] if keep_path else np.empty((d, n_batch))
+        # mu + A_1 S_1 + A_2 S_2 + ..., summed left to right (adding mu to
+        # A_1 S_1 gives the same bits as adding A_1 S_1 to mu)
+        if p:
+            np.matmul(a[0], recent[p - 1], out=new)
+            new += mu
+        else:
+            new[...] = mu
+        for k in range(2, p + 1):
+            new += a[k - 1] @ recent[p - k]
+        new[0] += eps[0]
+        x_new = new[0]
         for i in range(d_y):
-            acc = new[:, 1 + i]
+            acc = new[1 + i]
             for j in range(p + 1):
-                x_lag = x_new if j == 0 else recent[p - j][:, 0]
+                x_lag = x_new if j == 0 else recent[p - j][0]
                 for term in spec.impact[i][j]:
                     spline = term.kind == "spline"
                     key = (term.knots if spline else term.kind, pos - j)
@@ -420,12 +446,9 @@ def _iterate_inner(spec, recent, eps_path, keep_path):
                         acc += term.from_spans(feature[0], feature[1])
                     else:
                         acc += term.scale * feature
-            acc += spec.b0_21[i] * eps[:, 0] + eps[:, 1 + i]
-            new[:, 1 + i] = acc
-        if not np.all(np.isfinite(new)):
+            acc += spec.b0_21[i] * eps[0] + eps[1 + i]
+        if not np.isfinite(new).all():
             raise PathDivergedError(f"path diverged at step {s + 1}", step=s + 1)
-        if keep_path:
-            out[:, s] = new
         # the last max(p, 1) states; the lag-k product reads recent[p - k]
         recent = recent[1:] + [new]
         if features:

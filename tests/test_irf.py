@@ -344,8 +344,8 @@ def test_population_chunks_draw_disjoint_streams(dgp2, bump34, monkeypatch):
     draws = []
     draw_clipped = sievar.irf.draw_clipped
 
-    def recording_draw(gen, shape, bound):
-        out = draw_clipped(gen, shape, bound)
+    def recording_draw(gen, shape, bound, buffer=None):
+        out = draw_clipped(gen, shape, bound, buffer)
         draws.append(out[np.abs(out) < bound])  # clipped values repeat by construction
         return out
 
@@ -359,6 +359,28 @@ def test_population_chunks_draw_disjoint_streams(dgp2, bump34, monkeypatch):
     b = population_irf(dgp2, shock, replications=400, seed=5, burn_in=50, chunk=200, threads=2)
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.mc_se, b.mc_se)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, monkeypatch):
+    buffers = []
+    draw_clipped = sievar.irf.draw_clipped
+
+    def recording_draw(gen, shape, bound, buffer=None):
+        buffers.append(buffer.base)
+        return draw_clipped(gen, shape, bound, buffer)
+
+    monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
+    shock = ShockSpec(1.0, bump34, 3)
+    got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=50, chunk=200, threads=threads)
+    # three chunks, the last one short, each draw its burn-in and future into
+    # a buffer, and there is at most one buffer per worker
+    assert len(buffers) == 6 and len({id(b) for b in buffers}) <= threads
+    assert all(b.shape == (200 * 50 * 2,) for b in buffers)
+    monkeypatch.undo()
+    one_thread = population_irf(dgp2, shock, replications=500, seed=5, burn_in=50, chunk=200)
+    np.testing.assert_array_equal(got.values, one_thread.values)
+    np.testing.assert_array_equal(got.mc_se, one_thread.mc_se)
 
 
 def test_out_of_support_impact_raises_typed_error(dgp2, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from sievar.model import (
     simulate,
     simulate_batch,
 )
+from sievar.study import _fit_one, default_study_config
 
 B0_TRI = np.array([[1.0, 0.0, 0.0], [-0.45, 1.0, -0.3], [-0.05, 0.1, 1.0]])
 C0_TRI = np.array([0.0, -0.2, 0.08])
@@ -101,6 +104,11 @@ def test_draw_clipped_is_the_clipped_stream():
     assert np.count_nonzero(np.abs(draws) == bound) > 0
     # the generator's next draw is unchanged
     np.testing.assert_array_equal(gen.standard_normal(7), twin.standard_normal(7))
+    # drawn into a buffer: the same stream, written in place
+    buffer = np.full((5,) + shape[1:], np.nan)
+    into = draw_clipped(gen, shape, bound, buffer[:3])
+    assert np.shares_memory(into, buffer) and np.isnan(buffer[3:]).all()
+    assert into.tobytes() == np.clip(twin.standard_normal(shape), -bound, bound).tobytes()
 
 
 def test_draw_innovations_deterministic():
@@ -320,6 +328,46 @@ def test_final_states_of_an_empty_lag_zero_state():
     np.testing.assert_array_equal(final_states(spec, np.zeros((2, 0, 2)), eps), eps[:, -1:])
     with pytest.raises(ValueError, match="state must be"):
         final_states(spec, np.zeros((3, 1, 2)), eps)
+
+
+def _dgp7_study_fits():
+    """The three fits ``run_study`` makes on one DGP 7 sample."""
+    cfg = default_study_config(7)
+    path = simulate(builtin_dgp(7), cfg.n, seed=derive_seed(7, 11), burn_in=cfg.burn_in)
+    return [_fit_one(cfg, tag, path) for tag in cfg.estimators]
+
+
+LARGE_BATCH_MODELS = [builtin_dgp(i) for i in range(1, 8)] + _dgp7_study_fits()
+
+
+@pytest.mark.parametrize("batch", [1, 50, 2387, 4096])
+@pytest.mark.parametrize("model", range(len(LARGE_BATCH_MODELS)))
+def test_large_batches_equal_per_term_oracle(model, batch):
+    # BLAS changes its blocking with the batch size, which the small batches
+    # of the property tests never reach; the innovations are read-only
+    # sliding windows, as estimated_irf passes them
+    spec = LARGE_BATCH_MODELS[model]
+    steps, q, d = 5, max(spec.p, 1), spec.d
+    rng = np.random.default_rng(1000 * model + batch)
+    state = rng.uniform(-3.0, 3.0, size=(batch, q, d))
+    series = rng.uniform(-3.0, 3.0, size=(batch + steps - 1, d))
+    eps = np.lib.stride_tricks.sliding_window_view(series, steps, axis=0).transpose(0, 2, 1)
+    assert eps.shape == (batch, steps, d) and not eps.flags.writeable
+    paths, clamped = iterate_paths(spec, state, eps)
+    expected, expected_clamped = reference_iterate(spec, state[:, q - spec.p :], np.ascontiguousarray(eps))
+    assert paths.flags.c_contiguous and paths.tobytes() == expected.tobytes()
+    assert clamped == expected_clamped
+    final = final_states(spec, state, eps)
+    assert final.flags.c_contiguous and final.tobytes() == expected[:, -q:].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 1), (4, 6, 3), (6, 3), (12,), (1, 4, 6, 2)])
+def test_innovations_of_the_wrong_shape_raise(shape):
+    # unchecked, a narrow array fails inside numpy and a wide one is cut to width
+    spec = builtin_dgp(7)
+    for call in (iterate_paths, final_states):
+        with pytest.raises(ValueError, match=r"eps_path must be \(B, T, 2\) .*" + re.escape(str(shape))):
+            call(spec, np.zeros((4, 1, 2)), np.zeros(shape))
 
 
 def one_call_simulate_batch(spec, n, seeds, burn_in):
