@@ -259,12 +259,13 @@ def population_irf(
             shock.relaxation, shock.delta, spec.innovation.support(0)
         )
     ranges = _chunk_ranges(replications, chunk)
-    # Every draw of a chunk goes into one buffer per concurrent worker, which
-    # this thread allocates. Burn-in blocks that the pool threads allocated
-    # came from their malloc arenas, where a small allocation outliving a
-    # freed block could split its space, so that the arena grew by a block.
+    # Every draw of a chunk goes into one buffer per worker that _run_chunks
+    # runs at once (one when it runs serially), which this thread allocates.
+    # Burn-in blocks that the pool threads allocated came from their malloc
+    # arenas, where a small allocation outliving a freed block could split
+    # its space, so that the arena grew by a block.
     buffers: queue.SimpleQueue = queue.SimpleQueue()
-    for _ in range(min(threads, len(ranges))):
+    for _ in range(max(1, min(threads, len(ranges)))):
         buffers.put(np.empty(min(chunk, replications) * max(burn_in, h + 1) * d))
 
     def worker(start: int, stop: int):

@@ -17,10 +17,10 @@ offset, from which each spline term evaluates its own per-span polynomial.
 The iteration works component-major: a batch of B states is held as a
 contiguous (d, B) block rather than as B rows of d. The lag product is then
 A_k @ S, an orientation in which BLAS is four to six times faster than
-S @ A_k' for d of 2 or 3 and B in the thousands. Each per-variable
-operation (the X row, each Y row, its impact features and innovations)
-runs on a contiguous length-B row instead of a strided column. Callers
-still pass and receive (B, T, d) arrays.
+S @ A_k' for d of 2 or 3 and B in the thousands. The X row, each Y row
+and their impact features are contiguous length-B rows instead of strided
+columns. Callers still pass and receive (B, T, d) arrays, so each step's
+innovations are read as strided rows of a (T, d, B) view.
 """
 
 from __future__ import annotations
@@ -360,10 +360,10 @@ def iterate_paths(
 
     The iteration works component-major: each state is a contiguous (d, B)
     block, so the lag product is A_k @ S, the orientation in which BLAS is
-    fast for small d, and every per-variable step (the X row, each Y row,
-    each impact feature and innovation add) runs on a contiguous length-B
-    row. The innovations are read through a (T, d, B) view, and the path is
-    built as (T, d, B) and copied into the (B, T, d) result once.
+    fast for small d, and the state rows (X, each Y) and their impact
+    features are contiguous length-B rows. The path is built as (T, d, B)
+    and copied into the (B, T, d) result once. The innovations are read
+    through a (T, d, B) view of the input, whose rows stay strided.
     """
     out, clamped, _ = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=True)
     return out.transpose(2, 0, 1).copy(), clamped

@@ -332,6 +332,9 @@ def test_population_irf_thread_invariance(dgp2, bump34):
     a = population_irf(dgp2, shock, replications=4000, seed=3, threads=1, chunk=512)
     b = population_irf(dgp2, shock, replications=4000, seed=3, threads=4, chunk=512)
     np.testing.assert_array_equal(a.values, b.values)
+    # a thread count below one, which `sievar irf --threads 0` passes on, runs serially
+    c = population_irf(dgp2, shock, replications=4000, seed=3, threads=0, chunk=512)
+    np.testing.assert_array_equal(a.values, c.values)
 
 
 def test_domain_safety_assertion_on_compatible_shock(dgp2, bump34):

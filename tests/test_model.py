@@ -28,7 +28,6 @@ from sievar.model import (
     simulate,
     simulate_batch,
 )
-from sievar.study import _fit_one, default_study_config
 
 B0_TRI = np.array([[1.0, 0.0, 0.0], [-0.45, 1.0, -0.3], [-0.05, 0.1, 1.0]])
 C0_TRI = np.array([0.0, -0.2, 0.08])
@@ -330,25 +329,33 @@ def test_final_states_of_an_empty_lag_zero_state():
         final_states(spec, np.zeros((3, 1, 2)), eps)
 
 
-def _dgp7_study_fits():
-    """The three fits ``run_study`` makes on one DGP 7 sample."""
+DGP7_FITS = ("parametric_true", "parametric_max0", "sieve")
+LARGE_BATCH_MODELS = [f"dgp{i}" for i in range(1, 8)] + [f"dgp7_{tag}" for tag in DGP7_FITS]
+
+
+@pytest.fixture(scope="module")
+def dgp7_study_fits():
+    """The three fits ``run_study`` makes on one DGP 7 sample, by tag."""
+    from sievar.study import _fit_one, default_study_config
+
     cfg = default_study_config(7)
+    assert cfg.estimators == DGP7_FITS
     path = simulate(builtin_dgp(7), cfg.n, seed=derive_seed(7, 11), burn_in=cfg.burn_in)
-    return [_fit_one(cfg, tag, path) for tag in cfg.estimators]
-
-
-LARGE_BATCH_MODELS = [builtin_dgp(i) for i in range(1, 8)] + _dgp7_study_fits()
+    return {tag: _fit_one(cfg, tag, path) for tag in cfg.estimators}
 
 
 @pytest.mark.parametrize("batch", [1, 50, 2387, 4096])
-@pytest.mark.parametrize("model", range(len(LARGE_BATCH_MODELS)))
-def test_large_batches_equal_per_term_oracle(model, batch):
+@pytest.mark.parametrize("model", LARGE_BATCH_MODELS)
+def test_large_batches_equal_per_term_oracle(model, batch, request):
     # BLAS changes its blocking with the batch size, which the small batches
     # of the property tests never reach; the innovations are read-only
     # sliding windows, as estimated_irf passes them
-    spec = LARGE_BATCH_MODELS[model]
+    if model.startswith("dgp7_"):
+        spec = request.getfixturevalue("dgp7_study_fits")[model[len("dgp7_") :]]
+    else:
+        spec = builtin_dgp(int(model[len("dgp") :]))
     steps, q, d = 5, max(spec.p, 1), spec.d
-    rng = np.random.default_rng(1000 * model + batch)
+    rng = np.random.default_rng(1000 * LARGE_BATCH_MODELS.index(model) + batch)
     state = rng.uniform(-3.0, 3.0, size=(batch, q, d))
     series = rng.uniform(-3.0, 3.0, size=(batch + steps - 1, d))
     eps = np.lib.stride_tricks.sliding_window_view(series, steps, axis=0).transpose(0, 2, 1)
