@@ -244,10 +244,10 @@ def cmd_irf(cfg: dict, args) -> int:
                 fit = dataio.load_fitted(Path(cfg["fit_bundle"]))
             else:
                 fit = fit_two_step(sample, _plan_from(cfg.get("sieve"), x, p))
-            results.append(estimated_irf(fit, sample, shock, threads=args.threads))
+            results.append(estimated_irf(fit, sample, shock))
         if "parametric_max0" in methods:
             pfit = fit_parametric(sample, p, max0_prior_form(p))
-            res = estimated_irf(pfit, sample, shock, threads=args.threads)
+            res = estimated_irf(pfit, sample, shock)
             results.append(
                 IrfResult(res.values, res.variables, "parametric_max0", delta,
                           res.relaxation, res.n_used, res.seed, res.clamped)
@@ -489,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker thread cap for IRF averaging, and for mc the number of processes "
-        "the replications run in (forked workers, used when BLAS is pinned to one "
-        "thread); results do not depend on it",
+        help="number of processes that population IRFs and mc's replications run in "
+        "(forked workers, used when BLAS is pinned to one thread); results do not "
+        "depend on it",
     )
     parser.add_argument("--out", default="runs", help="output base directory")
     parser.add_argument(

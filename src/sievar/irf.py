@@ -11,13 +11,12 @@ A closed-form moving-average recursion is provided as the linear oracle.
 
 from __future__ import annotations
 
-import queue
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._workers import can_fork, map_in_processes
 from .estimator import _as_xy
 from .model import (
     LagPolynomial,
@@ -215,21 +214,16 @@ def _warn_if_unrelaxed(spec: ModelSpec, shock: ShockSpec) -> None:
         )
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-
-def _windows(a: np.ndarray, width: int) -> np.ndarray:
-    """Read-only (rows, width, d) view of the width-long windows of (n, d) rows."""
-    return np.lib.stride_tricks.sliding_window_view(a, width, axis=0).transpose(0, 2, 1)
-
-
-def _run_chunks(worker, ranges, threads: int):
-    if threads <= 1 or len(ranges) <= 1:
-        return [worker(*r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, *r) for r in ranges]
-        return [f.result() for f in futures]
+def _windows(a: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """(B, width, d) view of a fresh (d, width, B) block, whose entry [b, s] is
+    column rows[b] + s of the (d, n) array ``a``: column slices when the rows
+    are consecutive, else a gather. The forward iteration reads its rows."""
+    if width and rows.size and rows[-1] - rows[0] == rows.size - 1:
+        cols = range(int(rows[0]), int(rows[0]) + width)
+        block = np.stack([a[:, c : c + rows.size] for c in cols], axis=1)
+    else:
+        block = np.take(a, rows + np.arange(width)[:, None], axis=1)
+    return block.transpose(2, 1, 0)
 
 
 def population_irf(
@@ -245,11 +239,17 @@ def population_irf(
 
     Every replication draws its own burn-in history and innovation future;
     chunk k of ``chunk`` replications draws from its own Philox stream keyed
-    by ``derive_seed(seed, k)``. The reduction is over fixed chunk order, so
-    the result is independent of the thread count.
+    by ``derive_seed(seed, k)``. The chunks run in up to ``threads``
+    processes, as ``run_study``'s replications do, and each process draws
+    them into one buffer. Chunk sums merge in chunk order, so the result is
+    independent of the process count.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
     _warn_if_unrelaxed(spec, shock)
     h = shock.horizon
     d = spec.d
@@ -258,20 +258,14 @@ def population_irf(
         compat = check_compatibility(
             shock.relaxation, shock.delta, spec.innovation.support(0)
         )
-    ranges = _chunk_ranges(replications, chunk)
-    # Every draw of a chunk goes into one buffer per worker that _run_chunks
-    # runs at once (one when it runs serially), which this thread allocates.
-    # Burn-in blocks that the pool threads allocated came from their malloc
-    # arenas, where a small allocation outliving a freed block could split
-    # its space, so that the arena grew by a block.
-    buffers: queue.SimpleQueue = queue.SimpleQueue()
-    for _ in range(max(1, min(threads, len(ranges)))):
-        buffers.put(np.empty(min(chunk, replications) * max(burn_in, h + 1) * d))
+    buffer = None
 
-    def worker(start: int, stop: int):
-        size = stop - start
+    def run_chunk(start: int):
+        nonlocal buffer
+        if buffer is None:  # first use in this process, so after the fork
+            buffer = np.empty(min(chunk, replications) * max(burn_in, h + 1) * d)
+        size = min(chunk, replications - start)
         gen = philox(derive_seed(seed, start // chunk))
-        buffer = buffers.get()
 
         def draw(steps: int) -> np.ndarray:
             # the buffer's first size * steps * d values; a burn-in's draws
@@ -280,32 +274,30 @@ def population_irf(
             draw_clipped(gen, eps.shape, spec.innovation.bound, eps)
             return scale_innovations(eps, spec.innovation.sigma)
 
-        try:
-            state = np.zeros((size, max(spec.p, 1), d))
-            if burn_in > 0:
-                state = final_states(spec, state, draw(burn_in))
-            eps_path = draw(h + 1)
-            w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps_path[:, 0, 0]))
-            if compat is not None and compat.compatible:
-                lo, hi = spec.innovation.support(0)
-                impact = eps_path[:, 0, 0] + w
-                bad = np.count_nonzero((impact < lo - 1e-9) | (impact > hi + 1e-9))
-                if bad:
-                    raise IncompatibleShockError(
-                        f"{bad} shocked impacts left the innovation support although the "
-                        "compatibility check passed"
-                    )
-            base, clamp_b = iterate_paths(spec, state, eps_path)
-            # the shocked path reuses the baseline's innovations, and the
-            # differences and their squares overwrite the paths
-            eps_path[:, 0, 0] += w
-            shocked, clamp_s = iterate_paths(spec, state, eps_path)
-            diff = np.subtract(shocked, base, out=shocked)
-            return diff.sum(axis=0), np.square(diff, out=base).sum(axis=0), clamp_b + clamp_s
-        finally:
-            buffers.put(buffer)
+        state = np.zeros((size, max(spec.p, 1), d))
+        if burn_in > 0:
+            state = final_states(spec, state, draw(burn_in))
+        eps_path = draw(h + 1)
+        w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps_path[:, 0, 0]))
+        if compat is not None and compat.compatible:
+            lo, hi = spec.innovation.support(0)
+            impact = eps_path[:, 0, 0] + w
+            bad = np.count_nonzero((impact < lo - 1e-9) | (impact > hi + 1e-9))
+            if bad:
+                raise IncompatibleShockError(
+                    f"{bad} shocked impacts left the innovation support although the "
+                    "compatibility check passed"
+                )
+        base, clamp_b = iterate_paths(spec, state, eps_path)
+        # the shocked path reuses the baseline's innovations, and the
+        # differences and their squares overwrite the paths
+        eps_path[:, 0, 0] += w
+        shocked, clamp_s = iterate_paths(spec, state, eps_path)
+        diff = np.subtract(shocked, base, out=shocked)
+        return diff.sum(axis=0), np.square(diff, out=base).sum(axis=0), clamp_b + clamp_s
 
-    parts = _run_chunks(worker, ranges, threads)
+    starts = list(range(0, replications, chunk))
+    parts = map_in_processes(run_chunk, starts, threads if can_fork() else 1)
     total = np.zeros((h + 1, d))
     total_sq = np.zeros((h + 1, d))
     clamped = 0
@@ -329,7 +321,7 @@ def population_irf(
     )
 
 
-def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 4096) -> IrfResult:
+def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
     """Plug-in sample IRF: the mean over impact times t of the shocked path
     minus the baseline path, both continuing the observed history at t.
 
@@ -339,11 +331,14 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
     the impact times with a nonzero shock delta * rho(eps_1t) are iterated: a
     zero shock iterates nothing and gives an exactly zero response. An
     infeasible fit does not reproduce its sample, so both of its paths are
-    iterated from every impact time. ``clamped`` counts the clamped spline
-    evaluations of the iterated paths. A fit whose one-step predictions from
-    the observed histories miss the sample (in every column, or in X alone
-    for an infeasible fit) raises ``ValueError``.
+    iterated from every impact time. The impact times are iterated ``chunk``
+    at a time. ``clamped`` counts the clamped spline evaluations of the
+    iterated paths. A fit whose one-step predictions from the observed
+    histories miss the sample (in every column, or in X alone for an
+    infeasible fit) raises ``ValueError``.
     """
+    if chunk < 1:
+        raise ValueError("chunk must be at least 1")
     x, y, _ = _as_xy(data)
     if fit.first_stage is None or fit.residuals2 is None:
         raise ValueError("estimated_irf needs a fitted model with residuals")
@@ -355,45 +350,38 @@ def estimated_irf(fit, data, shock: ShockSpec, threads: int = 1, chunk: int = 40
     if h >= n - p:
         raise ValueError("horizon exceeds sample")
     usable = n - p - h
-    z = np.column_stack([x, y])
-    resid = np.column_stack([fit.first_stage.residuals, fit.residuals2])
+    # the sample and residuals component-major; residual t is that of time t + p
+    zt = np.vstack([x, y.T])
+    rt = np.vstack([fit.first_stage.residuals, fit.residuals2.T])
     replay = fit.generated == "first_stage"
-    # read-only window views, row t starting at time t: the p-state history
-    # before impact t, its residual future and its observed continuation
-    histories = _windows(z, p)
-    futures = _windows(resid, h + 1)
-    observed = _windows(z[p:], h + 1)
     # the X step is the first stage for every fit kind; the Y steps reproduce
     # the sample only when stage II used the first-stage residuals
-    step, _ = iterate_paths(fit, histories[: n - p], resid[:, None, :])
+    step, _ = iterate_paths(fit, _windows(zt, np.arange(n - p), p), rt.T[:, None, :])
     cols = slice(None) if replay else slice(0, 1)
-    miss = float(np.max(np.abs(step[:, 0, cols] - z[p:, cols])))
-    if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(z)))):
+    miss = float(np.max(np.abs(step[:, 0, cols].T - zt[cols, p:])))
+    if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(zt)))):
         raise ValueError(
             f"fit was not produced from this sample: its residuals "
             f"miss the observations by {miss:.3g}"
         )
-    w = shock.delta * np.asarray(relax_eval(shock.relaxation, resid[:usable, 0]))
+    w = shock.delta * np.asarray(relax_eval(shock.relaxation, rt[0, :usable]))
     rows = np.flatnonzero(w) if replay else np.arange(usable)
-
-    def worker(start: int, stop: int):
-        live = rows[start:stop]
-        state = histories[live]
-        eps_path = futures[live]  # indexing by row copies, so the shock below stays local
+    total = np.zeros((h + 1, d))
+    clamped = 0
+    for start in range(0, rows.size, chunk):
+        # from impact t: the p-state history before it, its residual future
+        # and its observed continuation
+        live = rows[start : start + chunk]
+        state = _windows(zt, live, p)
+        eps_path = _windows(rt, live, h + 1)
         if replay:
-            base, clamp_b = observed[live], 0
+            base, clamp_b = _windows(zt, live + p, h + 1), 0
         else:
             base, clamp_b = iterate_paths(fit, state, eps_path)
         eps_path[:, 0, 0] += w[live]
         shocked, clamp_s = iterate_paths(fit, state, eps_path)
-        return (shocked - base).sum(axis=0), clamp_b + clamp_s
-
-    parts = _run_chunks(worker, _chunk_ranges(rows.size, chunk), threads)
-    total = np.zeros((h + 1, d))
-    clamped = 0
-    for s, cl in parts:
-        total += s
-        clamped += cl
+        total += np.subtract(shocked, base, out=shocked).sum(axis=0)
+        clamped += clamp_b + clamp_s
     return IrfResult(
         values=total / usable,
         variables=variable_names(fit.d_y),

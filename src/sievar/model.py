@@ -19,8 +19,8 @@ contiguous (d, B) block rather than as B rows of d. The lag product is then
 A_k @ S, an orientation in which BLAS is four to six times faster than
 S @ A_k' for d of 2 or 3 and B in the thousands. The X row, each Y row
 and their impact features are contiguous length-B rows instead of strided
-columns. Callers still pass and receive (B, T, d) arrays, so each step's
-innovations are read as strided rows of a (T, d, B) view.
+columns. Callers still pass and receive (B, T, d) arrays, whose innovations
+are copied into one contiguous block ``STAGE_STEPS`` steps at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ __all__ = [
     "builtin_dgp",
     "linearized",
 ]
+
+# steps per contiguous (STAGE_STEPS, d, B) innovation block: 0.5 MiB at d=2, B=4096
+STAGE_STEPS = 8
 
 NONLIN_KINDS = ("zero", "identity", "max0", "cube", "smooth_phi", "smooth_phi_shift", "spline")
 
@@ -362,8 +365,8 @@ def iterate_paths(
     block, so the lag product is A_k @ S, the orientation in which BLAS is
     fast for small d, and the state rows (X, each Y) and their impact
     features are contiguous length-B rows. The path is built as (T, d, B)
-    and copied into the (B, T, d) result once. The innovations are read
-    through a (T, d, B) view of the input, whose rows stay strided.
+    and copied into the (B, T, d) result once. The innovations are copied
+    into one contiguous block ``STAGE_STEPS`` steps at a time.
     """
     out, clamped, _ = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=True)
     return out.transpose(2, 0, 1).copy(), clamped
@@ -408,6 +411,7 @@ def _iterate_inner(spec, recent, eps_path, keep_path):
     a = spec.lags.coeffs
     mu = spec.mu[:, None]
     out = np.empty((steps, d, n_batch)) if keep_path else None
+    stage = np.empty((min(STAGE_STEPS, steps), d, n_batch))
     # one feature per (term kind, time index): the unscaled f(x) for a
     # transform, the knot spans, offsets and clamp count for a spline. The
     # lag-j term at step s reuses the feature of the X of step s - j. Keys hold
@@ -416,7 +420,9 @@ def _iterate_inner(spec, recent, eps_path, keep_path):
     clamped = 0
     for s in range(steps):
         pos = p + s
-        eps = eps_path[s]
+        if s % STAGE_STEPS == 0:
+            stage[: min(STAGE_STEPS, steps - s)] = eps_path[s : s + STAGE_STEPS]
+        eps = stage[s % STAGE_STEPS]
         new = out[s] if keep_path else np.empty((d, n_batch))
         # mu + A_1 S_1 + A_2 S_2 + ..., summed left to right (adding mu to
         # A_1 S_1 gives the same bits as adding A_1 S_1 to mu)

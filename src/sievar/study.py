@@ -4,12 +4,12 @@ simulated population reference, reproducing the benchmark experiments.
 Replication r always consumes the stream derived from (master_seed, r).
 The paths of up to ``SIMULATION_BATCH`` replications are simulated together
 in one batch, always in the calling process; the fixed batching fixes the
-rounding of the simulation. With ``threads > 1`` the fits and IRFs of each
-batch are split into contiguous shares over the calling process and
-``threads - 1`` forked worker processes. The workers run only where
-``os.fork`` exists, the calling process runs a single thread, and BLAS is
-pinned to one thread (see the ``sievar`` package docstring); otherwise the
-calling process fits every replication itself. The moments are summed per
+rounding of the simulation. With ``threads > 1`` the population chunks
+and the fits and IRFs of each batch are split into contiguous shares over
+the calling process and ``threads - 1`` forked worker processes. These run
+only where ``os.fork`` exists, the calling process runs a single thread,
+and BLAS is pinned to one thread (see the ``sievar`` package docstring);
+otherwise the calling process does all the work. The moments are summed per
 chunk of ``REPLICATION_CHUNK`` replications, in replication order, and the
 chunk sums merged in chunk order, so results are bit-identical for any
 thread count.
@@ -17,11 +17,6 @@ thread count.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
-import traceback
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -30,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import _BLAS_PINNED
+from ._workers import can_fork, map_in_processes
 from .basis import KnotVector, SievePlan
 from .estimator import (
     FittedModel,
@@ -76,11 +71,10 @@ SIMULATION_BATCH = 250
 class StudyConfig:
     """Desk-scale defaults; `paper_scale()` switches to the published counts.
 
-    ``threads`` caps the worker threads of the population reference and
-    the processes the replications' fits and IRFs run in: the calling
-    process and up to ``threads - 1`` forked workers, when BLAS is pinned to
-    one thread (see the module docstring). Results are identical for any
-    value.
+    ``threads`` caps the processes that the population reference's chunks
+    and the replications' fits and IRFs run in: the calling process and up
+    to ``threads - 1`` forked workers, when BLAS is pinned to one thread
+    (see the module docstring). Results are identical for any value.
     """
 
     dgp_id: int
@@ -216,72 +210,6 @@ def _simulate_batch(spec, cfg: StudyConfig, seeds: list[int]) -> list:
     return paths
 
 
-def _can_fork() -> bool:
-    """Forked workers are safe and fast only from a single-threaded process
-    whose BLAS runs one thread; otherwise they compete for the cores."""
-    return hasattr(os, "fork") and _BLAS_PINNED and threading.active_count() == 1
-
-
-def _map_in_processes(fn, items: list, processes: int) -> list:
-    """``[fn(x) for x in items]``, with the items split into contiguous
-    shares over ``processes`` processes: this one and forked children.
-
-    A child sends its share's results, or the exception it raised, through a
-    pipe and leaves through ``os._exit``. An exception raised in a child is
-    raised here. Every child is reaped before this returns or raises, and
-    killed first if this process raised.
-    """
-    processes = max(1, min(processes, len(items)))
-    cuts = [len(items) * i // processes for i in range(processes + 1)]
-    children = []
-    try:
-        for i in range(1, processes):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(fn, items[cuts[i] : cuts[i + 1]], read_fd, write_fd)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        results = [fn(x) for x in items[: cuts[1]]]
-        for pid, pipe in children:
-            data = pipe.read()
-            if not data:
-                raise ChildProcessError(f"study worker {pid} exited without sending its results")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.extend(value)
-        return results
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-
-
-def _child(fn, share: list, read_fd: int, write_fd: int) -> None:
-    """Body of a forked worker: send ``(True, results)`` or ``(False,
-    exception)`` and leave without running the parent's cleanup. A child
-    that cannot send its message sends nothing, which the parent reports."""
-    code = 1
-    try:
-        os.close(read_fd)
-        try:
-            message = (True, [fn(x) for x in share])
-        except BaseException as exc:
-            exc.add_note(f"raised in a study worker process:\n{traceback.format_exc()}")
-            message = (False, exc)
-        payload = pickle.dumps(message)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Population reference once per shock, then simulate-fit-IRF per
     replication and accumulate moments of (estimated - population)."""
@@ -317,7 +245,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     n_ok = clamped = 0
     failed: list[int] = []
     causes: Counter[str] = Counter()
-    processes = min(cfg.threads, m) if _can_fork() else 1
+    processes = min(cfg.threads, m) if can_fork() else 1
 
     def replicate(path) -> tuple[dict, int] | str:
         """Errors and clamped count of one replication, or its failure cause."""
@@ -338,7 +266,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
         for start in range(0, m, SIMULATION_BATCH):
             paths = _simulate_batch(spec, cfg, seeds[start : start + SIMULATION_BATCH])
-            yield from _map_in_processes(replicate, paths, processes)
+            yield from map_in_processes(replicate, paths, processes)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 import warnings
 from unittest import mock
@@ -318,23 +319,82 @@ def test_estimated_consistency_band(dgp2, bump34, dgp2_pop_irf):
     assert np.all(med < band)
 
 
-def test_estimated_irf_thread_invariance(dgp2, bump34):
+def test_estimated_irf_chunk_invariance(dgp2, bump34):
     path = sievar.simulate(dgp2, 500, seed=46)
     fit = sievar.fit_two_step(path, make_plan(path.x))
     shock = ShockSpec(1.0, bump34, 8)
-    a = estimated_irf(fit, path, shock, threads=1, chunk=64)
-    b = estimated_irf(fit, path, shock, threads=4, chunk=64)
+    a = estimated_irf(fit, path, shock, chunk=64)
+    b = estimated_irf(fit, path, shock, chunk=64)
     np.testing.assert_array_equal(a.values, b.values)
+    # chunk sums merge in chunk order, so only their rounding depends on chunk
+    whole = estimated_irf(fit, path, shock)
+    np.testing.assert_allclose(a.values, whole.values, rtol=1e-12, atol=1e-15)
+    assert a.clamped == whole.clamped
 
 
+@pytest.mark.filterwarnings("ignore::sievar.StabilityWarning")
 def test_population_irf_thread_invariance(dgp2, bump34):
-    shock = ShockSpec(1.0, bump34, 3)
-    a = population_irf(dgp2, shock, replications=4000, seed=3, threads=1, chunk=512)
-    b = population_irf(dgp2, shock, replications=4000, seed=3, threads=4, chunk=512)
-    np.testing.assert_array_equal(a.values, b.values)
-    # a thread count below one, which `sievar irf --threads 0` passes on, runs serially
-    c = population_irf(dgp2, shock, replications=4000, seed=3, threads=0, chunk=512)
-    np.testing.assert_array_equal(a.values, c.values)
+    # 1000 replications in chunks of 300 leave a short last chunk; a sieve
+    # fit's paths leave its knot domain, so clamped counts something
+    path = sievar.simulate(sievar.builtin_dgp(7), 400, seed=8)
+    cfg = default_study_config(7)
+    shock = ShockSpec(2.0, cfg.relaxation, 3)
+    for spec in (dgp2, _fit_one(cfg, "sieve", path)):
+        runs = [
+            population_irf(spec, shock, replications=1000, seed=3, burn_in=40, threads=t, chunk=300)
+            for t in (1, 2, 3, 0)  # `sievar irf --threads 0` passes a count below one on
+        ]
+        assert_no_child_left()
+        for got in runs[1:]:
+            assert got.values.tobytes() == runs[0].values.tobytes()
+            assert got.mc_se.tobytes() == runs[0].mc_se.tobytes()
+            assert got.clamped == runs[0].clamped
+    assert runs[0].clamped > 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("in_child", [False, True])
+def test_population_chunk_error_reraised_without_leftover_child(dgp2, bump34, monkeypatch, in_child):
+    parent = os.getpid()
+    final_states = sievar.irf.final_states
+
+    def failing(spec, state, eps_path):
+        if (os.getpid() != parent) == in_child:
+            raise KeyError(f"chunk in {os.getpid()}")
+        return final_states(spec, state, eps_path)
+
+    monkeypatch.setattr(sievar.irf, "final_states", failing)
+    with pytest.raises(KeyError, match="chunk in") as info:
+        population_irf(dgp2, ShockSpec(1.0, bump34, 3), replications=600, seed=1, burn_in=20, threads=2, chunk=200)
+    assert_no_child_left()
+    assert (str(parent) in str(info.value)) == (not in_child)
+    assert any("worker process" in note for note in getattr(info.value, "__notes__", ())) == in_child
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(chunk=0), "chunk must be at least 1"),
+        (dict(chunk=-1), "chunk must be at least 1"),
+        (dict(burn_in=-5), "burn_in must be non-negative"),
+        (dict(replications=0), "replications must be at least 1"),
+    ],
+)
+def test_population_irf_rejects_bad_arguments(dgp2, bump34, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        population_irf(dgp2, ShockSpec(1.0, bump34, 3), **{"replications": 100, **kwargs})
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_estimated_irf_rejects_bad_chunk(dgp2, bump34, chunk):
+    path = sievar.simulate(dgp2, 120, seed=3)
+    fit = sievar.fit_two_step(path, make_plan(path.x))
+    with pytest.raises(ValueError, match="chunk must be at least 1"):
+        estimated_irf(fit, path, ShockSpec(1.0, bump34, 3), chunk=chunk)
 
 
 def test_domain_safety_assertion_on_compatible_shock(dgp2, bump34):
@@ -364,22 +424,30 @@ def test_population_chunks_draw_disjoint_streams(dgp2, bump34, monkeypatch):
     np.testing.assert_array_equal(a.mc_se, b.mc_se)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, monkeypatch):
-    buffers = []
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, monkeypatch, tmp_path):
+    # every process, the calling one and its forked workers, appends its
+    # draws to one log, since a worker's own memory is gone when it exits
+    log = tmp_path / "draws.log"
     draw_clipped = sievar.irf.draw_clipped
+    alive = []  # so that no freed buffer's id is reused
 
     def recording_draw(gen, shape, bound, buffer=None):
-        buffers.append(buffer.base)
+        alive.append(buffer.base)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {id(buffer.base)} {buffer.base.size}\n")
         return draw_clipped(gen, shape, bound, buffer)
 
     monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
     shock = ShockSpec(1.0, bump34, 3)
     got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=50, chunk=200, threads=threads)
+    assert_no_child_left()
+    draws = [line.split() for line in log.read_text().splitlines()]
     # three chunks, the last one short, each draw its burn-in and future into
-    # a buffer, and there is at most one buffer per worker
-    assert len(buffers) == 6 and len({id(b) for b in buffers}) <= threads
-    assert all(b.shape == (200 * 50 * 2,) for b in buffers)
+    # its process's buffer, and there is one buffer per process
+    assert len(draws) == 6 and all(size == str(200 * 50 * 2) for _, _, size in draws)
+    buffers = {(pid, buffer) for pid, buffer, _ in draws}
+    assert len(buffers) == len({pid for pid, _, _ in draws}) == min(threads, 3)
     monkeypatch.undo()
     one_thread = population_irf(dgp2, shock, replications=500, seed=5, burn_in=50, chunk=200)
     np.testing.assert_array_equal(got.values, one_thread.values)
@@ -547,7 +615,7 @@ def test_irfs_leave_their_inputs_unchanged(dgp2, bump34):
         )
         before = _snapshot(*inputs)
         first = estimated_irf(fit, path, shock, chunk=64)
-        again = estimated_irf(fit, path, shock, threads=2, chunk=64)
+        again = estimated_irf(fit, path, shock, chunk=64)
         for now, then in zip(inputs, before):
             assert now.tobytes() == then.tobytes()
         np.testing.assert_array_equal(first.values, again.values)

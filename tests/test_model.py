@@ -368,6 +368,53 @@ def test_large_batches_equal_per_term_oracle(model, batch, request):
     assert final.flags.c_contiguous and final.tobytes() == expected[:, -q:].tobytes()
 
 
+def _innovations(layout, rng, batch, steps, d):
+    """Uniform (B, T, d) innovations in one of the layouts callers pass."""
+    if layout == "sliding-window":  # read-only; row b starts at step b of one series
+        series = rng.uniform(-3.0, 3.0, size=(batch + steps - 1, d))
+        return np.lib.stride_tricks.sliding_window_view(series, steps, axis=0).transpose(0, 2, 1)
+    eps = rng.uniform(-3.0, 3.0, size=(batch, steps, d))
+    if layout == "read-only":
+        eps.flags.writeable = False
+    elif layout == "every-other-step":
+        wide = np.full((batch, 2 * steps, d), np.nan)
+        wide[:, ::2] = eps
+        eps = wide[:, ::2]
+    elif layout == "component-major":  # as estimated_irf builds them
+        eps = np.ascontiguousarray(eps.transpose(2, 1, 0)).transpose(2, 1, 0)
+    return eps
+
+
+K = sievar.model.STAGE_STEPS
+
+
+@pytest.mark.parametrize("layout", ["read-only", "every-other-step", "component-major", "sliding-window"])
+@pytest.mark.parametrize("steps", [1, K - 1, K, K + 1, 3 * K + 5])
+@pytest.mark.parametrize("model", LARGE_BATCH_MODELS)
+def test_staged_innovations_equal_per_term_oracle(model, steps, layout, request):
+    # the loop copies its innovations STAGE_STEPS steps at a time; paths
+    # shorter than, equal to and just past one block, and several blocks
+    # with a short last one, must match the per-step oracle
+    if model.startswith("dgp7_"):
+        spec = request.getfixturevalue("dgp7_study_fits")[model[len("dgp7_") :]]
+    else:
+        spec = builtin_dgp(int(model[len("dgp") :]))
+    batch, q, d = 37, max(spec.p, 1), spec.d
+    rng = np.random.default_rng(LARGE_BATCH_MODELS.index(model) + 100 * steps)
+    state = rng.uniform(-3.0, 3.0, size=(batch, q, d))
+    eps = _innovations(layout, rng, batch, steps, d)
+    assert eps.shape == (batch, steps, d)
+    before = eps.copy()
+    expected, expected_clamped = reference_iterate(spec, state[:, q - spec.p :], np.ascontiguousarray(eps))
+    paths, clamped = iterate_paths(spec, state, eps)
+    assert paths.flags.c_contiguous and paths.tobytes() == expected.tobytes()
+    assert clamped == expected_clamped
+    final = final_states(spec, state, eps)
+    tail = np.concatenate([state, expected], axis=1)[:, -q:]
+    assert final.flags.c_contiguous and final.tobytes() == tail.tobytes()
+    np.testing.assert_array_equal(eps, before)
+
+
 @pytest.mark.parametrize("shape", [(4, 6, 1), (4, 6, 3), (6, 3), (12,), (1, 4, 6, 2)])
 def test_innovations_of_the_wrong_shape_raise(shape):
     # unchecked, a narrow array fails inside numpy and a wide one is cut to width

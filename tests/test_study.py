@@ -99,7 +99,7 @@ def test_worker_exception_reraised_without_leftover_child(monkeypatch, bad_rep):
     with pytest.raises(KeyError, match=f"replication {bad_rep}") as info:
         run_study(cfg)
     assert_no_child_left()
-    in_worker = any("study worker" in note for note in getattr(info.value, "__notes__", ()))
+    in_worker = any("worker process" in note for note in getattr(info.value, "__notes__", ()))
     assert in_worker == (bad_rep >= cfg.mc_replications // 2)
 
 
