@@ -226,6 +226,8 @@ def cmd_irf(cfg: dict, args) -> int:
     known = {"sieve", "parametric_max0", "linear", "population"}
     if not set(methods) <= known:
         raise ConfigError(f"methods must be a subset of {sorted(known)}")
+    if "population" in methods and args.threads < 1:
+        raise ConfigError("threads must be at least 1")
 
     if spec is not None and rho.kind != "constant_one":
         for delta in deltas:

@@ -27,9 +27,15 @@ import numpy as np
 
 from ._workers import can_fork, map_in_processes
 from .basis import KnotVector, SievePlan
-from .estimator import (
+# fit_parametric and fit_two_step are not called here, but perfbench's tracer
+# wraps them in this module
+from .estimator import (  # noqa: F401
+    FirstStageFit,
     FittedModel,
+    _as_xy,
+    _fit_stage_two,
     benchmark_true_form,
+    first_stage,
     fit_parametric,
     fit_two_step,
     max0_prior_form,
@@ -181,17 +187,24 @@ def _study_plan(cfg: StudyConfig, x: np.ndarray) -> SievePlan:
     return SievePlan(x_blocks=tuple(kv for _ in range(cfg.p + 1)))
 
 
-def _fit_one(cfg: StudyConfig, tag: str, path) -> FittedModel:
+def _fit_one(cfg: StudyConfig, tag: str, path, first: FirstStageFit | None = None) -> FittedModel:
+    """Estimator ``tag``'s fit to ``path``: the same bits as ``fit_two_step``
+    or ``fit_parametric``. A replication fits its first stage once and passes
+    it as ``first`` to each of its estimators."""
+    x, y, _ = _as_xy(path)
     if tag == "sieve":
-        return fit_two_step(path, _study_plan(cfg, path.x))
-    if tag == "parametric_true":
-        form = benchmark_true_form(cfg.dgp_id)
+        layout = _study_plan(cfg, x)
+    elif tag == "parametric_true":
+        layout = benchmark_true_form(cfg.dgp_id)
         if cfg.phi_shift and cfg.dgp_id == 7:
-            form = replace(form, terms=tuple((j, "smooth_phi_shift") for j, _ in form.terms))
-        return fit_parametric(path, cfg.p, form)
-    if tag == "parametric_max0":
-        return fit_parametric(path, cfg.p, max0_prior_form(cfg.p))
-    raise ValueError(f"unknown estimator tag {tag!r}")
+            layout = replace(layout, terms=tuple((j, "smooth_phi_shift") for j, _ in layout.terms))
+    elif tag == "parametric_max0":
+        layout = max0_prior_form(cfg.p)
+    else:
+        raise ValueError(f"unknown estimator tag {tag!r}")
+    if first is None:
+        first = first_stage(x, y, cfg.p)
+    return _fit_stage_two(layout, x, y, first.residuals, first, cfg.p)
 
 
 def _simulate_batch(spec, cfg: StudyConfig, seeds: list[int]) -> list:
@@ -252,7 +265,8 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         if isinstance(path, str):
             return path
         try:
-            fits = {tag: _fit_one(cfg, tag, path) for tag in cfg.estimators}
+            first = first_stage(path.x, path.y, cfg.p)
+            fits = {tag: _fit_one(cfg, tag, path, first) for tag in cfg.estimators}
             errs, rep_clamped = {}, 0
             for tag, delta in keys:
                 est = estimated_irf(fits[tag], path, ShockSpec(delta, est_rho, cfg.horizon))

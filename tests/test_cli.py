@@ -155,6 +155,12 @@ def test_irf_population_overlay(tmp_path):
     assert methods == {"estimated", "parametric_max0", "linear_closed_form", "population"}
 
 
+def test_irf_population_zero_threads_exits_2(tmp_path):
+    cfg = {"dgp": 1, "n": 100, "horizon": 2, "methods": ["population"], "population_replications": 100}
+    code, _ = run_cli(tmp_path, "irf", cfg, "--threads", "0")
+    assert code == 2
+
+
 def test_irf_fit_bundle_roundtrip(tmp_path, monkeypatch):
     spec = sievar.builtin_dgp(2)
     path = sievar.simulate(spec, 400, seed=5)

@@ -28,7 +28,14 @@ from sievar.irf import (
     population_irf,
     relax_eval,
 )
-from sievar.model import InnovationLaw, LagPolynomial, ModelSpec, iterate_paths
+from sievar.model import (
+    InnovationLaw,
+    LagPolynomial,
+    ModelSpec,
+    final_states,
+    iterate_paths,
+    philox,
+)
 from sievar.study import _fit_one, default_study_config, derive_seed
 
 from conftest import make_plan
@@ -232,19 +239,22 @@ def test_population_clamp_counter_zero_for_builtin(dgp2_pop_irf):
 
 
 def test_population_chunk_memory_is_one_burn_in_block():
-    # a burn-in keeps only the state it hands on, so one chunk's traced peak
-    # is its (4096, 500, 2) innovation block plus small change
+    # a chunk draws its burn-in one block at a time and keeps only the state
+    # it hands on, so its traced peak is one draw block plus the future's
+    # paths, whatever the burn-in's length
     spec = sievar.builtin_dgp(7)
     shock = ShockSpec(2.0, RelaxationFn.symmetric_bump(5.0, 3.9), 20)
     population_irf(spec, shock, replications=64, seed=0, burn_in=5, chunk=64)
-    block = 4096 * 500 * spec.d * 8
-    tracemalloc.start()
-    try:
-        population_irf(spec, shock, replications=4096, seed=0, burn_in=500, threads=1, chunk=4096)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * block
+    block = sievar.irf.DRAW_STEPS * spec.d * 4096 * 8
+    path = (shock.horizon + 1) * spec.d * 4096 * 8
+    for burn_in in (50, 500, 2000):
+        tracemalloc.start()
+        try:
+            population_irf(spec, shock, replications=4096, seed=0, burn_in=burn_in, threads=1, chunk=4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (block + 3 * path)
 
 
 def test_population_nonrelaxed_warns(dgp2):
@@ -342,7 +352,7 @@ def test_population_irf_thread_invariance(dgp2, bump34):
     for spec in (dgp2, _fit_one(cfg, "sieve", path)):
         runs = [
             population_irf(spec, shock, replications=1000, seed=3, burn_in=40, threads=t, chunk=300)
-            for t in (1, 2, 3, 0)  # `sievar irf --threads 0` passes a count below one on
+            for t in (1, 2, 3)
         ]
         assert_no_child_left()
         for got in runs[1:]:
@@ -350,6 +360,77 @@ def test_population_irf_thread_invariance(dgp2, bump34):
             assert got.mc_se.tobytes() == runs[0].mc_se.tobytes()
             assert got.clamped == runs[0].clamped
     assert runs[0].clamped > 0
+
+
+def oracle_population_irf(spec, shock, replications, seed, burn_in, chunk):
+    """The population IRF from each chunk's whole step-major draw: one
+    (burn_in + H + 1, d, B) array per chunk, clipped, scaled and iterated."""
+    h, d = shock.horizon, spec.d
+    total, total_sq, clamped = np.zeros((h + 1, d)), np.zeros((h + 1, d)), 0
+    for k, start in enumerate(range(0, replications, chunk)):
+        size = min(chunk, replications - start)
+        eps = philox(derive_seed(seed, k)).standard_normal((burn_in + h + 1, d, size))
+        eps = np.clip(eps, -spec.innovation.bound, spec.innovation.bound)
+        path = (eps * np.asarray(spec.innovation.sigma)[:, None]).transpose(2, 0, 1)
+        state = np.zeros((size, max(spec.p, 1), d))
+        if burn_in:
+            state = final_states(spec, state, path[:, :burn_in])
+        future = path[:, burn_in:]
+        base, clamp_b = iterate_paths(spec, state, future)
+        shocked_eps = future.copy()
+        shocked_eps[:, 0, 0] += shock.delta * relax_eval(shock.relaxation, future[:, 0, 0])
+        shocked, clamp_s = iterate_paths(spec, state, shocked_eps)
+        diff = shocked - base
+        total += diff.sum(axis=0)
+        total_sq += (diff**2).sum(axis=0)
+        clamped += clamp_b + clamp_s
+    mean = total / replications
+    return mean, np.sqrt(np.maximum(total_sq / replications - mean**2, 0.0) / replications), clamped
+
+
+@pytest.mark.filterwarnings("ignore::sievar.StabilityWarning")
+@pytest.mark.parametrize("horizon", [3, 40])
+@pytest.mark.parametrize("model", ["dgp2", "dgp7_sieve_p2"])
+def test_population_irf_equals_whole_draw_oracle(model, horizon, bump34):
+    # a burn-in of 60 steps is two full draw blocks and a short one, a
+    # 40-step horizon is longer than a block, and 700 replications in chunks
+    # of 300 leave a short last chunk; the p = 2 sieve fit's paths clamp
+    if model == "dgp2":
+        spec = sievar.builtin_dgp(2)
+    else:
+        path = sievar.simulate(sievar.builtin_dgp(7), 400, seed=8)
+        spec = sievar.fit_two_step(path, make_plan(path.x, knots=(-0.5, 0.5), lags=3))
+    assert 60 % sievar.irf.DRAW_STEPS and 40 + 1 > sievar.irf.DRAW_STEPS
+    shock = ShockSpec(1.0, bump34, horizon)
+    got = population_irf(spec, shock, replications=700, seed=4, burn_in=60, chunk=300)
+    values, mc_se, clamped = oracle_population_irf(spec, shock, 700, 4, 60, 300)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.mc_se.tobytes() == mc_se.tobytes()
+    assert got.clamped == clamped
+    assert (clamped > 0) == (model != "dgp2")
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    replications=st.integers(1, 80),
+    chunk=st.integers(1, 30),
+    burn_in=st.integers(0, 70),
+    horizon=st.integers(0, 30),
+    draw_steps=st.integers(1, 40),
+)
+def test_population_irf_independent_of_processes_and_block_size(
+    replications, chunk, burn_in, horizon, draw_steps
+):
+    spec = sievar.builtin_dgp(2)
+    shock = ShockSpec(1.0, RelaxationFn.symmetric_bump(3.0, 4.0), horizon)
+    args = dict(replications=replications, seed=9, burn_in=burn_in, chunk=chunk)
+    ref = population_irf(spec, shock, **args)
+    with mock.patch.object(sievar.irf, "DRAW_STEPS", draw_steps):
+        for threads in (1, 2, 3):
+            got = population_irf(spec, shock, threads=threads, **args)
+            assert got.values.tobytes() == ref.values.tobytes()
+            assert got.mc_se.tobytes() == ref.mc_se.tobytes()
+    assert_no_child_left()
 
 
 def assert_no_child_left():
@@ -382,6 +463,7 @@ def test_population_chunk_error_reraised_without_leftover_child(dgp2, bump34, mo
         (dict(chunk=-1), "chunk must be at least 1"),
         (dict(burn_in=-5), "burn_in must be non-negative"),
         (dict(replications=0), "replications must be at least 1"),
+        (dict(threads=0), "threads must be at least 1"),
     ],
 )
 def test_population_irf_rejects_bad_arguments(dgp2, bump34, kwargs, match):
@@ -404,20 +486,21 @@ def test_domain_safety_assertion_on_compatible_shock(dgp2, bump34):
 
 
 def test_population_chunks_draw_disjoint_streams(dgp2, bump34, monkeypatch):
-    draws = []
+    draws: dict[int, list] = {}
+    gens = []  # so that no finished chunk's generator id is reused
     draw_clipped = sievar.irf.draw_clipped
 
-    def recording_draw(gen, shape, bound, buffer=None):
-        out = draw_clipped(gen, shape, bound, buffer)
-        draws.append(out[np.abs(out) < bound])  # clipped values repeat by construction
+    def recording_draw(gen, shape, bound, out=None):
+        gens.append(gen)
+        out = draw_clipped(gen, shape, bound, out)
+        # clipped values repeat by construction
+        draws.setdefault(id(gen), []).append(out[np.abs(out) < bound])
         return out
 
     monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
     shock = ShockSpec(1.0, bump34, 3)
     a = population_irf(dgp2, shock, replications=400, seed=5, burn_in=50, chunk=200)
-    assert len(draws) == 4  # burn-in and future per chunk, chunks in order
-    chunk0 = np.concatenate(draws[:2])
-    chunk1 = np.concatenate(draws[2:])
+    chunk0, chunk1 = (np.concatenate(d) for d in draws.values())  # one generator per chunk
     assert np.intersect1d(chunk0, chunk1).size == 0
     b = population_irf(dgp2, shock, replications=400, seed=5, burn_in=50, chunk=200, threads=2)
     np.testing.assert_array_equal(a.values, b.values)
@@ -430,26 +513,28 @@ def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, mon
     # draws to one log, since a worker's own memory is gone when it exits
     log = tmp_path / "draws.log"
     draw_clipped = sievar.irf.draw_clipped
-    alive = []  # so that no freed buffer's id is reused
+    alive = []  # so that no freed block's id is reused
 
-    def recording_draw(gen, shape, bound, buffer=None):
-        alive.append(buffer.base)
+    def recording_draw(gen, shape, bound, out=None):
+        alive.append(out.base)
         with open(log, "a") as f:
-            f.write(f"{os.getpid()} {id(buffer.base)} {buffer.base.size}\n")
-        return draw_clipped(gen, shape, bound, buffer)
+            f.write(f"{os.getpid()} {id(out.base)} {out.base.size} {out.size}\n")
+        return draw_clipped(gen, shape, bound, out)
 
     monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
     shock = ShockSpec(1.0, bump34, 3)
-    got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=50, chunk=200, threads=threads)
+    got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200, threads=threads)
     assert_no_child_left()
-    draws = [line.split() for line in log.read_text().splitlines()]
-    # three chunks, the last one short, each draw its burn-in and future into
-    # its process's buffer, and there is one buffer per process
-    assert len(draws) == 6 and all(size == str(200 * 50 * 2) for _, _, size in draws)
-    buffers = {(pid, buffer) for pid, buffer, _ in draws}
-    assert len(buffers) == len({pid for pid, _, _ in draws}) == min(threads, 3)
+    draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
+    # three chunks, the last one short, each draw fills at most its
+    # process's block, and there is one block per process
+    block = sievar.irf.DRAW_STEPS * 2 * 200
+    assert all(base == block and size <= block for _, _, base, size in draws)
+    assert sum(size for *_, size in draws) == 500 * (60 + 4) * 2
+    blocks = {(pid, base_id) for pid, base_id, _, _ in draws}
+    assert len(blocks) == len({pid for pid, *_ in draws}) == min(threads, 3)
     monkeypatch.undo()
-    one_thread = population_irf(dgp2, shock, replications=500, seed=5, burn_in=50, chunk=200)
+    one_thread = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200)
     np.testing.assert_array_equal(got.values, one_thread.values)
     np.testing.assert_array_equal(got.mc_se, one_thread.mc_se)
 

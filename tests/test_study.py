@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -64,10 +65,10 @@ def test_worker_failures_match_one_process(monkeypatch):
     bad = {derive_seed(cfg.master_seed, 2, r) for r in (3, 31, 59)}
     real_fit = study_mod._fit_one
 
-    def fit(cfg, tag, path):
+    def fit(cfg, tag, path, first):
         if path.seed in bad:
             raise np.linalg.LinAlgError("singular matrix")
-        return real_fit(cfg, tag, path)
+        return real_fit(cfg, tag, path, first)
 
     monkeypatch.setattr(study_mod, "_fit_one", fit)
     serial = run_study(cfg)
@@ -90,10 +91,10 @@ def test_worker_exception_reraised_without_leftover_child(monkeypatch, bad_rep):
     bad = derive_seed(cfg.master_seed, 2, bad_rep)
     real_fit = study_mod._fit_one
 
-    def fit(cfg, tag, path):
+    def fit(cfg, tag, path, first):
         if path.seed == bad:
             raise KeyError(f"replication {bad_rep}")
-        return real_fit(cfg, tag, path)
+        return real_fit(cfg, tag, path, first)
 
     monkeypatch.setattr(study_mod, "_fit_one", fit)
     with pytest.raises(KeyError, match=f"replication {bad_rep}") as info:
@@ -108,10 +109,10 @@ def test_worker_that_dies_is_reported(monkeypatch):
     parent = os.getpid()
     real_fit = study_mod._fit_one
 
-    def fit(cfg, tag, path):
+    def fit(cfg, tag, path, first):
         if os.getpid() != parent:
             os._exit(3)
-        return real_fit(cfg, tag, path)
+        return real_fit(cfg, tag, path, first)
 
     monkeypatch.setattr(study_mod, "_fit_one", fit)
     with pytest.raises(ChildProcessError, match="without sending its results"):
@@ -160,6 +161,52 @@ def test_study_builds_the_dgp_spec_once(monkeypatch):
     assert run_study(cfg).n_ok == 3
     # the configuration knows its lag order, so the fits build no spec
     assert len(calls) == 1
+
+
+def _bits(obj):
+    """A nested tuple that two objects share when their numbers are bit-equal."""
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.tobytes()
+    if dataclasses.is_dataclass(obj):
+        return (type(obj),) + tuple(_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return tuple(_bits(v) for v in obj)
+    if isinstance(obj, dict):
+        return tuple((k, _bits(v)) for k, v in obj.items())
+    if isinstance(obj, float):
+        return obj.hex()
+    return obj
+
+
+@pytest.mark.parametrize("phi_shift", [False, True])
+def test_study_fits_share_first_stage_and_equal_public_fits(monkeypatch, phi_shift):
+    cfg = default_study_config(7, n=300, mc_replications=3, pop_replications=64, phi_shift=phi_shift)
+    fits = []
+    real_fit = study_mod._fit_one
+
+    def recording_fit(cfg, tag, path, first):
+        fit = real_fit(cfg, tag, path, first)
+        fits.append((tag, path, fit))
+        return fit
+
+    monkeypatch.setattr(study_mod, "_fit_one", recording_fit)
+    assert run_study(cfg).n_ok == 3
+    assert [tag for tag, _, _ in fits] == list(cfg.estimators) * 3
+    for r in range(3):
+        rep = fits[3 * r : 3 * r + 3]
+        # one first-stage fit per replication, shared by its estimators
+        assert all(fit.first_stage is rep[0][2].first_stage for _, _, fit in rep)
+        for tag, path, fit in rep:
+            if tag == "sieve":
+                public = sievar.fit_two_step(path, study_mod._study_plan(cfg, path.x))
+            elif tag == "parametric_true":
+                form = sievar.benchmark_true_form(7)
+                if phi_shift:
+                    form = replace(form, terms=tuple((j, "smooth_phi_shift") for j, _ in form.terms))
+                public = sievar.fit_parametric(path, cfg.p, form)
+            else:
+                public = sievar.fit_parametric(path, cfg.p, sievar.max0_prior_form(cfg.p))
+            assert _bits(fit) == _bits(public)
 
 
 def test_derived_seeds_disjoint():
@@ -368,8 +415,8 @@ def test_failed_replication_contributes_nothing(monkeypatch):
     monkeypatch.setattr(study_mod, "estimated_irf", fail_on_call(study_mod.estimated_irf, 8))
     late = run_study(cfg)
     monkeypatch.undo()
-    # replication 3's parametric fit is the 4th fit_parametric call
-    monkeypatch.setattr(study_mod, "fit_parametric", fail_on_call(study_mod.fit_parametric, 4))
+    # replication 3's parametric fit is the 7th stage-II fit (two per replication)
+    monkeypatch.setattr(study_mod, "_fit_stage_two", fail_on_call(study_mod._fit_stage_two, 7))
     early = run_study(cfg)
     for res in (late, early):
         assert res.failed == (3,)
