@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 config or data error, 3 shock-compatibility error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -106,6 +108,28 @@ def _resolve_out_dir(base: str, command: str, cfg: dict) -> Path:
     out = Path(base) / f"{command}-{digest}"
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextlib.contextmanager
+def _config_values():
+    """Raise a ValueError of a config value's conversion or argument check as
+    a ConfigError. LinAlgError is a ValueError too, but a numeric failure."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _peak_rss_mb() -> dict[str, float]:
+    """Peak resident memory so far of this process and of its reaped children,
+    such as forked workers, in MiB."""
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
+    return {
+        who: resource.getrusage(which).ru_maxrss * unit / 2**20
+        for who, which in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))
+    }
 
 
 def _echo_config(out_dir: Path, cfg: dict) -> None:
@@ -363,6 +387,7 @@ def cmd_mc(cfg: dict, args) -> int:
             {"delta": delta, "max_mc_se": float(np.max(irf.mc_se))}
             for delta, irf in sorted(result.population.items())
         ],
+        "peak_rss_mb": _peak_rss_mb(),
     }
     (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -399,22 +424,25 @@ def cmd_diagnose(cfg: dict, args) -> int:
         {"dgp", "ar", "model", "mode", "r", "h_max", "replications", "samples", "h_cap", "seed", "phi_shift"},
         "diagnose",
     )
+    mode = cfg.get("mode", "both")
+    if mode not in ("dependence", "stability", "both"):
+        raise ConfigError(f"mode must be 'dependence', 'stability' or 'both', got {mode!r}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     out_dir = _resolve_out_dir(args.out, "diagnose", cfg)
-    if "ar" in cfg:
-        spec = _ar_spec(list(cfg["ar"]))
-    elif "model" in cfg:
-        try:
-            spec = dataio.spec_from_config(cfg["model"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"invalid model config: {exc}") from exc
-    elif "dgp" in cfg:
-        spec = builtin_dgp(int(cfg["dgp"]), phi_shift=bool(cfg.get("phi_shift", False)))
-    else:
-        raise ConfigError("one of 'dgp', 'ar', or 'model' must be given")
-    mode = cfg.get("mode", "both")
-    seed = int(cfg.get("seed", 0))
+    with _config_values():
+        if "ar" in cfg:
+            spec = _ar_spec(list(cfg["ar"]))
+        elif "model" in cfg:
+            try:
+                spec = dataio.spec_from_config(cfg["model"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"invalid model config: {exc}") from exc
+        elif "dgp" in cfg:
+            spec = builtin_dgp(int(cfg["dgp"]), phi_shift=bool(cfg.get("phi_shift", False)))
+        else:
+            raise ConfigError("one of 'dgp', 'ar', or 'model' must be given")
+        seed = int(cfg.get("seed", 0))
     lines = []
     manifest = {
         "sievar_version": __version__, "numpy_version": np.__version__, "mode": mode, "seed": seed,
@@ -423,13 +451,14 @@ def cmd_diagnose(cfg: dict, args) -> int:
     }
     if mode in ("dependence", "both"):
         start = time.perf_counter()
-        profile = estimate_delta_r(
-            spec,
-            r=float(cfg.get("r", 2.0)),
-            h_max=int(cfg.get("h_max", 10)),
-            replications=int(cfg.get("replications", 2000)),
-            seed=seed,
-        )
+        with _config_values():
+            profile = estimate_delta_r(
+                spec,
+                r=float(cfg.get("r", 2.0)),
+                h_max=int(cfg.get("h_max", 10)),
+                replications=int(cfg.get("replications", 2000)),
+                seed=seed,
+            )
         manifest.update(
             replications=profile.replications, fit_residual=profile.fit_residual,
             dependence_s=time.perf_counter() - start,
@@ -445,8 +474,9 @@ def cmd_diagnose(cfg: dict, args) -> int:
         ]
     if mode in ("stability", "both"):
         start = time.perf_counter()
-        h_cap = int(cfg.get("h_cap", 10))
-        report = find_h_star(spec, h_cap=h_cap, samples=int(cfg.get("samples", 200)), seed=seed)
+        with _config_values():
+            h_cap = int(cfg.get("h_cap", 10))
+            report = find_h_star(spec, h_cap=h_cap, samples=int(cfg.get("samples", 200)), seed=seed)
         manifest.update(
             samples=report.samples, h_cap=h_cap, h_star=report.h_star, c_z=report.c_z,
             stability_s=time.perf_counter() - start,
@@ -457,6 +487,7 @@ def cmd_diagnose(cfg: dict, args) -> int:
             f"  h_star: {report.h_star}  decay: "
             + " ".join(f"{v:.4g}" for v in report.decay),
         ]
+    manifest["peak_rss_mb"] = _peak_rss_mb()
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print("\n".join(lines))

@@ -8,11 +8,15 @@ companion-form state map along sampled states and innovation sequences;
 the reported constants are maxima over the sample, hence lower bounds on
 the true suprema.
 
-Every forward iteration runs batched over all samples: the burn-ins are one
-``final_states`` call each, which keeps only the state a burn-in hands on,
-and the probe's h-step finite-difference paths and its one-step innovation
+Every forward iteration runs batched over all samples. The coupling copies
+and the probe's domain box reach the stationary law through the burn-in
+that the population reference runs (``irf._burn_in``): one stream is read
+step-major over all columns, ``DRAW_STEPS`` steps at a time into one reused
+block, so memory does not grow with the burn-in's length. The probe's
+per-sample burn-ins, which keep a stream each, are one ``final_states``
+call, and its h-step finite-difference paths and its one-step innovation
 perturbations are one ``iterate_paths`` call each. All spectral norms come
-from one stacked SVD. Each sample keeps its own random stream, so the
+from one stacked SVD. Each probe sample keeps its own random stream, so the
 numbers match a sample-by-sample probe exactly when the lag matrices are
 diagonal; otherwise a many-row matrix product can round differently, which
 moves the constants at rounding level (about 1e-11 relative).
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .irf import _burn_in
 from .model import (
     ModelSpec,
     derive_seed,
@@ -62,12 +67,6 @@ class DependenceProfile:
         return self.delta_hat.size
 
 
-def _stationary_states(spec: ModelSpec, size: int, seed: int, burn_in: int) -> np.ndarray:
-    eps = draw_clipped(philox(seed), (size, burn_in, spec.d), spec.innovation.bound)
-    scale_innovations(eps, spec.innovation.sigma)
-    return final_states(spec, np.zeros((size, max(spec.p, 1), spec.d)), eps)
-
-
 def estimate_delta_r(
     spec: ModelSpec,
     r: float = 2.0,
@@ -81,24 +80,36 @@ def estimate_delta_r(
 
     Per replication, a stationary state and an independent copy are iterated
     h_max steps with shared innovations; delta_hat(h) is the L^r norm of the
-    gap. log delta_hat is then regressed on h for the exp(-a2 h) fit (tau
-    fixed at one).
+    gap over the ``components`` (all by default), r >= 1. log delta_hat is
+    then regressed on h for the exp(-a2 h) fit (tau fixed at one).
+
+    Both copies burn in from a zero state over one stream,
+    ``derive_seed(seed, 11)``, read step-major over 2R columns: copy a is
+    columns [0, R) and copy b columns [R, 2R), and one loop runs both
+    burn-ins ``DRAW_STEPS`` steps at a time, so memory does not grow with
+    ``burn_in``. (The stream of tag 12, which copy b once read, is retired.)
+    Both copies then iterate in one call over the shared innovations of
+    ``derive_seed(seed, 13)``, drawn as an (R, h_max, d) array.
     """
     if replications < 100:
         raise ValueError("need at least 100 coupling replications")
     if burn_in < 1:
         # two zero states would couple trivially
         raise ValueError("burn_in must be at least 1")
+    if h_max < 1:
+        raise ValueError(f"h_max must be at least 1, got {h_max}")
+    if not (math.isfinite(r) and r >= 1.0):
+        raise ValueError(f"r must be a finite number of at least 1, got {r}")
     comps = tuple(components) if components is not None else tuple(range(spec.d))
-    state_a = _stationary_states(spec, replications, derive_seed(seed, 11), burn_in)
-    state_b = _stationary_states(spec, replications, derive_seed(seed, 12), burn_in)
+    if not comps or len(set(comps)) < len(comps) or not all(0 <= c < spec.d for c in comps):
+        raise ValueError(f"components must be distinct indices in 0..{spec.d - 1}, got {comps}")
+    states = _burn_in(spec, philox(derive_seed(seed, 11)), 2 * replications, burn_in)
     shared = draw_clipped(
         philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec.innovation.bound
     )
     scale_innovations(shared, spec.innovation.sigma)
-    path_a, _ = iterate_paths(spec, state_a, shared)
-    path_b, _ = iterate_paths(spec, state_b, shared)
-    gap = np.linalg.norm(path_a[:, :, comps] - path_b[:, :, comps], axis=2)
+    paths, _ = iterate_paths(spec, states.transpose(2, 0, 1), np.concatenate([shared, shared]))
+    gap = np.linalg.norm(paths[:replications, :, comps] - paths[replications:, :, comps], axis=2)
     delta_hat = np.mean(gap**r, axis=0) ** (1.0 / r)
 
     positive = delta_hat > 0.0
@@ -128,9 +139,9 @@ class StabilityReport:
 
 
 def _domain_box(spec: ModelSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    states = _stationary_states(spec, 512, derive_seed(seed, 21), 400)
-    flat = states.reshape(states.shape[0], -1)
-    return flat.min(axis=0), flat.max(axis=0)
+    """Bounds per lag and component of 512 states burnt in 400 steps, flat."""
+    states = _burn_in(spec, philox(derive_seed(seed, 21)), 512, 400)
+    return states.min(axis=2).ravel(), states.max(axis=2).ravel()
 
 
 def _sample_states_eps(

@@ -48,7 +48,7 @@ __all__ = [
 
 SINGULARITY_GUARD = 1e-12
 
-# steps per population draw block: 1.6 MiB at d=2 and a 4096-replication chunk;
+# steps per stationary burn-in draw block: 1.6 MiB at d=2 and 4096 columns;
 # blocks of 8 to 100 steps run alike, 500 steps runs slower
 DRAW_STEPS = 25
 
@@ -231,6 +231,33 @@ def _columns(a: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
     return np.take(a, rows + np.arange(width)[:, None], axis=1).transpose(1, 0, 2)
 
 
+def _draw_steps(spec: ModelSpec, gen, steps: int, size: int, block: np.ndarray) -> np.ndarray:
+    """The stream's next ``steps`` steps of ``size`` columns as a (steps, d,
+    size) view of ``block``: each step holds the draws of each component in
+    turn, clipped to the innovation bound, component j scaled by sigma_j."""
+    eps = block[: steps * spec.d * size].reshape(steps, spec.d, size)
+    draw_clipped(gen, eps.shape, spec.innovation.bound, eps)
+    scale_innovations(eps.transpose(2, 0, 1), spec.innovation.sigma)
+    return eps
+
+
+def _burn_in(
+    spec: ModelSpec, gen, size: int, steps: int, block: np.ndarray | None = None
+) -> np.ndarray:
+    """The (max(p, 1), d, size) states that ``size`` columns reach from a
+    zero state in ``steps`` steps of the stream: a stationary draw when
+    ``steps`` is long. The steps are drawn ``DRAW_STEPS`` at a time into one
+    reused ``block`` (allocated here if none is given), so memory does not
+    grow with ``steps`` and the states do not depend on the block size."""
+    if block is None:
+        block = np.empty(min(DRAW_STEPS, steps) * spec.d * size)
+    states = np.zeros((max(spec.p, 1), spec.d, size))
+    for done in range(0, steps, DRAW_STEPS):
+        eps = _draw_steps(spec, gen, min(DRAW_STEPS, steps - done), size, block)
+        states, _ = _forward(spec, states, eps, keep_path=False)
+    return states
+
+
 def population_irf(
     spec: ModelSpec,
     shock: ShockSpec,
@@ -250,9 +277,11 @@ def population_irf(
     bound and component j is scaled by sigma_j. The first ``burn_in`` steps
     carry each replication from a zero state to its history, the last H + 1
     are its future, and the shock falls on component 0 of the future's first
-    step. A chunk draws this array ``DRAW_STEPS`` steps at a time into one
-    block, which each process allocates on first use, so memory does not
-    grow with ``burn_in`` and the result does not depend on the block size.
+    step. A chunk runs its burn-in through ``_burn_in``, the helper that the
+    dependence diagnostics' burn-ins share: it draws ``DRAW_STEPS`` steps at
+    a time into one block, which each process allocates on first use and
+    the future's draw reuses, so memory does not grow with ``burn_in`` and
+    the result does not depend on the block size.
     The chunks run in up to ``threads`` processes, as ``run_study``'s
     replications do. Each chunk iterates its (T, d, B) paths component-major
     and sums the differences and their squares pairwise over the contiguous
@@ -284,18 +313,8 @@ def population_irf(
     def run_chunk(start: int):
         size = min(chunk, replications - start)
         gen = philox(derive_seed(seed, start // chunk))
-
-        def draw(steps: int) -> np.ndarray:
-            # the chunk's next steps as a (steps, d, size) block
-            eps = block()[: steps * d * size].reshape(steps, d, size)
-            draw_clipped(gen, eps.shape, spec.innovation.bound, eps)
-            scale_innovations(eps.transpose(2, 0, 1), spec.innovation.sigma)
-            return eps
-
-        states = np.zeros((max(spec.p, 1), d, size))
-        for done in range(0, burn_in, DRAW_STEPS):
-            states, _ = _forward(spec, states, draw(min(DRAW_STEPS, burn_in - done)), keep_path=False)
-        eps = draw(h + 1)
+        states = _burn_in(spec, gen, size, burn_in, block())
+        eps = _draw_steps(spec, gen, h + 1, size, block())
         w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps[0, 0]))
         if compat is not None and compat.compatible:
             lo, hi = spec.innovation.support(0)

@@ -294,6 +294,8 @@ def test_mc_run_manifest_matches_direct_study(tmp_path):
     assert manifest["failure_causes"] == direct.failure_causes
     assert manifest["clamped"] == direct.clamped > 0
     assert direct.processes == 1
+    # the forked worker was reaped, so its peak counts among the children's
+    assert manifest["peak_rss_mb"]["self"] > 0.0 and manifest["peak_rss_mb"]["children"] > 0.0
     assert manifest["population_max_mc_se"] == [
         {"delta": delta, "max_mc_se": float(np.max(direct.population[delta].mc_se))}
         for delta in (-1.0, 1.0)
@@ -343,6 +345,8 @@ def test_diagnose_run_manifest_matches_direct_calls(tmp_path):
     assert manifest["c_z"] == report.c_z
     assert (manifest["mode"], manifest["seed"]) == ("both", 6)
     assert manifest["dependence_s"] >= 0.0 and manifest["stability_s"] >= 0.0
+    assert set(manifest["peak_rss_mb"]) == {"self", "children"}
+    assert manifest["peak_rss_mb"]["self"] > 0.0 and manifest["peak_rss_mb"]["children"] >= 0.0
     assert manifest["sievar_version"] == sievar.__version__
     assert manifest["numpy_version"] == np.__version__
     assert (run_dir / "config.json").exists()
@@ -354,6 +358,20 @@ def test_diagnose_run_manifest_matches_direct_calls(tmp_path):
     manifest = json.loads((only_run_dir(out, "diagnose") / "run.json").read_text())
     assert manifest["replications"] is manifest["dependence_s"] is None
     assert manifest["h_star"] == 1 and manifest["stability_s"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"r": 0}, {"r": -1}, {"r": "two"}, {"h_max": 0}, {"h_max": -1}, {"replications": 50},
+        {"h_cap": 0}, {"samples": 0}, {"mode": "bogus"}, {"dgp": 9}, {"seed": "one"},
+    ],
+)
+def test_diagnose_bad_values_exit_2(tmp_path, capsys, bad):
+    code, out = run_cli(tmp_path, "diagnose", {"dgp": 2, "replications": 100, "samples": 4, "seed": 1} | bad)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("diagnose-*/report.txt"))
 
 
 def test_relax_check_exit_codes(tmp_path):

@@ -3,11 +3,15 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievar
+import sievar.irf
 from sievar.diagnostics import (
     CONTRACTIVE_MARGIN,
     FD_STEP,
@@ -39,6 +43,16 @@ def ar_spec(*coeffs, bound=3.0):
         )
 
 
+def _oracle_stationary(spec, size, seed, burn_in):
+    """(size, max(p, 1), d) states burnt in from zeros over the whole
+    step-major (burn_in, d, size) draw, made in one call."""
+    p = max(spec.p, 1)
+    sigma = np.asarray(spec.innovation.sigma)[:, None]
+    eps = draw_clipped(philox(seed), (burn_in, spec.d, size), spec.innovation.bound) * sigma
+    warm, _ = iterate_paths(spec, np.zeros((size, p, spec.d)), eps.transpose(2, 0, 1))
+    return warm[:, -p:, :]
+
+
 def test_iid_component_has_zero_dependence():
     # DGP 1's X is the innovation itself: shared futures collapse the gap
     profile = estimate_delta_r(sievar.builtin_dgp(1), h_max=6, replications=500, seed=1, components=(0,))
@@ -55,19 +69,110 @@ def test_ar1_coupling_ratio_and_decay_fit():
     assert np.all(np.diff(profile.delta_hat) <= 1e-12)  # monotone decay
 
 
+def oracle_delta_r(spec, r, h_max, replications, seed, burn_in, components):
+    """The coupling profile from one whole step-major burn-in draw: a
+    (burn_in, d, 2R) array in one call, iterated from zeros, split into the
+    copies' columns [0, R) and [R, 2R), each iterated over the shared
+    innovations by its own call."""
+    states = _oracle_stationary(spec, 2 * replications, derive_seed(seed, 11), burn_in)
+    shared = draw_clipped(
+        philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec.innovation.bound
+    ) * np.asarray(spec.innovation.sigma)
+    path_a, _ = iterate_paths(spec, states[:replications], shared)
+    path_b, _ = iterate_paths(spec, states[replications:], shared)
+    gap = np.linalg.norm(path_a[:, :, components] - path_b[:, :, components], axis=2)
+    return np.mean(gap**r, axis=0) ** (1.0 / r)
+
+
+COUPLING_CASES = [(2.0, None), (1.0, (0,)), (3.5, None)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sievar.builtin_dgp(7), ar_spec(0.5), ar_spec(0.1, 0.1), ar_spec(0.6, -0.3, 0.2)],
+    ids=["dgp7", "ar1", "ar2", "ar3"],
+)
+@pytest.mark.parametrize("r, components", COUPLING_CASES)
+def test_coupling_equals_whole_draw_oracle(spec, r, components):
+    # diagonal or scalar lag matrices: the 2R-column products round as the
+    # R-column ones, so the profile is identical; a burn-in of 60 steps is
+    # two full draw blocks and a short one
+    assert 60 % sievar.irf.DRAW_STEPS
+    comps = components or tuple(range(spec.d))
+    got = estimate_delta_r(spec, r=r, h_max=6, replications=300, seed=4, burn_in=60, components=components)
+    oracle = oracle_delta_r(spec, r, 6, 300, 4, 60, comps)
+    assert got.delta_hat.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("dgp_id", range(1, 7))
+@pytest.mark.parametrize("r, components", COUPLING_CASES)
+def test_coupling_matches_whole_draw_oracle_on_dgps(dgp_id, r, components):
+    # non-diagonal lag matrices: a many-column product may round differently
+    spec = sievar.builtin_dgp(dgp_id)
+    comps = components or tuple(range(spec.d))
+    got = estimate_delta_r(spec, r=r, h_max=6, replications=300, seed=2, burn_in=60, components=components)
+    np.testing.assert_allclose(got.delta_hat, oracle_delta_r(spec, r, 6, 300, 2, 60, comps), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(burn_in=st.integers(1, 70), draw_steps=st.integers(1, 40))
+def test_coupling_independent_of_block_size(burn_in, draw_steps):
+    spec = sievar.builtin_dgp(2)
+    args = dict(h_max=4, replications=100, seed=3, burn_in=burn_in)
+    ref = estimate_delta_r(spec, **args)
+    draw_clipped = sievar.irf.draw_clipped
+    steps = []
+
+    def recording_draw(gen, shape, bound, out=None):
+        steps.append(shape[0])
+        return draw_clipped(gen, shape, bound, out)
+
+    with mock.patch.object(sievar.irf, "DRAW_STEPS", draw_steps), \
+            mock.patch.object(sievar.irf, "draw_clipped", recording_draw):
+        got = estimate_delta_r(spec, **args)
+    assert got.delta_hat.tobytes() == ref.delta_hat.tobytes()
+    # both copies' burn-in is read draw_steps steps at a time
+    assert sum(steps) == burn_in and max(steps) == min(draw_steps, burn_in)
+
+
 def test_coupling_memory_is_one_burn_in_block():
-    # each coupling copy's burn-in keeps only its final state, so the traced
-    # peak is one (2000, 500, 2) innovation block plus small change
+    # both copies' burn-ins run in one loop that keeps one draw block of the
+    # 2R columns and the states they hand on, so the traced peak is a small
+    # multiple of that block, whatever the burn-in's length
     spec = sievar.builtin_dgp(2)
     estimate_delta_r(spec, replications=100, seed=0, burn_in=5)
-    block = 2000 * 500 * spec.d * 8
-    tracemalloc.start()
-    try:
-        estimate_delta_r(spec, replications=2000, seed=0, burn_in=500)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * block
+    block = sievar.irf.DRAW_STEPS * spec.d * 2 * 2000 * 8
+    peaks = []
+    for burn_in in (500, 5000):
+        tracemalloc.start()
+        try:
+            estimate_delta_r(spec, replications=2000, seed=0, burn_in=burn_in)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) <= 3 * block
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(h_max=0), "h_max"),
+        (dict(h_max=-1), "h_max"),
+        (dict(r=0.0), "r must"),
+        (dict(r=-1.0), "r must"),
+        (dict(r=0.5), "r must"),
+        (dict(r=math.nan), "r must"),
+        (dict(r=math.inf), "r must"),
+        (dict(components=(5,)), "components"),
+        (dict(components=(-1,)), "components"),
+        (dict(components=()), "components"),
+        (dict(components=(0, 0)), "components"),
+    ],
+)
+def test_coupling_rejects_bad_arguments(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        estimate_delta_r(sievar.builtin_dgp(2), **{"replications": 100, **kwargs})
 
 
 def test_replication_floor():
@@ -143,12 +248,6 @@ def test_explosive_sampling_divergence_raises():
         estimate_delta_r(spec, h_max=4, replications=200, seed=1, burn_in=2500)
 
 
-def _oracle_stationary(spec, size, seed, burn_in):
-    p = max(spec.p, 1)
-    sigma = np.asarray(spec.innovation.sigma)
-    eps = draw_clipped(philox(seed), (size, burn_in, spec.d), spec.innovation.bound) * sigma
-    warm, _ = iterate_paths(spec, np.zeros((size, p, spec.d)), eps)
-    return warm[:, -p:, :]
 
 
 def oracle_lipschitz_profile(spec, h_cap, samples, seed):

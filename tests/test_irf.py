@@ -516,14 +516,20 @@ def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, mon
         return draw_clipped(gen, shape, bound, out)
 
     monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
+    # blocks of 7 steps, not the default, so a burn-in that ignored the
+    # block size would draw other sizes
+    monkeypatch.setattr(sievar.irf, "DRAW_STEPS", 7)
     shock = ShockSpec(1.0, bump34, 3)
     got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200, threads=threads)
     draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
     # three chunks, the last one short, each draw fills at most its
     # process's block, and there is one block per process
-    block = sievar.irf.DRAW_STEPS * 2 * 200
+    block = 7 * 2 * 200
     assert all(base == block and size <= block for _, _, base, size in draws)
-    assert sum(size for *_, size in draws) == 500 * (60 + 4) * 2
+    # per chunk of B columns: a 60-step burn-in in eight 7-step blocks and a
+    # 4-step one, then the 4-step future
+    steps = [7] * 8 + [4, 4]
+    assert sorted(size for *_, size in draws) == sorted(s * 2 * b for b in (200, 200, 100) for s in steps)
     blocks = {(pid, base_id) for pid, base_id, _, _ in draws}
     assert len(blocks) == len({pid for pid, *_ in draws}) == min(threads, 3)
     monkeypatch.undo()
