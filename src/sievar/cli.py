@@ -1,10 +1,12 @@
 """Command-line surface: simulate | estimate | irf | mc | diagnose | relax-check.
 
-Every run resolves its JSON config (unknown keys rejected), derives a
-content digest, writes results plus the resolved config echo into
-<out>/<command>-<digest>/, and is deterministic given config and seed.
-Exit codes: 0 success, 2 config or data error, 3 shock-compatibility error,
-4 numeric failure.
+Each config key is declared once in KEYS, with converter and default, and
+each command in COMMANDS lists the keys it accepts. A run resolves its JSON
+config against that table (unknown keys and bad values are config errors)
+before it creates <out>/<command>-<digest>/, where it writes its results,
+config.json (the resolved config) and run.json (the run manifest). Runs are
+deterministic given config and seed. Exit codes: 0 success, 2 config or data
+error, 3 shock-compatibility error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import json
 import resource
 import sys
 import time
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,13 +32,11 @@ from .diagnostics import estimate_delta_r, find_h_star
 from .estimator import fit_parametric, fit_two_step, max0_prior_form
 from .irf import (
     IncompatibleShockError,
-    IrfResult,
     RelaxationFn,
     ShockSpec,
     check_compatibility,
     estimated_irf,
     linear_irf,
-    linearized_reduction,
     population_irf,
 )
 from .model import (
@@ -52,74 +55,152 @@ EXIT_CONFIG = 2
 EXIT_COMPAT = 3
 EXIT_NUMERIC = 4
 
+IRF_METHODS = ("sieve", "parametric_max0", "linear", "population")
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(cfg: dict, allowed: set[str], context: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-
-
-def _relaxation_from(cfg: dict | None) -> RelaxationFn:
-    if cfg is None:
-        return RelaxationFn.symmetric_bump(3.0, 4.0)
-    _check_keys(cfg, {"kind", "c", "alpha", "a", "b"}, "relaxation")
-    kind = cfg.get("kind", "symmetric_bump")
-    if kind == "constant_one":
-        return RelaxationFn.constant_one()
-    if kind == "symmetric_bump":
-        return RelaxationFn.symmetric_bump(float(cfg["c"]), float(cfg["alpha"]))
-    if kind == "interval_bump":
-        return RelaxationFn.interval_bump(float(cfg["a"]), float(cfg["b"]), float(cfg["alpha"]))
-    raise ConfigError(f"unknown relaxation kind {kind!r}")
-
-
-def _plan_from(cfg: dict | None, x: np.ndarray, p: int) -> SievePlan:
-    """Sieve config: degree, knots = list | "quantile:<count>", domain = [a,b] | "data"."""
-    cfg = dict(cfg or {})
-    _check_keys(cfg, {"degree", "knots", "domain"}, "sieve")
-    degree = int(cfg.get("degree", 3))
-    domain = cfg.get("domain", "data")
-    knots = cfg.get("knots", [0.0])
-    try:
-        if isinstance(knots, str):
-            if not knots.startswith("quantile:"):
-                raise ConfigError("knots must be a list or 'quantile:<count>'")
-            count = int(knots.split(":", 1)[1])
-            kv = knots_from_quantiles(x, count, degree)
-            if domain != "data":
-                kv = KnotVector(degree, kv.interior, float(domain[0]), float(domain[1]))
-        else:
-            if domain == "data":
-                lo, hi = float(np.min(x)), float(np.max(x))
-            else:
-                lo, hi = float(domain[0]), float(domain[1])
-            kv = KnotVector(degree, tuple(float(k) for k in knots), lo, hi)
-    except ValueError as exc:
-        raise ConfigError(f"invalid sieve config: {exc}") from exc
-    return SievePlan(x_blocks=tuple(kv for _ in range(p + 1)))
-
-
-def _resolve_out_dir(base: str, command: str, cfg: dict) -> Path:
-    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
-    out = Path(base) / f"{command}-{digest}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @contextlib.contextmanager
-def _config_values():
-    """Raise a ValueError of a config value's conversion or argument check as
-    a ConfigError. LinAlgError is a ValueError too, but a numeric failure."""
+def _config_values(context: str = ""):
+    """Raise a failed conversion or argument check of a config value as a
+    ConfigError. LinAlgError is a ValueError too, but a numeric failure."""
     try:
         yield
-    except np.linalg.LinAlgError:
+    except (ConfigError, np.linalg.LinAlgError):
         raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"{context}: {message}" if context else message) from exc
+
+
+def _typed(kind: type | tuple[type, ...], what: str, cast: Callable = lambda v: v) -> Callable:
+    """A converter taking JSON values of Python type `kind` (a bool only when
+    `kind` is bool) and returning them cast."""
+    def convert(v):
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            raise TypeError(f"expected {what}, got {v!r}")
+        return cast(v)
+    return convert
+
+
+_int = _typed(int, "an integer")
+_float = _typed((int, float), "a number", float)
+_bool = _typed(bool, "true or false")
+_str = _typed(str, "a string")
+_object = _typed(dict, "a JSON object")
+
+
+def _list_of(item: Callable, length: int | None = None) -> Callable:
+    def convert(v) -> tuple:
+        if not isinstance(v, list) or length not in (None, len(v)):
+            raise TypeError(f"expected a list{f' of {length}' if length else ''}, got {v!r}")
+        return tuple(item(x) for x in v)
+    return convert
+
+
+def _choice(*options: str) -> Callable:
+    def convert(v) -> str:
+        if v not in options:
+            raise ValueError(f"expected one of {list(options)}, got {v!r}")
+        return v
+    return convert
+
+
+def _knots(v):
+    """A list of interior knots, or "quantile:<count>"."""
+    if isinstance(v, str):
+        if not (v.startswith("quantile:") and v[9:].isdigit()):
+            raise ValueError(f"knots must be a list or 'quantile:<count>', got {v!r}")
+        return v
+    return _list_of(_float)(v)
+
+
+def _domain(v):
+    """An interval [a, b], or "data" for the sample range."""
+    return v if v == "data" else _list_of(_float, 2)(v)
+
+
+def _relaxation(v: dict) -> RelaxationFn:
+    """The shock relaxation; a kind left out is the symmetric bump."""
+    return RelaxationFn(**{"kind": "symmetric_bump"} | v)
+
+
+@dataclass(frozen=True)
+class Key:
+    """A config key. ``convert`` checks its JSON value and returns what the
+    run uses; ``default`` is the JSON value taken when the key is absent or
+    null (None: no default); ``table`` makes the value an object with keys of
+    its own, resolved before ``convert``; ``study`` names the StudyConfig
+    field that ``mc`` sets from it, when that is not the key's own name."""
+
+    convert: Callable[[Any], Any] = lambda v: v
+    default: Any = None
+    table: dict[str, Key] | None = None
+    study: str | None = None
+
+
+SIEVE = {"degree": Key(_int, 3), "knots": Key(_knots, [0.0]), "domain": Key(_domain, "data")}
+RELAXATION = {
+    "kind": Key(_choice("symmetric_bump", "interval_bump", "constant_one")),
+    "c": Key(_float), "alpha": Key(_float), "a": Key(_float), "b": Key(_float),
+}
+DATA = {"path": Key(_str), "structural": Key(_str), "columns": Key(_list_of(_str))}
+KEYS = {
+    # the sample: a CSV table, or simulated from a model
+    "data": Key(table=DATA),
+    "model": Key(_object),
+    "dgp": Key(_int),
+    "ar": Key(_list_of(_float)),
+    "phi_shift": Key(_bool, False),
+    "n": Key(_int, 240),
+    "burn_in": Key(_int, 500),
+    "seed": Key(_int, 0, study="master_seed"),
+    # fits and responses
+    "p": Key(_int),  # default: the model's lag order, 1 for a data table
+    "sieve": Key(default={}, table=SIEVE),
+    "grid_points": Key(_int, 101),
+    "fit_bundle": Key(_str),
+    "methods": Key(_list_of(_choice(*IRF_METHODS)), ["sieve", "linear"]),
+    "deltas": Key(_list_of(_float), [1.0]),
+    "horizon": Key(_int, 12),
+    "relaxation": Key(_relaxation, {"c": 3.0, "alpha": 4.0}, RELAXATION),
+    "population_replications": Key(_int, 20_000, study="pop_replications"),
+    "replications": Key(_int, 2000, study="mc_replications"),
+    "estimators": Key(_list_of(_str)),
+    "target_relaxed": Key(_bool, True),
+    "estimator_relaxed": Key(_bool, True),
+    "paper_scale": Key(_bool, False),
+    # diagnostics and the compatibility check
+    "mode": Key(_choice("dependence", "stability", "both"), "both"),
+    "r": Key(_float, 2.0),
+    "h_max": Key(_int, 10),
+    "samples": Key(_int, 200),
+    "h_cap": Key(_int, 10),
+    "support": Key(_list_of(_float, 2), [-3.0, 3.0]),
+}
+
+
+def _resolve(raw: dict, table: dict[str, Key], fill: bool = True, path: str = "") -> dict:
+    """Check and convert a config object against its key table; absent or
+    null keys take their defaults when ``fill`` is set and are left out
+    otherwise. ``path`` prefixes the keys of a nested object in messages."""
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown keys: {sorted(path + name for name in unknown)}")
+    resolved = {}
+    for name, key in table.items():
+        value = raw.get(name)
+        if value is None and fill:
+            value = key.default
+        if value is None:
+            continue
+        with _config_values(path + name):
+            if key.table is not None:
+                value = _resolve(_object(value), key.table, fill, f"{path}{name}.")
+            resolved[name] = key.convert(value)
+    return resolved
 
 
 def _peak_rss_mb() -> dict[str, float]:
@@ -132,129 +213,122 @@ def _peak_rss_mb() -> dict[str, float]:
     }
 
 
-def _echo_config(out_dir: Path, cfg: dict) -> None:
-    (out_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+@dataclass
+class Run:
+    """A command's run directory, <out>/<command>-<digest>/, named by the
+    config as given after the flag overrides and created on first use."""
+
+    command: str
+    raw: dict
+    out: Path
+    threads: int
+
+    @cached_property
+    def dir(self) -> Path:
+        digest = hashlib.sha256(json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:12]
+        path = self.out / f"{self.command}-{digest}"
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+
+    def finish(self, cfg: dict, seed: int, **fields) -> int:
+        """Write config.json (the resolved config) and run.json (versions,
+        seed, peak memory and the command's own fields)."""
+        manifest = {
+            "sievar_version": __version__, "numpy_version": np.__version__,
+            "seed": seed, "peak_rss_mb": _peak_rss_mb(), **fields,
+        }
+        for name, doc in (("config.json", cfg), ("run.json", manifest)):
+            text = json.dumps(doc, indent=2, sort_keys=True, default=dataclasses.asdict)
+            (self.dir / name).write_text(text + "\n")
+        print(self.dir)
+        return EXIT_OK
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
-
-
-def _source_sample(cfg: dict, seed_override: int | None):
-    """Data source: either a CSV table or a simulated built-in DGP."""
-    if "data" in cfg and cfg["data"] is not None:
-        dcfg = dict(cfg["data"])
-        _check_keys(dcfg, {"path", "structural", "columns"}, "data")
-        try:
-            dataset = dataio.read_dataset(
-                Path(dcfg["path"]), dcfg.get("structural"), dcfg.get("columns")
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if dataset.dropped_rows:
-            print(f"dropped {dataset.dropped_rows} rows with gaps", file=sys.stderr)
-        return dataset, None
-    if "model" in cfg and cfg["model"] is not None:
-        try:
-            spec = dataio.spec_from_config(cfg["model"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"invalid model config: {exc}") from exc
-    elif "dgp" in cfg:
-        dgp_id = int(cfg["dgp"])
-        if not 1 <= dgp_id <= 7:
-            raise ConfigError(f"dgp id must be in 1..7, got {dgp_id}")
-        spec = builtin_dgp(dgp_id, phi_shift=bool(cfg.get("phi_shift", False)))
-    else:
-        raise ConfigError("one of 'data', 'dgp', or 'model' must be given")
-    seed = int(cfg.get("seed", 0)) if seed_override is None else seed_override
-    n = int(cfg.get("n", 240))
-    burn_in = int(cfg.get("burn_in", 500))
-    return simulate(spec, n, seed, burn_in), spec
-
-
-def cmd_simulate(cfg: dict, args) -> int:
-    _check_keys(cfg, {"dgp", "model", "n", "seed", "burn_in", "phi_shift"}, "simulate")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg.setdefault("seed", 0)
-    out_dir = _resolve_out_dir(args.out, "simulate", cfg)
-    path, _ = _source_sample(cfg, None)
-    dataio.write_simpath(path, out_dir / "path.csv")
-    _echo_config(out_dir, {"n": 240, "burn_in": 500} | cfg)
-    print(out_dir)
-    return EXIT_OK
-
-
-def cmd_estimate(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        {"dgp", "model", "n", "seed", "burn_in", "phi_shift", "data", "p", "sieve", "grid_points"},
-        "estimate",
+def _ar_spec(coeffs: tuple[float, ...]) -> ModelSpec:
+    p = len(coeffs)
+    lag_mats = np.array([[[c]] for c in coeffs]) if p else np.zeros((0, 1, 1))
+    return ModelSpec(
+        d_y=0, p=p, mu=np.zeros(1), lags=LagPolynomial(lag_mats), impact=(),
+        b0_21=np.zeros(0), innovation=InnovationLaw(sigma=(1.0,), bound=3.0),
     )
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = _resolve_out_dir(args.out, "estimate", cfg)
-    sample, spec = _source_sample(cfg, None)
-    p = int(cfg.get("p", spec.p if spec is not None else 1))
-    plan = _plan_from(cfg.get("sieve"), np.asarray(sample.x), p)
+
+
+def _spec(cfg: dict) -> ModelSpec | None:
+    """The model of the run's source: `model`, a built-in `dgp` or `ar`
+    coefficients; None when the sample is a `data` table."""
+    if "data" in cfg:
+        return None
+    if "model" in cfg:
+        with _config_values("model"):
+            return dataio.spec_from_config(cfg["model"])
+    with _config_values():
+        if "dgp" in cfg:
+            return builtin_dgp(cfg["dgp"], phi_shift=cfg["phi_shift"])
+        if "ar" in cfg:
+            return _ar_spec(cfg["ar"])
+    raise ConfigError("the config names no source: give data, model, dgp or ar")
+
+
+def _sample(cfg: dict):
+    """The run's sample, and its model when it is simulated."""
+    spec = _spec(cfg)
+    if spec is not None:
+        return simulate(spec, cfg["n"], cfg["seed"], cfg["burn_in"]), spec
+    data = cfg["data"]
+    with _config_values("data"):
+        dataset = dataio.read_dataset(Path(data["path"]), data.get("structural"), data.get("columns"))
+    if dataset.dropped_rows:
+        print(f"dropped {dataset.dropped_rows} rows with gaps", file=sys.stderr)
+    return dataset, None
+
+
+def _plan_from(sieve: dict, x: np.ndarray, p: int) -> SievePlan:
+    """One knot vector for every lag: degree, knots (a list or
+    "quantile:<count>") and domain ([a, b] or "data")."""
+    degree, knots, domain = sieve["degree"], sieve["knots"], sieve["domain"]
+    with _config_values("sieve"):
+        if isinstance(knots, str):
+            kv = knots_from_quantiles(x, int(knots.removeprefix("quantile:")), degree)
+            if domain != "data":
+                kv = KnotVector(degree, kv.interior, *domain)
+        else:
+            lo, hi = (float(np.min(x)), float(np.max(x))) if domain == "data" else domain
+            kv = KnotVector(degree, knots, lo, hi)
+    return SievePlan(x_blocks=(kv,) * (p + 1))
+
+
+def cmd_simulate(cfg: dict, run: Run) -> int:
+    path, _ = _sample(cfg)
+    dataio.write_simpath(path, run.dir / "path.csv")
+    return run.finish(cfg, cfg["seed"])
+
+
+def cmd_estimate(cfg: dict, run: Run) -> int:
+    sample, spec = _sample(cfg)
+    p = cfg.setdefault("p", spec.p if spec is not None else 1)
+    plan = _plan_from(cfg["sieve"], np.asarray(sample.x), p)
     fit = fit_two_step(sample, plan)
-    dataio.save_fitted(fit, out_dir / "fitted.json")
-    grid_points = int(cfg.get("grid_points", 101))
-    lo = min(kv.lo for kv in plan.x_blocks if kv is not None)
-    hi = max(kv.hi for kv in plan.x_blocks if kv is not None)
-    grid = np.linspace(lo, hi, grid_points)
-    with open(out_dir / "function_grid.csv", "w", encoding="utf-8") as fh:
+    dataio.save_fitted(fit, run.dir / "fitted.json")
+    kv = plan.x_blocks[0]  # every lag shares one knot vector
+    grid = np.linspace(kv.lo, kv.hi, cfg["grid_points"])
+    with open(run.dir / "function_grid.csv", "w", encoding="utf-8") as fh:
         fh.write("equation,lag,x,value\n")
         for i in range(fit.d_y):
             for j in range(p + 1):
                 vals = fit.impact_function(i, j)(grid)
                 for xv, gv in zip(grid, vals):
                     fh.write(f"{i},{j},{float(xv)!r},{float(gv)!r}\n")
-    resolved = {"p": p, "grid_points": grid_points,
-                "sieve": dict(cfg.get("sieve") or {"degree": 3, "knots": [0.0], "domain": "data"})}
-    _echo_config(out_dir, resolved | cfg)
-    print(out_dir)
-    return EXIT_OK
+    return run.finish(cfg, cfg["seed"])
 
 
-def cmd_irf(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        {
-            "dgp", "model", "n", "seed", "burn_in", "phi_shift", "data", "p", "sieve",
-            "fit_bundle", "methods", "deltas", "horizon", "relaxation",
-            "population_replications",
-        },
-        "irf",
-    )
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = _resolve_out_dir(args.out, "irf", cfg)
-    sample, spec = _source_sample(cfg, None)
-    x = np.asarray(sample.x)
-    p = int(cfg.get("p", spec.p if spec is not None else 1))
-    horizon = int(cfg.get("horizon", 12))
-    deltas = [float(d) for d in cfg.get("deltas", [1.0])]
-    rho = _relaxation_from(cfg.get("relaxation"))
-    methods = list(cfg.get("methods", ["sieve", "linear"]))
-    known = {"sieve", "parametric_max0", "linear", "population"}
-    if not set(methods) <= known:
-        raise ConfigError(f"methods must be a subset of {sorted(known)}")
-    if "population" in methods and args.threads < 1:
-        raise ConfigError("threads must be at least 1")
-
+def cmd_irf(cfg: dict, run: Run) -> int:
+    sample, spec = _sample(cfg)
+    p = cfg.setdefault("p", spec.p if spec is not None else 1)
+    methods, horizon, rho = cfg["methods"], cfg["horizon"], cfg["relaxation"]
+    if "population" in methods and spec is None:
+        raise ConfigError("population IRFs need a model source, not a data table")
     if spec is not None and rho.kind != "constant_one":
-        for delta in deltas:
+        for delta in cfg["deltas"]:
             verdict = check_compatibility(rho, delta, spec.innovation.support(0))
             if not verdict.compatible:
                 raise IncompatibleShockError(
@@ -262,42 +336,35 @@ def cmd_irf(cfg: dict, args) -> int:
                     f"worst margin {verdict.worst_margin:.6g}"
                 )
 
-    results: list[IrfResult] = []
-    for delta in deltas:
-        shock = ShockSpec(delta, rho, horizon)
-        if "sieve" in methods:
-            if cfg.get("fit_bundle"):
-                fit = dataio.load_fitted(Path(cfg["fit_bundle"]))
-            else:
-                fit = fit_two_step(sample, _plan_from(cfg.get("sieve"), x, p))
-            results.append(estimated_irf(fit, sample, shock))
-        if "parametric_max0" in methods:
-            pfit = fit_parametric(sample, p, max0_prior_form(p))
-            res = estimated_irf(pfit, sample, shock)
-            results.append(
-                IrfResult(res.values, res.variables, "parametric_max0", delta,
-                          res.relaxation, res.n_used, res.seed, res.clamped)
-            )
-        if "linear" in methods:
-            lfit = fit_two_step(sample, SievePlan(x_blocks=(None,) * (p + 1)))
-            results.append(linear_irf(lfit.lags, lfit.b0_21, delta, horizon))
-        if "population" in methods:
-            if spec is None:
-                raise ConfigError("population IRFs need a built-in dgp source")
-            results.append(
-                population_irf(
-                    spec, shock,
-                    replications=int(cfg.get("population_replications", 20_000)),
-                    seed=int(cfg.get("seed", 0)),
-                    threads=args.threads,
-                )
-            )
-    dataio.write_irfs(results, out_dir / "irf.csv")
-    resolved = {"p": p, "horizon": horizon, "deltas": deltas, "methods": methods,
-                "relaxation": {"kind": rho.kind, "c": rho.c, "alpha": rho.alpha,
-                               "a": rho.a, "b": rho.b}}
-    cfg = resolved | cfg
+    # each estimator is fitted once and serves every shock size
+    fits = {}
+    if "sieve" in methods:
+        fits["sieve"] = (
+            dataio.load_fitted(Path(cfg["fit_bundle"])) if cfg.get("fit_bundle")
+            else fit_two_step(sample, _plan_from(cfg["sieve"], np.asarray(sample.x), p))
+        )
+    if "parametric_max0" in methods:
+        fits["parametric_max0"] = fit_parametric(sample, p, max0_prior_form(p))
+    if "linear" in methods:
+        fits["linear"] = fit_two_step(sample, SievePlan(x_blocks=(None,) * (p + 1)))
 
+    def response(method: str, shock: ShockSpec):
+        if method == "sieve":
+            return estimated_irf(fits[method], sample, shock)
+        if method == "parametric_max0":
+            return dataclasses.replace(estimated_irf(fits[method], sample, shock), method=method)
+        if method == "linear":
+            return linear_irf(fits[method].lags, fits[method].b0_21, shock.delta, horizon)
+        return population_irf(
+            spec, shock, replications=cfg["population_replications"], seed=cfg["seed"],
+            threads=run.threads,
+        )
+
+    results = [
+        response(method, ShockSpec(delta, rho, horizon))
+        for delta in cfg["deltas"] for method in IRF_METHODS if method in methods
+    ]
+    dataio.write_irfs(results, run.dir / "irf.csv")
     d_y = results[0].values.shape[1] - 1
     panels = []
     for v in range(1 + d_y):
@@ -307,89 +374,26 @@ def cmd_irf(cfg: dict, args) -> int:
             for r in results
         ]
         panels.append({"title": f"response of {name}", "xlabel": "horizon", "series": series})
-    (out_dir / "irf.svg").write_text(render_panels(panels))
-    _echo_config(out_dir, cfg)
-    print(out_dir)
-    return EXIT_OK
+    (run.dir / "irf.svg").write_text(render_panels(panels))
+    return run.finish(cfg, cfg["seed"])
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-# mc config key (sieve keys prefixed "sieve.") -> (StudyConfig field, converter)
-MC_OVERRIDES = {
-    "n": ("n", int),
-    "replications": ("mc_replications", int),
-    "population_replications": ("pop_replications", int),
-    "deltas": ("deltas", _floats),
-    "horizon": ("horizon", int),
-    "estimators": ("estimators", tuple),
-    "relaxation": ("relaxation", _relaxation_from),
-    "seed": ("master_seed", int),
-    "burn_in": ("burn_in", int),
-    "phi_shift": ("phi_shift", bool),
-    "target_relaxed": ("target_relaxed", bool),
-    "estimator_relaxed": ("estimator_relaxed", bool),
-    "sieve.degree": ("degree", int),
-    "sieve.knots": ("knots", _floats),
-    "sieve.domain": ("domain", lambda v: None if v == "data" else (float(v[0]), float(v[1]))),
-}
-
-
-def cmd_mc(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        {
-            "dgp", "n", "replications", "population_replications", "deltas",
-            "horizon", "estimators", "relaxation", "sieve", "seed", "phi_shift",
-            "target_relaxed", "estimator_relaxed", "burn_in", "paper_scale",
-        },
-        "mc",
-    )
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.paper_scale:
-        cfg["paper_scale"] = True
-    out_dir = _resolve_out_dir(args.out, "mc", cfg)
+def cmd_mc(cfg: dict, run: Run) -> int:
     if "dgp" not in cfg:
         raise ConfigError("'dgp' is required")
-    dgp_id = int(cfg["dgp"])
-    if not 1 <= dgp_id <= 7:
-        raise ConfigError(f"dgp id must be in 1..7, got {dgp_id}")
-    sieve = dict(cfg.get("sieve") or {})
-    _check_keys(sieve, {"degree", "knots", "domain"}, "sieve")
-
-    flat = cfg | {f"sieve.{k}": v for k, v in sieve.items()}
     overrides = {
-        field: convert(flat[key]) for key, (field, convert) in MC_OVERRIDES.items() if key in flat
+        KEYS[k].study or k: v for k, v in cfg.items() if k not in ("dgp", "paper_scale", "sieve")
     }
-    overrides["threads"] = args.threads
-    study_cfg = default_study_config(dgp_id)
-    if args.paper_scale or cfg.get("paper_scale"):
-        study_cfg = study_cfg.paper_scale()
-    try:
-        study_cfg = dataclasses.replace(study_cfg, **overrides)
-    except ValueError as exc:
-        raise ConfigError(f"invalid study config: {exc}") from exc
+    overrides |= cfg.get("sieve", {})
+    if overrides.get("domain") == "data":
+        overrides["domain"] = None
+    with _config_values("invalid study config"):
+        study_cfg = default_study_config(cfg["dgp"])
+        if cfg.get("paper_scale"):
+            study_cfg = study_cfg.paper_scale()
+        study_cfg = dataclasses.replace(study_cfg, threads=run.threads, **overrides)
     result = run_study(study_cfg)
-    dataio.write_study(result, out_dir / "study.csv")
-    manifest = {
-        "sievar_version": __version__,
-        "numpy_version": np.__version__,
-        "n_ok": result.n_ok,
-        "failed": len(result.failed),
-        "failure_causes": result.failure_causes,
-        "clamped": result.clamped,
-        "threads": study_cfg.threads,
-        "processes": result.processes,
-        "population_max_mc_se": [
-            {"delta": delta, "max_mc_se": float(np.max(irf.mc_se))}
-            for delta, irf in sorted(result.population.items())
-        ],
-        "peak_rss_mb": _peak_rss_mb(),
-    }
-    (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    dataio.write_study(result, run.dir / "study.csv")
 
     spec_d = result.population[study_cfg.deltas[0]].values.shape[1]
     panels = []
@@ -401,72 +405,39 @@ def cmd_mc(cfg: dict, args) -> int:
                 for (tag, delta) in sorted(store)
             ]
             panels.append({"title": f"{metric}, {name}", "xlabel": "horizon", "series": series})
-    (out_dir / "study.svg").write_text(render_panels(panels))
-    resolved = dataclasses.asdict(study_cfg)
-    resolved["relaxation"] = study_cfg.relaxation.describe()
-    _echo_config(out_dir, cfg | {"resolved": resolved})
-    print(out_dir)
-    return EXIT_OK
-
-
-def _ar_spec(coeffs: list[float]) -> ModelSpec:
-    p = len(coeffs)
-    lag_mats = np.array([[[float(c)]] for c in coeffs]) if p else np.zeros((0, 1, 1))
-    return ModelSpec(
-        d_y=0, p=p, mu=np.zeros(1), lags=LagPolynomial(lag_mats), impact=(),
-        b0_21=np.zeros(0), innovation=InnovationLaw(sigma=(1.0,), bound=3.0),
+    (run.dir / "study.svg").write_text(render_panels(panels))
+    return run.finish(
+        cfg | {"resolved": study_cfg}, study_cfg.master_seed,
+        n_ok=result.n_ok,
+        failed=len(result.failed),
+        failure_causes=result.failure_causes,
+        clamped=result.clamped,
+        threads=study_cfg.threads,
+        processes=result.processes,
+        population_max_mc_se=[
+            {"delta": delta, "max_mc_se": float(np.max(irf.mc_se))}
+            for delta, irf in sorted(result.population.items())
+        ],
     )
 
 
-def cmd_diagnose(cfg: dict, args) -> int:
-    _check_keys(
-        cfg,
-        {"dgp", "ar", "model", "mode", "r", "h_max", "replications", "samples", "h_cap", "seed", "phi_shift"},
-        "diagnose",
+def cmd_diagnose(cfg: dict, run: Run) -> int:
+    spec = _spec(cfg)
+    mode, seed = cfg["mode"], cfg["seed"]
+    fields = dict.fromkeys(
+        ("replications", "fit_residual", "dependence_s", "samples", "h_cap", "h_star", "c_z", "stability_s")
     )
-    mode = cfg.get("mode", "both")
-    if mode not in ("dependence", "stability", "both"):
-        raise ConfigError(f"mode must be 'dependence', 'stability' or 'both', got {mode!r}")
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = _resolve_out_dir(args.out, "diagnose", cfg)
-    with _config_values():
-        if "ar" in cfg:
-            spec = _ar_spec(list(cfg["ar"]))
-        elif "model" in cfg:
-            try:
-                spec = dataio.spec_from_config(cfg["model"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"invalid model config: {exc}") from exc
-        elif "dgp" in cfg:
-            spec = builtin_dgp(int(cfg["dgp"]), phi_shift=bool(cfg.get("phi_shift", False)))
-        else:
-            raise ConfigError("one of 'dgp', 'ar', or 'model' must be given")
-        seed = int(cfg.get("seed", 0))
-    lines = []
-    manifest = {
-        "sievar_version": __version__, "numpy_version": np.__version__, "mode": mode, "seed": seed,
-        "replications": None, "fit_residual": None, "dependence_s": None,
-        "samples": None, "h_cap": None, "h_star": None, "c_z": None, "stability_s": None,
-    }
+    lines, profile = [], None
     if mode in ("dependence", "both"):
         start = time.perf_counter()
         with _config_values():
             profile = estimate_delta_r(
-                spec,
-                r=float(cfg.get("r", 2.0)),
-                h_max=int(cfg.get("h_max", 10)),
-                replications=int(cfg.get("replications", 2000)),
-                seed=seed,
+                spec, r=cfg["r"], h_max=cfg["h_max"], replications=cfg["replications"], seed=seed
             )
-        manifest.update(
+        fields.update(
             replications=profile.replications, fit_residual=profile.fit_residual,
             dependence_s=time.perf_counter() - start,
         )
-        with open(out_dir / "dependence.csv", "w", encoding="utf-8") as fh:
-            fh.write("h,delta_r\n")
-            for h, v in enumerate(profile.delta_hat, start=1):
-                fh.write(f"{h},{float(v)!r}\n")
         lines += [
             f"physical dependence (r={profile.r:g}, {profile.replications} couplings)",
             f"  fit: a1={profile.a1:.6g}  a2={profile.a2:.6g}  tau={profile.tau:g}"
@@ -475,10 +446,9 @@ def cmd_diagnose(cfg: dict, args) -> int:
     if mode in ("stability", "both"):
         start = time.perf_counter()
         with _config_values():
-            h_cap = int(cfg.get("h_cap", 10))
-            report = find_h_star(spec, h_cap=h_cap, samples=int(cfg.get("samples", 200)), seed=seed)
-        manifest.update(
-            samples=report.samples, h_cap=h_cap, h_star=report.h_star, c_z=report.c_z,
+            report = find_h_star(spec, h_cap=cfg["h_cap"], samples=cfg["samples"], seed=seed)
+        fields.update(
+            samples=report.samples, h_cap=cfg["h_cap"], h_star=report.h_star, c_z=report.c_z,
             stability_s=time.perf_counter() - start,
         )
         lines += [
@@ -487,22 +457,21 @@ def cmd_diagnose(cfg: dict, args) -> int:
             f"  h_star: {report.h_star}  decay: "
             + " ".join(f"{v:.4g}" for v in report.decay),
         ]
-    manifest["peak_rss_mb"] = _peak_rss_mb()
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
-    (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if profile is not None:
+        with open(run.dir / "dependence.csv", "w", encoding="utf-8") as fh:
+            fh.write("h,delta_r\n")
+            for h, v in enumerate(profile.delta_hat, start=1):
+                fh.write(f"{h},{float(v)!r}\n")
+    (run.dir / "report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    _echo_config(out_dir, cfg)
-    return EXIT_OK
+    return run.finish(cfg, seed, mode=mode, **fields)
 
 
-def cmd_relax_check(cfg: dict, args) -> int:
-    _check_keys(cfg, {"relaxation", "deltas", "support"}, "relax-check")
-    rho = _relaxation_from(cfg.get("relaxation"))
-    support = cfg.get("support", [-3.0, 3.0])
-    deltas = [float(d) for d in cfg.get("deltas", [1.0])]
+def cmd_relax_check(cfg: dict, run: Run) -> int:
     all_ok = True
-    for delta in deltas:
-        verdict = check_compatibility(rho, delta, (float(support[0]), float(support[1])))
+    for delta in cfg["deltas"]:
+        with _config_values("support"):
+            verdict = check_compatibility(cfg["relaxation"], delta, cfg["support"])
         status = "compatible" if verdict.compatible else "INCOMPATIBLE"
         print(
             f"delta={delta:+g}: {status} (worst margin {verdict.worst_margin:.6g} "
@@ -510,6 +479,37 @@ def cmd_relax_check(cfg: dict, args) -> int:
         )
         all_ok = all_ok and verdict.compatible
     return EXIT_OK if all_ok else EXIT_COMPAT
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command's handler and the config keys it accepts; ``fill`` is False
+    for ``mc``, whose absent keys keep the study config's defaults."""
+
+    run: Callable[[dict, Run], int]
+    keys: tuple[str, ...]
+    fill: bool = True
+
+
+_SOURCE = ("dgp", "model", "n", "seed", "burn_in", "phi_shift")
+COMMANDS = {
+    "simulate": Command(cmd_simulate, _SOURCE),
+    "estimate": Command(cmd_estimate, _SOURCE + ("data", "p", "sieve", "grid_points")),
+    "irf": Command(cmd_irf, _SOURCE + (
+        "data", "p", "sieve", "fit_bundle", "methods", "deltas", "horizon", "relaxation",
+        "population_replications",
+    )),
+    "mc": Command(cmd_mc, (
+        "dgp", "n", "seed", "burn_in", "phi_shift", "replications", "population_replications",
+        "deltas", "horizon", "estimators", "relaxation", "sieve", "target_relaxed",
+        "estimator_relaxed", "paper_scale",
+    ), fill=False),
+    "diagnose": Command(cmd_diagnose, (
+        "dgp", "ar", "model", "seed", "phi_shift", "mode", "r", "h_max", "replications",
+        "samples", "h_cap",
+    )),
+    "relax-check": Command(cmd_relax_check, ("relaxation", "deltas", "support")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,33 +531,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--paper-scale", action="store_true",
         help="use the published replication counts (mc only)",
     )
-    parser.add_argument(
-        "command",
-        choices=["simulate", "estimate", "irf", "mc", "diagnose", "relax-check"],
-    )
+    parser.add_argument("command", choices=list(COMMANDS))
     return parser
-
-
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "estimate": cmd_estimate,
-    "irf": cmd_irf,
-    "mc": cmd_mc,
-    "diagnose": cmd_diagnose,
-    "relax-check": cmd_relax_check,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        cfg = _load_config(args)
-        handler = COMMANDS[args.command]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return handler(cfg, args)
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
+        with _config_values("config"):
+            raw = _object(json.loads(Path(args.config).read_text())) if args.config else {}
+        if args.seed is not None and "seed" in command.keys:
+            raw["seed"] = args.seed
+        if args.command == "simulate":
+            raw.setdefault("seed", 0)  # simulate's run directory has always hashed the seed
+        if args.paper_scale and "paper_scale" in command.keys:
+            raw["paper_scale"] = True
+        cfg = _resolve(raw, {k: KEYS[k] for k in command.keys}, command.fill)
+        return command.run(cfg, Run(args.command, raw, Path(args.out), args.threads))
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

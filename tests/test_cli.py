@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sievar
+import sievar.cli
 import sievar.model
 from sievar import dataio
-from sievar.cli import main
+from sievar.cli import COMMANDS, KEYS, build_parser, main
 from sievar.irf import ShockSpec
 
 from conftest import make_plan
@@ -52,7 +53,7 @@ def test_simulate_deterministic_output(tmp_path):
     assert code2 == 0
     assert (run_dir / "path.csv").read_bytes() == first
     echo = json.loads((run_dir / "config.json").read_text())
-    assert echo == {"burn_in": 500} | cfg  # resolved defaults included
+    assert echo == {"burn_in": 500, "phi_shift": False} | cfg  # resolved defaults included
 
 
 def test_simulate_invalid_dgp_exits_2(tmp_path):
@@ -371,7 +372,7 @@ def test_diagnose_bad_values_exit_2(tmp_path, capsys, bad):
     code, out = run_cli(tmp_path, "diagnose", {"dgp": 2, "replications": 100, "samples": 4, "seed": 1} | bad)
     assert code == 2
     assert "config error" in capsys.readouterr().err
-    assert not list(out.glob("diagnose-*/report.txt"))
+    assert not list(out.glob("diagnose-*"))
 
 
 def test_relax_check_exit_codes(tmp_path):
@@ -417,3 +418,133 @@ def test_quantile_knot_config(tmp_path):
     bundle = json.loads((only_run_dir(out, "estimate") / "fitted.json").read_text())
     knots = bundle["plan"][0]["interior"]
     assert len(knots) == 2 and knots[0] < knots[1]
+
+
+# (key, value) pairs that every command accepting the key must reject
+MALFORMED = [
+    ("n", "abc"), ("n", 240.5), ("n", True), ("seed", "one"), ("phi_shift", "no"),
+    ("support", [1]), ("support", [-3.0, "3"]), ("support", [3.0, -3.0]),
+    ("deltas", 1.0), ("deltas", ["1"]), ("relaxation", "bump"),
+    ("relaxation", {"kind": "symmetric_bump"}), ("relaxation", {"kind": "bogus", "c": 3.0}),
+    ("relaxation", {"c": 3.0, "alpha": 4.0, "beta": 1.0}),
+    ("sieve", [3]), ("sieve", {"domain": [1]}), ("sieve", {"degree": 2.5}),
+    ("sieve", {"knots": "quantile:x"}), ("estimators", "sieve"), ("methods", "sieve"),
+    ("methods", ["oracle"]), ("mode", 2), ("h_max", 1.5), ("ar", 0.5), ("model", [1]),
+    ("data", {"structural": "X"}), ("data", {"path": 3}), ("p", "1"), ("fit_bundle", 1),
+]
+# a small valid config of each command
+SMALL = {
+    "simulate": {"dgp": 2, "n": 60},
+    "estimate": {"dgp": 2, "n": 60},
+    "irf": {"dgp": 2, "n": 60, "horizon": 2},
+    "mc": {"dgp": 2, "n": 60, "horizon": 2, "replications": 4, "population_replications": 200},
+    "diagnose": {"dgp": 2, "replications": 100, "samples": 4, "h_max": 3},
+    "relax-check": {},
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [(command, {key: value}) for key, value in MALFORMED for command in COMMANDS
+     if key in COMMANDS[command].keys]
+    # mc's knots go to the study config, which takes no quantile knots
+    + [("mc", {"sieve": {"knots": "quantile:2"}}), ("simulate", {"model": {"d_y": 1}})]
+    + [(command, {"bogus": 1}) for command in COMMANDS],
+)
+def test_malformed_config_exits_2_and_leaves_no_run_dir(tmp_path, capsys, command, bad):
+    code, out = run_cli(tmp_path, command, SMALL[command] | bad)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob(f"{command}-*"))
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_zero_threads_exits_2_for_every_command(tmp_path, capsys, command):
+    code, out = run_cli(tmp_path, command, SMALL[command], "--threads", "0")
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob(f"{command}-*"))
+
+
+@pytest.mark.parametrize("command", [command for command in COMMANDS if command != "relax-check"])
+def test_every_run_writes_the_manifest(tmp_path, command):
+    code, out = run_cli(tmp_path, command, SMALL[command], "--seed", "5")
+    assert code == 0
+    run_dir = only_run_dir(out, command)
+    manifest = json.loads((run_dir / "run.json").read_text())
+    assert manifest["seed"] == 5
+    assert manifest["sievar_version"] == sievar.__version__
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["peak_rss_mb"]["self"] > 0.0
+    echo = json.loads((run_dir / "config.json").read_text())
+    assert echo["seed"] == 5 and echo["dgp"] == 2
+
+
+def spy_calls(monkeypatch, module, names: tuple[str, ...]) -> dict[str, int]:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_irf_fits_once_for_all_shock_sizes(tmp_path, monkeypatch):
+    calls = spy_calls(monkeypatch, sievar.cli, ("fit_two_step", "fit_parametric"))
+    cfg = {"dgp": 2, "n": 300, "seed": 4, "horizon": 4,
+           "methods": ["sieve", "parametric_max0", "linear"]}
+    deltas = [1.0, -1.0, 0.5]
+    rows = {}
+    for run in (deltas, *([d] for d in deltas)):
+        calls.update(fit_two_step=0, fit_parametric=0)
+        (tmp_path / str(len(rows))).mkdir()
+        code, out = run_cli(tmp_path / str(len(rows)), "irf", cfg | {"deltas": run})
+        assert code == 0
+        assert calls == {"fit_two_step": 2, "fit_parametric": 1}
+        rows[tuple(run)] = (only_run_dir(out, "irf") / "irf.csv").read_text().splitlines()[1:]
+    by_delta = {}
+    for row in rows[tuple(deltas)]:
+        by_delta.setdefault(row.rsplit(",", 1)[1], []).append(row)
+    assert len(by_delta) == len(deltas)
+    for d in deltas:
+        single = rows[(d,)]
+        assert by_delta[single[0].rsplit(",", 1)[1]] == single
+
+
+def test_irf_loads_the_fit_bundle_once(tmp_path, monkeypatch):
+    path = sievar.simulate(sievar.builtin_dgp(2), 300, seed=2)
+    dataio.save_fitted(sievar.fit_two_step(path, make_plan(path.x)), tmp_path / "fitted.json")
+    calls = spy_calls(monkeypatch, dataio, ("load_fitted",))
+    cfg = {"dgp": 2, "n": 300, "seed": 2, "horizon": 3, "deltas": [1.0, 0.5, -0.5],
+           "methods": ["sieve"], "fit_bundle": str(tmp_path / "fitted.json")}
+    code, _ = run_cli(tmp_path, "irf", cfg)
+    assert code == 0
+    assert calls == {"load_fitted": 1}
+
+
+def readme_key_table() -> dict[str, set[str]]:
+    """Command -> the keys that README's config-key table lists for it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table: dict[str, set[str]] = {}
+    for line in readme.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            for command in cells[-1].split(", "):
+                table.setdefault(command, set()).add(cells[0].strip("`"))
+    return table
+
+
+def test_readme_key_table_matches_the_declared_keys():
+    declared = {
+        command: set(spec.keys) | {
+            f"{key}.{sub}" for key in spec.keys if KEYS[key].table for sub in KEYS[key].table
+        }
+        for command, spec in COMMANDS.items()
+    }
+    assert readme_key_table() == declared
+
+
+def test_parser_commands_are_the_declared_commands():
+    (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert list(action.choices) == list(COMMANDS)
