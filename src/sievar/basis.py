@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class KnotVector:
 
     Its tables (``span_knots``, ``span_gaps``, ``span_power``, ``greville``
     and ``linear_projection``) are computed on first use, once per object,
-    and are read-only arrays.
+    and are read-only arrays; so is ``lookup``, a view of two of their rows.
     """
 
     degree: int
@@ -78,6 +79,13 @@ class KnotVector:
         define the degree+1 basis functions nonzero on the j-th knot span."""
         width = 2 * self.degree + 2
         return _read_only(np.lib.stride_tricks.sliding_window_view(self.knots, width).T.copy())
+
+    @cached_property
+    def lookup(self) -> "SpanLookup":
+        """The interior knots, bounds and left knot of each span, as
+        ``span_offsets`` reads them."""
+        deg = self.degree
+        return SpanLookup(self.span_knots[deg + 1, :-1], self.lo, self.hi, self.span_knots[deg])
 
     @cached_property
     def span_gaps(self) -> tuple[np.ndarray, ...]:
@@ -160,24 +168,44 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nodes), _read_only(weights)
 
 
-def _clamp_to_spans(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class SpanLookup(NamedTuple):
+    """What ``span_offsets`` reads to locate points in knot spans: the
+    interior knots, the domain bounds, the left knot of each span, and the
+    row of ``left`` at which a point's spans start. For one knot vector
+    (``KnotVector.lookup``) the bounds are scalars and ``start`` is None. The
+    points of several knot vectors with the same interior knots are located
+    in one call with per-point bounds and starts, their left knots stacked
+    in ``left``."""
+
+    interior: np.ndarray
+    lo: float | np.ndarray
+    hi: float | np.ndarray
+    left: np.ndarray
+    start: np.ndarray | None = None
+
+
+def _clamp_to_spans(lookup: SpanLookup, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flattened x clamped to the domain, and each point's knot span."""
-    x = np.clip(np.asarray(x, dtype=float), kv.lo, kv.hi).reshape(-1)
+    x = np.clip(np.asarray(x, dtype=float), lookup.lo, lookup.hi).reshape(-1)
     # span j runs from interior knot j-1 to interior knot j (the right knots of
     # all spans but the last); x = hi falls in the last
-    return x, np.searchsorted(kv.span_knots[kv.degree + 1, :-1], x, side="right")
+    span = np.searchsorted(lookup.interior, x, side="right")
+    if lookup.start is not None:
+        span += lookup.start
+    return x, span
 
 
-def span_offsets(kv: KnotVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def span_offsets(knots: KnotVector | SpanLookup, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Each point's knot span, its offset from the span's left knot, and the
     count of points outside the domain, clamped as in ``bspline_matrix``.
 
     ``x`` is flattened. NaN stays NaN in the offset and is not counted.
     """
+    lookup = knots.lookup if isinstance(knots, KnotVector) else knots
     x = np.asarray(x, dtype=float)
-    clamped, span = _clamp_to_spans(kv, x)
-    offset = clamped - kv.span_knots[kv.degree].take(span)
-    return span, offset, int(np.count_nonzero((x < kv.lo) | (x > kv.hi)))
+    clamped, span = _clamp_to_spans(lookup, x)
+    offset = clamped - lookup.left.take(span)
+    return span, offset, int(np.count_nonzero((x < lookup.lo) | (x > lookup.hi)))
 
 
 def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
@@ -190,7 +218,7 @@ def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
     1978), with the same arithmetic as the recursion over every function,
     so the matrix is the same to the last bit.
     """
-    x, span = _clamp_to_spans(kv, x)
+    x, span = _clamp_to_spans(kv.lookup, x)
     deg = kv.degree
     n = x.size
     t = kv.span_knots

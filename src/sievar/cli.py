@@ -34,8 +34,8 @@ from .irf import (
     IncompatibleShockError,
     RelaxationFn,
     ShockSpec,
+    _estimated_irfs,
     check_compatibility,
-    estimated_irf,
     linear_irf,
     population_irf,
 )
@@ -348,21 +348,27 @@ def cmd_irf(cfg: dict, run: Run) -> int:
     if "linear" in methods:
         fits["linear"] = fit_two_step(sample, SievePlan(x_blocks=(None,) * (p + 1)))
 
-    def response(method: str, shock: ShockSpec):
+    shocks = [ShockSpec(delta, rho, horizon) for delta in cfg["deltas"]]
+    # one sample check per fit serves every shock size
+    estimated = {
+        method: _estimated_irfs(fits[method], sample, shocks)
+        for method in ("sieve", "parametric_max0") if method in methods
+    }
+
+    def response(method: str, k: int):
         if method == "sieve":
-            return estimated_irf(fits[method], sample, shock)
+            return estimated[method][k]
         if method == "parametric_max0":
-            return dataclasses.replace(estimated_irf(fits[method], sample, shock), method=method)
+            return dataclasses.replace(estimated[method][k], method=method)
         if method == "linear":
-            return linear_irf(fits[method].lags, fits[method].b0_21, shock.delta, horizon)
+            return linear_irf(fits[method].lags, fits[method].b0_21, shocks[k].delta, horizon)
         return population_irf(
-            spec, shock, replications=cfg["population_replications"], seed=cfg["seed"],
+            spec, shocks[k], replications=cfg["population_replications"], seed=cfg["seed"],
             threads=run.threads,
         )
 
     results = [
-        response(method, ShockSpec(delta, rho, horizon))
-        for delta in cfg["deltas"] for method in IRF_METHODS if method in methods
+        response(method, k) for k in range(len(shocks)) for method in IRF_METHODS if method in methods
     ]
     dataio.write_irfs(results, run.dir / "irf.csv")
     d_y = results[0].values.shape[1] - 1
@@ -557,7 +563,8 @@ def main(argv: list[str] | None = None) -> int:
     except IncompatibleShockError as exc:
         print(f"shock compatibility error: {exc}", file=sys.stderr)
         return EXIT_COMPAT
-    except (PathDivergedError, np.linalg.LinAlgError, ValueError) as exc:
+    # run_study raises RuntimeError when more replications fail than allowed
+    except (PathDivergedError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -24,6 +24,7 @@ from .model import (  # noqa: F401
     LagPolynomial,
     ModelSpec,
     _forward,
+    _stack,
     derive_seed,
     draw_clipped,
     iterate_paths,
@@ -210,24 +211,29 @@ def variable_names(d_y: int) -> tuple[str, ...]:
     return ("X",) + tuple(f"Y{i + 1}" for i in range(d_y))
 
 
-def _warn_if_unrelaxed(spec: ModelSpec, shock: ShockSpec) -> None:
+def _warn_if_unrelaxed(spec: ModelSpec, shock: ShockSpec, stacklevel: int = 3) -> None:
     if shock.relaxation.kind == "constant_one" and shock.delta != 0.0:
         warnings.warn(
             "non-relaxed shock on a bounded innovation support: "
             "support violation possible at impact",
             SupportWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
 def _columns(a: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
     """(width, d, B) array whose entry [s, :, b] is column rows[b] + s of the
-    (d, n) array ``a``: a sliding-window view when the rows are consecutive,
-    else a gather. Each [s] is a (d, B) block with B contiguous."""
+    (d, n) array ``a``: a read-only window view when the rows are
+    consecutive, else a gather. Each [s] is a (d, B) block with B
+    contiguous."""
     if rows[-1] - rows[0] == rows.size - 1:
-        start = int(rows[0])
-        windows = np.lib.stride_tricks.sliding_window_view(a, rows.size, axis=1)
-        return windows[:, start : start + width].transpose(1, 0, 2)
+        # built directly, a tenth of the cost of a sliding_window_view; the
+        # ndarray constructor checks that the view stays inside ``a``
+        a = np.ascontiguousarray(a)
+        step = a.strides[1]
+        view = np.ndarray((width, a.shape[0], rows.size), a.dtype, a, int(rows[0]) * step, (step, a.strides[0], step))
+        view.flags.writeable = False
+        return view
     return np.take(a, rows + np.arange(width)[:, None], axis=1).transpose(1, 0, 2)
 
 
@@ -374,7 +380,19 @@ def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
     spline evaluations of the iterated paths. A fit whose one-step
     predictions from the observed histories miss the sample (in every
     column, or in X alone for an infeasible fit) raises ``ValueError``.
+
+    The fit is a group of one in the stacked path that ``run_study`` runs
+    its replications' fits through (``_check_samples`` and ``_responses``),
+    so a replication's response there has the bits of this call with
+    ``chunk`` at least its count of shocked impact times.
     """
+    return _estimated_irfs(fit, data, (shock,), chunk, stacklevel=4)[0]
+
+
+def _estimated_irfs(fit, data, shocks, chunk: int = 4096, stacklevel: int = 3) -> list[IrfResult]:
+    """``estimated_irf`` for each of ``shocks``, which share one horizon,
+    with one sample check. A warning points ``stacklevel`` frames up from
+    its own call, by default at this function's caller."""
     if chunk < 1:
         raise ValueError("chunk must be at least 1")
     x, y, _ = _as_xy(data)
@@ -383,52 +401,126 @@ def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
     n = x.size
     if fit.n_obs != n:
         raise ValueError("fit was not produced from this sample (length mismatch)")
-    _warn_if_unrelaxed(fit, shock)
-    p, d, h = fit.p, fit.d, shock.horizon
-    if h >= n - p:
-        raise ValueError("horizon exceeds sample")
-    usable = n - p - h
-    # the sample and residuals component-major; residual t is that of time t + p
-    zt = np.vstack([x, y.T])
-    rt = np.vstack([fit.first_stage.residuals, fit.residuals2.T])
+    h = shocks[0].horizon
+    for shock in shocks:
+        _warn_if_unrelaxed(fit, shock, stacklevel)
+        if shock.horizon >= n - fit.p:
+            raise ValueError("horizon exceeds sample")
+        if shock.horizon != h:
+            raise ValueError("the shocks must share one horizon")
+    sample = _sample(fit, x, y)
     replay = fit.generated == "first_stage"
     # the X step is the first stage for every fit kind; the Y steps reproduce
     # the sample only when stage II used the first-stage residuals
-    step, _ = _forward(fit, _columns(zt, np.arange(n - p), p), rt[None])
-    cols = slice(None) if replay else slice(0, 1)
-    miss = float(np.max(np.abs(step[0, cols] - zt[cols, p:])))
-    if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(zt)))):
-        raise ValueError(
-            f"fit was not produced from this sample: its residuals "
-            f"miss the observations by {miss:.3g}"
+    _check_samples([fit._step_plan], [sample], replay)
+    impacts = [[_impact(shock, fit.first_stage.residuals[: n - fit.p - h])] for shock in shocks]
+    values, clamped = _responses([fit._step_plan], [sample], impacts, h, replay, chunk)
+    return [
+        IrfResult(
+            values=v[0],
+            variables=variable_names(fit.d_y),
+            method="estimated",
+            delta=shock.delta,
+            relaxation=shock.relaxation.describe(),
+            n_used=n - fit.p - h,
+            seed=None,
+            clamped=c,
         )
-    w = shock.delta * np.asarray(relax_eval(shock.relaxation, rt[0, :usable]))
-    rows = np.flatnonzero(w) if replay else np.arange(usable)
-    total = np.zeros((h + 1, d))
-    clamped = 0
-    for start in range(0, rows.size, chunk):
-        # from impact t: the p-state history before it, its residual future
-        # and its observed continuation
-        live = rows[start : start + chunk]
-        state = _columns(zt, live, p)
-        eps = _columns(rt, live, h + 1)
-        if replay:
-            base, clamp_b = _columns(zt, live + p, h + 1), 0
-        else:
-            base, clamp_b = _forward(fit, state, eps)
-        shocked, clamp_s = _forward(fit, state, eps, impact=w[live])
-        total += np.subtract(shocked, base, out=shocked).sum(axis=2)
-        clamped += clamp_b + clamp_s
-    return IrfResult(
-        values=total / usable,
-        variables=variable_names(fit.d_y),
-        method="estimated",
-        delta=shock.delta,
-        relaxation=shock.relaxation.describe(),
-        n_used=usable,
-        seed=None,
-        clamped=clamped,
-    )
+        for v, c, shock in zip(values, clamped, shocks)
+    ]
+
+
+def _sample(fit, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sample and the fit's residuals component-major, as the plug-in
+    IRF reads them; residual t is that of time t + p."""
+    return np.vstack([x, y.T]), np.vstack([fit.first_stage.residuals, fit.residuals2.T])
+
+
+def _impact(shock: ShockSpec, eps_1: np.ndarray) -> np.ndarray:
+    """The shock delta * rho(eps_1t) at each impact time."""
+    return shock.delta * np.asarray(relax_eval(shock.relaxation, eps_1))
+
+
+def _parts(arrays: list):
+    # one model's arrays go to _forward as they are, several as a list
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
+def _check_samples(plans, samples, replay: bool) -> None:
+    """Raise ``ValueError`` unless each fit reproduces its sample: one step
+    from every observed history must give the observation, in every
+    component, or in X alone when ``replay`` is false. ``plans`` are the
+    fits' step plans, of one impact layout, and ``samples`` their
+    ``_sample`` arrays; all fits step side by side in one ``_forward`` call."""
+    p = plans[0].p
+    states = [_columns(zt, np.arange(zt.shape[1] - p), p) for zt, _ in samples]
+    step, _ = _forward(_stack(plans), _parts(states), _parts([rt[None] for _, rt in samples]))
+    comps = slice(None) if replay else slice(0, 1)
+    start = 0
+    for zt, _ in samples:
+        stop = start + zt.shape[1] - p
+        miss = float(np.max(np.abs(step[0, comps, start:stop] - zt[comps, p:])))
+        if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(zt)))):
+            raise ValueError(
+                f"fit was not produced from this sample: its residuals "
+                f"miss the observations by {miss:.3g}"
+            )
+        start = stop
+
+
+def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
+    """The plug-in responses of fits of one impact layout to their samples.
+
+    ``impacts[k][m]`` is fit m's shock at each of its impact times under
+    shock k (``_impact``). Returns, per shock, an (M, H+1, d) array of each
+    fit's mean response (``estimated_irf``'s values) and the count of
+    clamped spline evaluations in the iterated paths. A replay fit iterates
+    only its impact times with a nonzero shock. Each fit's iterated impact
+    times are cut into pieces of at most ``chunk``, and whole pieces run
+    side by side, up to ``chunk`` columns per ``_forward`` call. A fit sums
+    its own contiguous columns pairwise and its pieces in order, so its
+    response is the same whichever fits share its calls.
+    """
+    p, h = plans[0].p, horizon
+    values, clamped = [], []
+    for shock_rows in impacts:
+        pieces = []
+        for m, w in enumerate(shock_rows):
+            rows = np.flatnonzero(w) if replay else np.arange(w.size)
+            pieces += [(m, rows[i : i + chunk], w) for i in range(0, rows.size, chunk)]
+        calls, width = [], chunk
+        for piece in pieces:
+            if width + piece[1].size > chunk:
+                calls.append([])
+                width = 0
+            calls[-1].append(piece)
+            width += piece[1].size
+        total = np.zeros((len(samples), h + 1, samples[0][0].shape[0]))
+        count = 0
+        for call in calls:
+            # from impact t: the p-state history before it, its residual
+            # future and its observed continuation
+            plan = _stack([plans[m] for m, _, _ in call])
+            state = _parts([_columns(samples[m][0], live, p) for m, live, _ in call])
+            eps = _parts([_columns(samples[m][1], live, h + 1) for m, live, _ in call])
+            impact = np.concatenate([w[live] for _, live, w in call])
+            if not replay:
+                base_path, clamp_b = _forward(plan, state, eps)
+                count += clamp_b
+            shocked, clamp_s = _forward(plan, state, eps, impact=impact)
+            count += clamp_s
+            start = 0
+            for m, live, _ in call:
+                cols = slice(start, start + live.size)
+                base = _columns(samples[m][0], live + p, h + 1) if replay else base_path[:, :, cols]
+                diff = np.subtract(shocked[:, :, cols], base, out=shocked[:, :, cols])
+                total[m] += diff.sum(axis=2)
+                start = cols.stop
+        for m, w in enumerate(shock_rows):
+            total[m] /= w.size
+        values.append(total)
+        clamped.append(count)
+    return values, clamped
 
 
 def linear_irf(

@@ -22,6 +22,9 @@ and their impact features are contiguous length-B rows instead of strided
 columns, and a path summed over the batch is summed pairwise. The IRFs call
 the component-major loop ``_forward`` directly; ``iterate_paths`` and
 ``final_states`` wrap it for callers that pass and receive (B, T, d) arrays.
+``_forward`` also runs several models of one impact layout side by side, each
+on its own columns, from a stacked step plan (``_stack``): the study's fits of
+one estimator take one call per group of replications.
 """
 
 from __future__ import annotations
@@ -29,12 +32,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 # bspline_matrix is not called here, but perfbench's tracer wraps it in this module too
-from .basis import KnotVector, bspline_matrix, span_offsets  # noqa: F401
+from .basis import KnotVector, SpanLookup, bspline_matrix, span_offsets  # noqa: F401
 
 __all__ = [
     "NonlinFn",
@@ -129,16 +133,28 @@ class NonlinFn:
         return table
 
     def from_spans(self, span: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """Spline term value at points given by ``span_offsets``: a gather of
-        each point's span polynomial and a Horner pass in its offset."""
-        coef = self._span_table.take(span, axis=0)
-        # starting from 0 * offset keeps a NaN point NaN at degree 0 too
+        """Spline term value at points given by ``span_offsets``."""
+        return _horner(self._span_table, span, offset)
+
+
+def _horner(table: np.ndarray, span: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Rows ``span`` of a (#spans, degree + 1) power-coefficient table
+    evaluated at ``offset``: a gather of each point's span polynomial and a
+    Horner pass in its offset."""
+    coef = table.take(span, axis=0)
+    if coef.shape[1] == 1:
+        # 0 * offset keeps a NaN point NaN
         value = offset * 0.0
-        value += coef[:, -1]
-        for m in range(coef.shape[1] - 2, -1, -1):
-            value *= offset
-            value += coef[:, m]
+        value += coef[:, 0]
         return value
+    # starting from c_deg * offset saves the pass over 0 * offset + c_deg; the
+    # values are equal but for the sign of an exact zero
+    value = coef[:, -1] * offset
+    for m in range(coef.shape[1] - 2, 0, -1):
+        value += coef[:, m]
+        value *= offset
+    value += coef[:, 0]
+    return value
 
 
 ImpactMap = tuple[tuple[tuple[NonlinFn, ...], ...], ...]
@@ -319,17 +335,14 @@ class ModelSpec:
         return self.impact[equation][lag]
 
     @cached_property
-    def _impact_plan(self):
-        """The impact map as the forward iteration reads it: the feature
-        groups, one per transform kind or knot vector (by value, as each lag
-        of a loaded fit holds its own copy); the sorted lags that read each
-        group; and per Y equation its terms in summation order, as (lag,
-        group, term)."""
+    def _step_plan(self) -> "_StepPlan":
+        """The model as the forward iteration reads it: a stacked plan of one
+        model whose feature groups are one per transform kind or knot vector
+        (by value, as each lag of a loaded fit holds its own copy)."""
         keys: list = []
         lags: list[set[int]] = []
-        equations = []
-        for row in self.impact:
-            terms = []
+        terms = []
+        for i, row in enumerate(self.impact):
             for j, lag_terms in enumerate(row):
                 for term in lag_terms:
                     key = term.knots if term.kind == "spline" else term.kind
@@ -338,9 +351,73 @@ class ModelSpec:
                         lags.append(set())
                     g = keys.index(key)
                     lags[g].add(j)
-                    terms.append((j, g, term))
-            equations.append(tuple(terms))
-        return tuple(keys), tuple(tuple(sorted(s)) for s in lags), tuple(equations)
+                    table = term._span_table[None] if term.kind == "spline" else None
+                    terms.append((1 + i, j, g, np.array([term.scale]), table))
+        groups = tuple(
+            (key.lookup if isinstance(key, KnotVector) else key, tuple(sorted(s)))
+            for key, s in zip(keys, lags)
+        )
+        return _StepPlan(
+            self.p, self.d_y, self.lags.coeffs[None], self.mu[None], self.b0_21[None], groups, tuple(terms)
+        )
+
+
+class _StepPlan(NamedTuple):
+    """The parameters of M models that share one impact layout, stacked
+    model-major for ``_forward``: ``ModelSpec._step_plan`` is the plan of
+    one model and ``_stack`` joins plans. ``groups`` holds per feature group
+    its key, a transform kind or the ``SpanLookup`` of its knots, and the
+    sorted lags that read it. ``terms`` holds the impact terms of each Y
+    equation in summation order as (Y row, lag, group, (M,) scales, and for
+    a spline term its (M, #spans, degree + 1) span tables, scale folded
+    in)."""
+
+    p: int
+    d_y: int
+    a: np.ndarray  # (M, p, d, d) lag matrices
+    mu: np.ndarray  # (M, d)
+    b0_21: np.ndarray  # (M, d_y)
+    groups: tuple
+    terms: tuple
+
+    def layout(self) -> tuple:
+        """What models must share to be stacked."""
+        keys = tuple(key if isinstance(key, str) else key.interior.tobytes() for key, _ in self.groups)
+        terms = tuple((i, j, g, None if table is None else table.shape[1:]) for i, j, g, _, table in self.terms)
+        return self.p, self.d_y, self.a.shape[1:], keys, tuple(lags for _, lags in self.groups), terms
+
+
+def _stack(plans) -> _StepPlan:
+    """One plan of the models of ``plans``, plans of one model each, in
+    order. A spline group's bounds and span starts become (M,) arrays, its
+    left knots one model-major array."""
+    first = plans[0]
+    if len(plans) == 1:
+        return first
+    if any(plan.layout() != first.layout() for plan in plans[1:]):
+        raise ValueError("stacked models must share one impact layout")
+
+    def cat(values):
+        return np.concatenate(list(values))
+
+    groups = []
+    for g, (key, lags) in enumerate(first.groups):
+        if not isinstance(key, str):
+            keys = [plan.groups[g][0] for plan in plans]
+            key = SpanLookup(
+                key.interior, np.array([k.lo for k in keys]), np.array([k.hi for k in keys]),
+                cat(k.left for k in keys), np.arange(len(keys)) * key.left.size,
+            )
+        groups.append((key, lags))
+    terms = tuple(
+        (i, j, g, cat(plan.terms[k][3] for plan in plans),
+         None if table is None else cat(plan.terms[k][4] for plan in plans))
+        for k, (i, j, g, _, table) in enumerate(first.terms)
+    )
+    return _StepPlan(
+        first.p, first.d_y, cat(plan.a for plan in plans), cat(plan.mu for plan in plans),
+        cat(plan.b0_21 for plan in plans), tuple(groups), terms,
+    )
 
 
 @dataclass(frozen=True)
@@ -470,7 +547,7 @@ class _FeatureGroup(NamedTuple):
     """One feature group of a ``_forward`` call and its ring of features."""
 
     lowest_lag: int  # the lag whose step evaluates the group's new feature
-    key: str | KnotVector  # transform kind, or knot vector of spline terms
+    key: str | SpanLookup  # transform kind, or the knots of spline terms
     slots: np.ndarray  # (p + 1, B) rows a transform writes its features to
     features: list  # feature at the X of time index t, at t % (p + 1)
 
@@ -481,45 +558,71 @@ class _StepTerm(NamedTuple):
     row: int  # its Y row in a state
     lag: int
     features: list  # its group's ring
-    scale: float
-    spline: NonlinFn | None  # the term itself if a spline
+    scale: float | np.ndarray  # a transform's scale, per column for several models
+    table: np.ndarray | None  # a spline's (M * #spans, degree + 1) span tables
 
 
 # every step is checked for divergence; the overflow itself is expected there
 @np.errstate(over="ignore", invalid="ignore")
-def _forward(spec, states, eps, impact=None, keep_path=True):
+def _forward(model, states, eps, impact=None, keep_path=True):
     """The forward iteration, component-major.
 
-    ``states`` holds the states before the first step, oldest first, as a
-    (k, d, B) array or view with k = max(p, 1) or p; ``eps`` holds the
-    innovations as a (T, d, B) array or view, step s supplying (eps_1, xi_2)
-    for step s. A length-B ``impact`` row is added to component 0 of step 0,
-    as a shock written into a copy of the innovations would be. Neither input
-    is written. Returns the fresh (T, d, B) path, or without ``keep_path``
-    the (max(p, 1), d, B) states the iteration ends in, oldest first; and
-    the count of clamped spline-impact evaluations. The batch axis is the
-    contiguous one, so numpy sums a path over it pairwise, with an error
-    bound of O(log B u) rather than O(B u).
+    ``model`` is a ``ModelSpec`` or a ``_StepPlan`` of one model, with
+    ``states`` a (k, d, B) array or view of the states before the first
+    step, oldest first, with k = max(p, 1) or p, and ``eps`` a (T, d, B)
+    array or view of the innovations, step s supplying (eps_1, xi_2) for
+    step s. A plan of M models that share one impact layout (``_stack``)
+    takes lists of M such arrays instead, one per model, each with its own
+    width B_m: the models run side by side as one block of
+    B = sum B_m columns, model m on its own contiguous columns. A length-B
+    ``impact`` row is added to component 0 of step 0, as a shock written
+    into a copy of the innovations would be. No input is written. Returns
+    the fresh (T, d, B) path, or without ``keep_path`` the (max(p, 1), d, B)
+    states the iteration ends in, oldest first; and the count of clamped
+    spline-impact evaluations. The batch axis is the contiguous one, so
+    numpy sums a path over it pairwise, with an error bound of O(log B u)
+    rather than O(B u).
+
+    Each column's arithmetic is its own: every elementwise operation reads
+    its model's parameters spread over its columns, and each lag product is
+    one gemm per model over its own columns. So a model's columns get the
+    same bits whichever models share the call, and a ``ModelSpec`` is a
+    plan of one model.
 
     Each call plans its steps once: rows for the states, which without a
     path are a ring of max(p, 1) + 1; the innovations copied ``STAGE_STEPS``
     steps at a time into one contiguous block, along with each Y row's
-    b0_21 eps_1 + xi_2; and per feature group of ``ModelSpec._impact_plan``
-    a ring of p + 1 slots, which holds the group's feature at the X of the
-    last p + 1 time indices, so each X is transformed once however many
-    lags read it. A step then writes the lag products, the X row, one new
-    feature per group and the Y rows into these preallocated buffers.
+    b0_21 eps_1 + xi_2; and per feature group of the plan a ring of p + 1
+    slots, which holds the group's feature at the X of the last p + 1 time
+    indices, so each X is transformed once however many lags read it. A
+    step then writes the lag products, the X row, one new feature per group
+    and the Y rows into these preallocated buffers.
     """
-    p, d_y = spec.p, spec.d_y
-    steps, d, n_batch = eps.shape
+    plan = model if isinstance(model, _StepPlan) else model._step_plan
+    if isinstance(eps, np.ndarray):
+        states, eps = [states], [eps]
+    single = len(plan.mu) == 1
+    p, d_y = plan.p, plan.d_y
+    widths = [part.shape[2] for part in eps]
+    edges = list(accumulate(widths, initial=0))
+    cols = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    steps, d, n_batch = eps[0].shape[:2] + (edges[-1],)
     q, ring = max(p, 1), p + 1
-    a = spec.lags.coeffs
+
+    def per_column(values):
+        # per-model values, the model axis last, repeated over each model's
+        # columns; a single model's values broadcast as they are
+        return values if single else np.repeat(values, widths, axis=-1)
+
     # adding a full (d, B) block is two to three times faster than a (d, 1) broadcast
-    mu = np.repeat(spec.mu[:, None], n_batch, axis=1)
+    mu = np.repeat(plan.mu.T, widths, axis=1)
+    b0_21 = per_column(plan.b0_21.T)
     buf = np.empty((q + steps if keep_path else q + 1, d, n_batch))
     rows = len(buf)
-    buf[: q - len(states)] = np.nan  # the missing lag of p = 0, never read
-    buf[q - len(states) : q] = states
+    given = len(states[0])
+    buf[: q - given] = np.nan  # the missing lag of p = 0, never read
+    for c, part in zip(cols, states):
+        buf[q - given : q, :, c] = part
     flat = buf.reshape(rows, d * n_batch)
     zeros = np.zeros(d * n_batch)
     stage = np.empty((min(STAGE_STEPS, steps), d, n_batch))
@@ -527,28 +630,30 @@ def _forward(spec, states, eps, impact=None, keep_path=True):
     prod = np.empty((d, n_batch))
     term_value = np.empty(n_batch)
     scratch = np.empty(n_batch)
-    keys, lags, equations = spec._impact_plan
-    groups = [
-        _FeatureGroup(lags_g[0], key, np.empty((ring, n_batch)), [None] * ring)
-        for key, lags_g in zip(keys, lags)
-    ]
+    groups = []
+    for key, lags_g in plan.groups:
+        if not isinstance(key, str):
+            key = key._replace(lo=per_column(key.lo), hi=per_column(key.hi), start=per_column(key.start))
+        groups.append(_FeatureGroup(lags_g[0], key, np.empty((ring, n_batch)), [None] * ring))
     terms = [
-        _StepTerm(1 + i, j, groups[g].features, term.scale, term if term.kind == "spline" else None)
-        for i, row in enumerate(equations)
-        for j, g, term in row
+        _StepTerm(i, j, groups[g].features, scale[0] if single else per_column(scale),
+                  None if table is None else table.reshape(-1, table.shape[-1]))
+        for i, j, g, scale, table in plan.terms
     ]
+    # per model and lag its lag matrix, the columns it reads and writes
+    gemms = [[(a_m[lag], c) for a_m, c in zip(plan.a, cols)] for lag in range(p)]
 
     def evaluate(group: _FeatureGroup, t: int) -> None:
         # the group's feature at the X of buffer row t
         x, key = buf[t % rows, 0], group.key
-        if isinstance(key, KnotVector):
-            group.features[t % ring] = span_offsets(key, x)
-        else:
+        if isinstance(key, str):
             group.features[t % ring] = _TRANSFORMS[key](x, group.slots[t % ring], scratch)
+        else:
+            group.features[t % ring] = span_offsets(key, x)
 
     # rows of the given states that a lag reads before the step at which
     # its group's lowest lag would reach them
-    for group, lags_g in zip(groups, lags):
+    for group, (_, lags_g) in zip(groups, plan.groups):
         for t in sorted({q + s - j for j in lags_g for s in range(min(j - lags_g[0], steps))}):
             evaluate(group, t)
     clamped = 0
@@ -556,33 +661,34 @@ def _forward(spec, states, eps, impact=None, keep_path=True):
         k = s % STAGE_STEPS
         if k == 0:
             block = stage[: min(STAGE_STEPS, steps - s)]
-            block[...] = eps[s : s + len(block)]
+            for c, part in zip(cols, eps):
+                block[:, :, c] = part[s : s + len(block)]
             if s == 0 and impact is not None:
                 block[0, 0] += impact
-            np.multiply(block[:, :1], spec.b0_21[:, None], out=y_eps[: len(block)])
+            np.multiply(block[:, :1], b0_21, out=y_eps[: len(block)])
             y_eps[: len(block)] += block[:, 1:]
         r = q + s
         new = buf[r % rows]
         # mu + A_1 S_1 + A_2 S_2 + ..., summed left to right (adding mu to
         # A_1 S_1 gives the same bits as adding A_1 S_1 to mu)
-        if p:
-            np.matmul(a[0], buf[(r - 1) % rows], out=new)
-            new += mu
-        else:
+        if not p:
             new[...] = mu
-        for lag in range(2, p + 1):
-            new += np.matmul(a[lag - 1], buf[(r - lag) % rows], out=prod)
+        for lag in range(1, p + 1):
+            out, prev = new if lag == 1 else prod, buf[(r - lag) % rows]
+            for a_m, c in gemms[lag - 1]:
+                np.matmul(a_m, prev[:, c], out=out[:, c])
+            new += mu if lag == 1 else prod
         new[0] += stage[k, 0]
         for group in groups:
             evaluate(group, r - group.lowest_lag)
-        for i, j, features, scale, spline in terms:
+        for i, j, features, scale, table in terms:
             feature = features[(r - j) % ring]
-            if spline is None:
+            if table is None:
                 new[i] += np.multiply(feature, scale, out=term_value)
             else:
                 # clamped counts every term evaluation, shared spans or not
                 clamped += feature[2]
-                new[i] += spline.from_spans(feature[0], feature[1])
+                new[i] += _horner(table, feature[0], feature[1])
         new[1:] += y_eps[k]
         # 0 * x is 0 for finite x and NaN for inf or NaN, so the step is
         # finite exactly when its dot product with zeros is 0

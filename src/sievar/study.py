@@ -9,10 +9,20 @@ and the fits and IRFs of each batch are split into contiguous shares over
 the calling process and ``threads - 1`` forked worker processes. These run
 only where ``os.fork`` exists, the calling process runs a single thread,
 and BLAS is pinned to one thread (see the ``sievar`` package docstring);
-otherwise the calling process does all the work. The moments are summed per
-chunk of ``REPLICATION_CHUNK`` replications, in replication order, and the
-chunk sums merged in chunk order, so results are bit-identical for any
-thread count.
+otherwise the calling process does all the work.
+
+A process runs its share in stacked groups of consecutive replications,
+as many as fit ``GROUP_COLUMNS`` columns of one sample each. Every
+replication fits its first stage once and its estimators through the one
+least-squares solver, each with its own ridge fallback. Then, per
+estimator, the sample check of the group's fits is one ``_forward`` step
+and the shocked paths of each shock one ``_forward`` call, the fits side
+by side on their own columns (``irf._check_samples`` and
+``irf._responses``). A replication's errors have the same bits whichever
+replications share its group, and a group whose stacked call fails reruns
+its replications one at a time, so each failure stays with its own
+replication. The errors are kept in replication order and reduced once at
+the end, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -40,11 +49,16 @@ from .estimator import (  # noqa: F401
     fit_two_step,
     max0_prior_form,
 )
-from .irf import (
+# estimated_irf is not called here either, but the tracer wraps it here too
+from .irf import (  # noqa: F401
     IncompatibleShockError,
     IrfResult,
     RelaxationFn,
     ShockSpec,
+    _check_samples,
+    _impact,
+    _responses,
+    _sample,
     check_compatibility,
     estimated_irf,
     population_irf,
@@ -69,8 +83,12 @@ __all__ = [
 ]
 
 ESTIMATOR_TAGS = ("parametric_true", "parametric_max0", "sieve")
-REPLICATION_CHUNK = 25
 SIMULATION_BATCH = 250
+# columns per stacked _forward call of a group, sized by the study_dgp7
+# benchmark's peak RSS (n = 2400, 2 vCPUs): groups of one, 6,144, 8,192 and
+# 16,384 columns read about 48.0, 48.4, 49.7 and 52.1 MiB against the
+# unstacked 47.9, and 8,192 columns ran no faster than 6,144
+GROUP_COLUMNS = 6144
 
 
 @dataclass(frozen=True)
@@ -187,6 +205,20 @@ def _study_plan(cfg: StudyConfig, x: np.ndarray) -> SievePlan:
     return SievePlan(x_blocks=tuple(kv for _ in range(cfg.p + 1)))
 
 
+def _check_sieve(cfg: StudyConfig, d_y: int) -> None:
+    """Raise, before any work, the sieve's ``ValueError`` that the config
+    alone decides: knots that are not finite and increasing, or not inside
+    ``cfg.domain`` when one is given, and a design as wide as the usable
+    sample. What is left to a fit, a sample whose range misses a knot,
+    fails only its replication."""
+    if "sieve" not in cfg.estimators:
+        return
+    knots = cfg.knots or (0.0,)
+    lo, hi = cfg.domain if cfg.domain is not None else (min(knots) - 1.0, max(knots) + 1.0)
+    if _study_plan(cfg, np.array([lo, hi])).k_total(d_y) >= cfg.n - cfg.p:
+        raise ValueError("overparameterized sieve: K_total must be below the usable sample size")
+
+
 def _fit_one(cfg: StudyConfig, tag: str, path, first: FirstStageFit | None = None) -> FittedModel:
     """Estimator ``tag``'s fit to ``path``: the same bits as ``fit_two_step``
     or ``fit_parametric``. A replication fits its first stage once and passes
@@ -223,10 +255,96 @@ def _simulate_batch(spec, cfg: StudyConfig, seeds: list[int]) -> list:
     return paths
 
 
+def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[list, int]:
+    """Each replication's errors, an (estimators x deltas, H+1, d) array
+    against ``targets``, or its failure cause, for the paths (or the
+    simulation's failure causes) of one group; and the clamped count of the
+    successful replications. A replication fits its first stage once and
+    passes it to each of its estimators; a fit that raises
+    ``RuntimeError``, ``LinAlgError`` or ``ValueError`` (such as a sample
+    whose range misses an interior knot; ``_check_sieve`` has raised the
+    config's own errors before) fails its replication."""
+    outcomes = list(paths)
+    fitted = []
+    for i, path in enumerate(paths):
+        if isinstance(path, str):
+            continue
+        try:
+            first = first_stage(path.x, path.y, cfg.p)
+            fitted.append((i, path, [_fit_one(cfg, tag, path, first) for tag in cfg.estimators]))
+        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+            outcomes[i] = type(exc).__name__
+    errors, clamped = _respond(fitted, shocks, targets)
+    for (i, _, _), outcome in zip(fitted, errors):
+        outcomes[i] = outcome
+    return outcomes, clamped
+
+
+def _respond(fitted: list, shocks, targets) -> tuple[list, int]:
+    """The errors of the fitted replications of a group, or their failure
+    causes, and the clamped count of the successful ones. Per estimator the
+    group's fits run stacked: one sample check and one ``_responses`` call.
+    A group whose stacked call raises ``RuntimeError`` (a diverged path) or
+    ``LinAlgError`` reruns its replications one at a time, so each failure
+    stays with its own replication and keeps its cause."""
+    if not fitted:
+        return [], 0
+    try:
+        errors = np.empty((len(fitted), len(fitted[0][2]) * len(shocks)) + targets.shape[1:])
+        clamped = 0
+        h = shocks[0].horizon
+        # a replication's estimators share its first stage, and so its shocks
+        impacts = [
+            [_impact(shock, fits[0].first_stage.residuals[: path.n - fits[0].p - h]) for _, path, fits in fitted]
+            for shock in shocks
+        ]
+        for e, fits in enumerate(zip(*(fits for _, _, fits in fitted))):
+            plans = [fit._step_plan for fit in fits]
+            samples = [_sample(fit, path.x, path.y) for fit, (_, path, _) in zip(fits, fitted)]
+            _check_samples(plans, samples, True)
+            values, counts = _responses(plans, samples, impacts, h, True, GROUP_COLUMNS)
+            for k, v in enumerate(values):
+                errors[:, e * len(shocks) + k] = v - targets[k]
+            clamped += sum(counts)
+        return list(errors), clamped
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        if len(fitted) == 1:
+            return [type(exc).__name__], 0
+    outcomes, clamped = [], 0
+    for one in fitted:
+        out, count = _respond([one], shocks, targets)
+        outcomes += out
+        clamped += count
+    return outcomes, clamped
+
+
+def _moments(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bias, MSE and the MC standard error of the bias from (n, keys, H+1,
+    d) errors in replication order, one key at a time so the temporaries
+    stay small. The replications are summed pairwise, along a contiguous
+    axis, and the variance is the two-pass one with its rounding correction
+    (Chan, Golub & LeVeque 1983)."""
+    n = errors.shape[0]
+    bias, mse, se = (np.empty(errors.shape[1:]) for _ in range(3))
+    for i in range(errors.shape[1]):
+        # a (H+1, d, n) copy, each (horizon, component) row one contiguous run
+        # of replications; it is written in place below
+        e = np.moveaxis(errors[:, i], 0, -1).copy()
+        bias[i] = e.sum(axis=-1) / n
+        square = np.square(e)
+        mse[i] = square.sum(axis=-1) / n
+        dev = np.subtract(e, bias[i][..., None], out=e)
+        var = (np.square(dev, out=square).sum(axis=-1) - np.square(dev.sum(axis=-1)) / n) / n
+        se[i] = np.sqrt(np.maximum(var, 0.0) / n)
+    return bias, mse, se
+
+
 def run_study(cfg: StudyConfig) -> StudyResult:
     """Population reference once per shock, then simulate-fit-IRF per
-    replication and accumulate moments of (estimated - population)."""
+    replication, keeping each replication's errors (estimated - population)
+    and reducing them once at the end."""
     spec = builtin_dgp(cfg.dgp_id, phi_shift=cfg.phi_shift)
+    _check_sieve(cfg, spec.d_y)
     support = spec.innovation.support(0)
     if cfg.relaxation.kind != "constant_one":
         for delta in cfg.deltas:
@@ -250,78 +368,66 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             threads=cfg.threads,
         )
 
-    shape = (cfg.horizon + 1, spec.d)
+    shocks = tuple(ShockSpec(delta, est_rho, cfg.horizon) for delta in cfg.deltas)
+    targets = np.stack([population[delta].values for delta in cfg.deltas])
     keys = [(tag, delta) for tag in cfg.estimators for delta in cfg.deltas]
     m = cfg.mc_replications
-    sums = {k: np.zeros(shape) for k in keys}
-    sq = {k: np.zeros(shape) for k in keys}
-    n_ok = clamped = 0
+    errors = np.empty((m, len(keys)) + targets.shape[1:])
+    clamped = 0
     failed: list[int] = []
     causes: Counter[str] = Counter()
     processes = min(cfg.threads, m) if can_fork() else 1
+    group = max(1, GROUP_COLUMNS // (cfg.n - cfg.p))
 
-    def replicate(path) -> tuple[dict, int] | str:
-        """Errors and clamped count of one replication, or its failure cause."""
-        if isinstance(path, str):
-            return path
-        try:
-            first = first_stage(path.x, path.y, cfg.p)
-            fits = {tag: _fit_one(cfg, tag, path, first) for tag in cfg.estimators}
-            errs, rep_clamped = {}, 0
-            for tag, delta in keys:
-                est = estimated_irf(fits[tag], path, ShockSpec(delta, est_rho, cfg.horizon))
-                errs[(tag, delta)] = est.values - population[delta].values
-                rep_clamped += est.clamped
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            return type(exc).__name__
-        return errs, rep_clamped
+    def replicate(share: list) -> tuple[list, int]:
+        """Outcomes of one process's share of a batch, in as few groups of
+        at most ``group`` replications as it takes, of near-equal size."""
+        outcomes, count = [], 0
+        groups = -(-len(share) // group)
+        cuts = [len(share) * i // groups for i in range(groups + 1)]
+        for start, stop in zip(cuts, cuts[1:]):
+            out, c = _replicate_group(cfg, share[start:stop], shocks, targets)
+            outcomes += out
+            count += c
+        return outcomes, count
 
-    def outcomes():
-        seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
-        for start in range(0, m, SIMULATION_BATCH):
-            paths = _simulate_batch(spec, cfg, seeds[start : start + SIMULATION_BATCH])
-            yield from map_in_processes(replicate, paths, processes)
-
+    seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
-        results = enumerate(outcomes())
-        for _ in range(0, m, REPLICATION_CHUNK):
-            # per-chunk partial sums, merged in chunk order
-            chunk_sums = {k: np.zeros(shape) for k in keys}
-            chunk_sq = {k: np.zeros(shape) for k in keys}
-            for r, outcome in islice(results, REPLICATION_CHUNK):
-                if isinstance(outcome, str):
-                    failed.append(r)
-                    causes[outcome] += 1
-                    continue
-                errs, rep_clamped = outcome
-                for k in keys:
-                    chunk_sums[k] += errs[k]
-                    chunk_sq[k] += errs[k] ** 2
-                clamped += rep_clamped
-                n_ok += 1
-            for k in keys:
-                sums[k] += chunk_sums[k]
-                sq[k] += chunk_sq[k]
+        for start in range(0, m, SIMULATION_BATCH):
+            paths = _simulate_batch(spec, cfg, seeds[start : start + SIMULATION_BATCH])
+            shares = min(processes, len(paths))
+            cuts = [len(paths) * i // shares for i in range(shares + 1)]
+            parts = [paths[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+            r = start
+            for outcomes, count in map_in_processes(replicate, parts, shares):
+                clamped += count
+                for outcome in outcomes:
+                    if isinstance(outcome, str):
+                        failed.append(r)
+                        causes[outcome] += 1
+                    else:
+                        errors[r] = outcome
+                    r += 1
     if len(failed) > cfg.max_failure_fraction * m:
         raise RuntimeError(
             f"{len(failed)} of {m} replications failed "
-            f"(threshold {cfg.max_failure_fraction:.0%}); first failures: {failed[:5]}"
+            f"(threshold {cfg.max_failure_fraction:.0%}); first failures: {failed[:5]}; "
+            f"causes: {dict(causes)}"
         )
+    n_ok = m - len(failed)
     if n_ok == 0:
         # no moment exists; with max_failure_fraction = 1 the check above passes
         raise RuntimeError(f"all {m} replications failed; causes: {dict(causes)}")
 
-    mse = {k: sq[k] / n_ok for k in keys}
-    bias = {k: sums[k] / n_ok for k in keys}
-    se = {k: np.sqrt(np.maximum(mse[k] - bias[k] ** 2, 0.0) / n_ok) for k in keys}
+    bias, mse, se = _moments(np.delete(errors, failed, axis=0) if failed else errors)
     return StudyResult(
         config=cfg,
         population=population,
-        mse=mse,
-        bias=bias,
-        se=se,
+        mse={key: mse[i] for i, key in enumerate(keys)},
+        bias={key: bias[i] for i, key in enumerate(keys)},
+        se={key: se[i] for i, key in enumerate(keys)},
         n_ok=n_ok,
         failed=tuple(failed),
         clamped=clamped,

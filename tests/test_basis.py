@@ -9,6 +9,7 @@ import sievar
 from sievar.basis import (
     KnotVector,
     SievePlan,
+    SpanLookup,
     block_matrix,
     block_to_full_coeffs,
     bspline_matrix,
@@ -322,6 +323,35 @@ _DESIGN_BLOCKS = (
     KnotVector(3, (-0.5, 0.5), _DESIGN_KV.lo, _DESIGN_KV.hi),  # equal value, distinct object
     KnotVector(1, (0.0,), _DESIGN_KV.lo, _DESIGN_KV.hi),
 )
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_stacked_span_lookup_equals_each_knot_vector(degree):
+    """One lookup of the points of knot vectors with shared interior knots,
+    with per-point bounds and span starts, gives each vector's own spans,
+    offsets and clamped count; NaN and out-of-domain points included."""
+    interior = (-0.4, 0.3)
+    kvs = [KnotVector(degree, interior, lo, hi) for lo, hi in ((-1.0, 1.0), (-0.5, 2.0), (-3.0, 0.5))]
+    rng = np.random.default_rng(degree)
+    xs = [np.append(rng.uniform(-4.0, 4.0, size=n), [np.nan, kv.lo, kv.hi]) for n, kv in zip((5, 9, 1), kvs)]
+    sizes = [x.size for x in xs]
+    spans = kvs[0].lookup.left.size
+    lookup = SpanLookup(
+        kvs[0].lookup.interior,
+        np.repeat([kv.lo for kv in kvs], sizes),
+        np.repeat([kv.hi for kv in kvs], sizes),
+        np.concatenate([kv.lookup.left for kv in kvs]),
+        np.repeat(np.arange(len(kvs)) * spans, sizes),
+    )
+    span, offset, count = span_offsets(lookup, np.concatenate(xs))
+    edges = np.cumsum([0] + sizes)
+    total = 0
+    for m, (kv, x) in enumerate(zip(kvs, xs)):
+        own_span, own_offset, own_count = span_offsets(kv, x)
+        np.testing.assert_array_equal(span[edges[m] : edges[m + 1]], own_span + m * spans)
+        assert offset[edges[m] : edges[m + 1]].tobytes() == own_offset.tobytes()
+        total += own_count
+    assert count == total > 0
 
 
 @settings(max_examples=40, deadline=None)

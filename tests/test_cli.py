@@ -120,6 +120,31 @@ def test_irf_zero_delta_zero_curves(tmp_path):
     assert all(float(r["value"]) == 0.0 for r in rows)
 
 
+def test_irf_checks_each_fit_once_for_all_deltas(tmp_path, monkeypatch):
+    """Each fit's one-step sample check runs once and serves every delta,
+    and the responses equal estimated_irf's, delta by delta."""
+    checks = []
+    real_check = sievar.irf._check_samples
+    monkeypatch.setattr(sievar.irf, "_check_samples", lambda *a: checks.append(a[0]) or real_check(*a))
+    deltas = [-1.0, 0.5, 1.0]
+    cfg = {
+        "dgp": 2, "n": 300, "seed": 2, "deltas": deltas, "horizon": 4,
+        "methods": ["sieve", "parametric_max0"], "sieve": {"degree": 3, "knots": [0.0], "domain": "data"},
+    }
+    code, out = run_cli(tmp_path, "irf", cfg)
+    assert code == 0
+    assert len(checks) == 2
+    monkeypatch.undo()
+    rows = read_rows(only_run_dir(out, "irf") / "irf.csv")
+    path = sievar.simulate(sievar.builtin_dgp(2), 300, seed=2)
+    fit = sievar.fit_parametric(path, 1, sievar.max0_prior_form(1))
+    rho = sievar.RelaxationFn.symmetric_bump(3.0, 4.0)
+    for delta in deltas:
+        values = sievar.estimated_irf(fit, path, ShockSpec(delta, rho, 4)).values
+        got = [float(r["value"]) for r in rows if r["method"] == "parametric_max0" and float(r["delta"]) == delta]
+        assert got == [float(v) for v in values.reshape(-1)]
+
+
 def test_irf_incompatible_shock_exits_3(tmp_path, capsys):
     cfg = {
         "dgp": 2, "n": 300, "seed": 2, "deltas": [5.0], "horizon": 4,
@@ -389,6 +414,38 @@ def test_numeric_failure_exits_4(tmp_path):
     cfg = {"dgp": 2, "n": 30, "seed": 1, "deltas": [1.0], "horizon": 29, "methods": ["sieve"]}
     code, _ = run_cli(tmp_path, "irf", cfg)
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    ("sieve", "message"),
+    [
+        ({"domain": [-1, 1], "knots": [0.0, 5.0]}, "inside the domain"),
+        ({"knots": [-0.5, 0.5, 0.0]}, "increasing"),
+        ({"knots": [i / 10 for i in range(-9, 10)], "domain": [-1, 1]}, "overparameterized"),
+    ],
+)
+def test_mc_sieve_config_error_exits_4_before_any_replication(tmp_path, capsys, monkeypatch, sieve, message):
+    """A sieve that the config alone makes unusable fails the study with the
+    library's message before the population phase, not as m failed
+    replications."""
+    calls = []
+    monkeypatch.setattr(sievar.study, "population_irf", lambda *a, **k: calls.append(a))
+    cfg = {"dgp": 2, "n": 30, "horizon": 2, "replications": 4, "population_replications": 200, "sieve": sieve}
+    code, _ = run_cli(tmp_path, "mc", cfg)
+    assert code == 4
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+def test_mc_whose_replications_all_fail_exits_4(tmp_path, capsys):
+    """A knot outside every simulated sample's range fails each replication
+    in its fit; the study then fails as a numeric failure, naming the cause."""
+    cfg = {"dgp": 2, "n": 60, "horizon": 2, "replications": 4, "population_replications": 200,
+           "sieve": {"knots": [5.0]}}
+    code, _ = run_cli(tmp_path, "mc", cfg)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "4 of 4 replications failed" in err and "'ValueError': 4" in err
 
 
 def test_model_config_round_trip(tmp_path):

@@ -109,7 +109,9 @@ _relaxations = st.one_of(
 def test_compatibility_verdict_agrees_with_dense_grid(rho, delta, lo, hi):
     verdict = check_compatibility(rho, delta, (lo, hi))
     assume(abs(verdict.worst_margin) > 1e-6)
-    grid = np.linspace(lo, hi, 200_000)
+    # the verdict's own worst point joins the grid: a sharp (alpha < 1) bump
+    # can peak between the grid points
+    grid = np.append(np.linspace(lo, hi, 200_000), verdict.worst_point)
     mapped = grid + np.asarray(relax_eval(rho, grid)) * delta
     past = mapped > hi if delta > 0 else mapped < lo
     assert verdict.compatible == (not past.any())
@@ -806,3 +808,65 @@ def test_irfs_leave_their_inputs_unchanged(dgp2, bump34):
     population_irf(dgp2, shock, replications=600, seed=4, burn_in=30, threads=2, chunk=200)
     for now, then in zip(state, before):
         assert now.tobytes() == then.tobytes()
+
+
+def _stacked_fits(count=3, n=400, lags=3, domain=1.0):
+    """Sieve fits of DGP 7 samples, each on ``domain`` times its own
+    sample's range, with the interior knots in common, and their
+    ``_sample`` arrays."""
+    paths = [sievar.simulate(sievar.builtin_dgp(7), n, seed=60 + r) for r in range(count)]
+    fits = [sievar.fit_two_step(path, make_plan(domain * path.x, knots=(-1.0, 1.0), lags=lags)) for path in paths]
+    return paths, fits, [sievar.irf._sample(fit, path.x, path.y) for fit, path in zip(fits, paths)]
+
+
+@pytest.mark.parametrize("widths", [(40, 40, 40), (7, 60, 1)])
+@pytest.mark.parametrize("lags", [2, 3])
+def test_stacked_forward_equals_each_model_alone(widths, lags):
+    # each model's lag product is its own gemm over its own columns, of equal
+    # widths or not; narrow domains make the paths clamp
+    _, fits, _ = _stacked_fits(lags=lags, domain=0.5)
+    plan = sievar.model._stack([fit._step_plan for fit in fits])
+    rng = np.random.default_rng(sum(widths) + lags)
+    q, steps = max(fits[0].p, 1), 11
+    states = [rng.uniform(-4.0, 4.0, size=(q, 2, w)) for w in widths]
+    eps = [rng.uniform(-3.0, 3.0, size=(steps, 2, w)) for w in widths]
+    impact = rng.uniform(-1.0, 1.0, size=sum(widths))
+    edges = np.cumsum((0,) + widths)
+    for keep_path in (True, False):
+        got, clamped = sievar.model._forward(plan, states, eps, impact=impact, keep_path=keep_path)
+        total = 0
+        for m, fit in enumerate(fits):
+            alone, count = sievar.model._forward(
+                fit, states[m], eps[m], impact=impact[edges[m] : edges[m + 1]], keep_path=keep_path
+            )
+            assert got[:, :, edges[m] : edges[m + 1]].tobytes() == alone.tobytes()
+            total += count
+        assert clamped == total > 0
+
+
+def test_stacked_sample_check_rejects_a_fit_of_another_sample():
+    paths, fits, samples = _stacked_fits()
+    plans = [fit._step_plan for fit in fits]
+    sievar.irf._check_samples(plans, samples, True)
+    wrong = [samples[0], samples[2], samples[1]]
+    with pytest.raises(ValueError, match="not produced from this sample"):
+        sievar.irf._check_samples(plans, wrong, True)
+
+
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_stacked_responses_equal_estimated_irf(chunk):
+    # with a chunk below a fit's impact times, its pieces run in their own
+    # calls and it sums them in order, as estimated_irf does
+    paths, fits, samples = _stacked_fits()
+    h = 6
+    shocks = [ShockSpec(delta, RelaxationFn.symmetric_bump(1.0, 2.0), h) for delta in (2.0, -1.0)]
+    impacts = [
+        [sievar.irf._impact(shock, fit.first_stage.residuals[: path.n - fit.p - h]) for fit, path in zip(fits, paths)]
+        for shock in shocks
+    ]
+    values, clamped = sievar.irf._responses([fit._step_plan for fit in fits], samples, impacts, h, True, chunk)
+    for k, shock in enumerate(shocks):
+        alone = [estimated_irf(fit, path, shock, chunk=chunk) for fit, path in zip(fits, paths)]
+        for m, res in enumerate(alone):
+            assert values[k][m].tobytes() == res.values.tobytes()
+        assert clamped[k] == sum(res.clamped for res in alone)

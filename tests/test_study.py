@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
@@ -180,9 +181,23 @@ def test_study_fits_share_first_stage_and_equal_public_fits(monkeypatch, phi_shi
         fits.append((tag, path, fit))
         return fit
 
+    stacked = []
+    real_responses = study_mod._responses
+
+    def recording_responses(plans, *args):
+        stacked.append(plans)
+        return real_responses(plans, *args)
+
     monkeypatch.setattr(study_mod, "_fit_one", recording_fit)
+    monkeypatch.setattr(study_mod, "_responses", recording_responses)
     assert run_study(cfg).n_ok == 3
     assert [tag for tag, _, _ in fits] == list(cfg.estimators) * 3
+    # the three replications form one group, and each estimator's stacked
+    # call reads the step plans of exactly the public fits
+    assert [len(plans) for plans in stacked] == [3] * len(cfg.estimators)
+    for e, plans in enumerate(stacked):
+        for r, plan in enumerate(plans):
+            assert _bits(plan) == _bits(fits[3 * r + e][2]._step_plan)
     for r in range(3):
         rep = fits[3 * r : 3 * r + 3]
         # one first-stage fit per replication, shared by its estimators
@@ -198,6 +213,136 @@ def test_study_fits_share_first_stage_and_equal_public_fits(monkeypatch, phi_shi
             else:
                 public = sievar.fit_parametric(path, cfg.p, sievar.max0_prior_form(cfg.p))
             assert _bits(fit) == _bits(public)
+            assert _bits(fit._step_plan) == _bits(public._step_plan)
+
+
+def _group_inputs(cfg, count, seed):
+    """``count`` paths of the config's DGP, its estimators' shocks, and zero targets."""
+    spec = sievar.builtin_dgp(cfg.dgp_id, phi_shift=cfg.phi_shift)
+    paths = [sievar.simulate(spec, cfg.n, derive_seed(seed, r)) for r in range(count)]
+    shocks = tuple(sievar.ShockSpec(delta, cfg.relaxation, cfg.horizon) for delta in cfg.deltas)
+    return paths, shocks, np.zeros((len(shocks), cfg.horizon + 1, spec.d))
+
+
+def _as_bits(outcome):
+    return outcome if isinstance(outcome, str) else outcome.tobytes()
+
+
+def _check_group_against_singles(cfg, paths, shocks, targets):
+    """A group's outcomes and clamped count equal those of its replications
+    run as groups of one; returns the group's outcomes."""
+    group, clamped = study_mod._replicate_group(cfg, paths, shocks, targets)
+    singles = [study_mod._replicate_group(cfg, [path], shocks, targets) for path in paths]
+    assert [_as_bits(o) for o in group] == [_as_bits(out[0]) for out, _ in singles]
+    assert clamped == sum(count for _, count in singles)
+    return group
+
+
+@pytest.mark.parametrize("narrow", [False, True])
+@pytest.mark.parametrize("dgp_id, phi_shift", [(i, False) for i in range(1, 8)] + [(7, True)])
+def test_group_errors_equal_groups_of_one_and_public_irfs(dgp_id, phi_shift, narrow):
+    # a narrow bump leaves some impact times unshocked, so the replications
+    # of a group iterate different numbers of columns
+    cfg = default_study_config(dgp_id, n=600, horizon=6, deltas=(1.0, -0.5), phi_shift=phi_shift,
+                               estimators=study_mod.ESTIMATOR_TAGS)
+    if narrow:
+        cfg = replace(cfg, relaxation=sievar.RelaxationFn.symmetric_bump(0.8, 2.0))
+    paths, shocks, targets = _group_inputs(cfg, 4, 40 + dgp_id)
+    group = _check_group_against_singles(cfg, paths, shocks, targets)
+    # a group of one has the bits of the public fits and estimated_irf
+    for path, errors in zip(paths, group):
+        assert not isinstance(errors, str)
+        for e, tag in enumerate(cfg.estimators):
+            fit = study_mod._fit_one(cfg, tag, path)
+            for k, shock in enumerate(shocks):
+                expected = sievar.estimated_irf(fit, path, shock).values - targets[k]
+                assert errors[e * len(shocks) + k].tobytes() == expected.tobytes()
+
+
+def test_group_with_a_ridge_fallback_replication():
+    cfg = default_study_config(2, n=300, horizon=4, estimators=("parametric_true", "parametric_max0"))
+    paths, shocks, targets = _group_inputs(cfg, 3, 7)
+    # with every X positive, max0 of a lag duplicates its linear column
+    paths[1] = replace(paths[1], x=paths[1].x + 20.0)
+    for tag in cfg.estimators:
+        fit = study_mod._fit_one(cfg, tag, paths[1])
+        assert fit.regularized
+        assert not study_mod._fit_one(cfg, tag, paths[0]).regularized
+    group = _check_group_against_singles(cfg, paths, shocks, targets)
+    fit = study_mod._fit_one(cfg, "parametric_max0", paths[1])
+    expected = sievar.estimated_irf(fit, paths[1], shocks[0]).values - targets[0]
+    assert group[1][1].tobytes() == expected.tobytes()
+
+
+def test_group_with_replications_failing_in_their_fits(monkeypatch):
+    cfg = default_study_config(7, n=600, horizon=4, mc_replications=5)
+    paths, shocks, targets = _group_inputs(cfg, 5, 11)
+    # a sample whose range misses the interior knots at -3 and 3
+    paths[1] = replace(paths[1], x=0.1 * paths[1].x)
+    real_fit = study_mod._fit_one
+
+    def fit(cfg, tag, path, first=None):
+        if path is paths[3] and tag == "parametric_max0":
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_fit(cfg, tag, path, first)
+
+    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    group = _check_group_against_singles(cfg, paths, shocks, targets)
+    assert [o if isinstance(o, str) else "ok" for o in group] == ["ok", "ValueError", "ok", "LinAlgError", "ok"]
+
+
+def _with_cube(fit, x, scale):
+    """The fit with scale * X_t^3 added to its Y equation and its Y residuals
+    moved to match, so it still reproduces its sample; at a large scale a
+    shocked path overflows within a few steps."""
+    impact = ((fit.impact[0][0] + (sievar.NonlinFn("cube", scale),),) + fit.impact[0][1:],)
+    return replace(fit, impact=impact, residuals2=fit.residuals2 - scale * x[fit.p :, None] ** 3)
+
+
+def test_group_with_a_replication_diverging_in_its_irf(monkeypatch):
+    # DGP 3's X loads on the lagged Y, which carries the cube back into X
+    cfg = default_study_config(3, n=400, horizon=8, estimators=("parametric_true", "sieve"))
+    paths, shocks, targets = _group_inputs(cfg, 4, 13)
+    bad = _with_cube(study_mod._fit_one(cfg, "sieve", paths[2]), paths[2].x, 1e4)
+    with pytest.raises(PathDivergedError):
+        sievar.estimated_irf(bad, paths[2], shocks[0])
+    real_fit = study_mod._fit_one
+
+    study_cfg = replace(cfg, mc_replications=12, pop_replications=500, max_failure_fraction=0.2)
+    bad_seed = derive_seed(study_cfg.master_seed, 2, 5)
+
+    def fit(cfg, tag, path, first=None):
+        # every sieve fit gets the term, so the group's fits share one layout
+        out = real_fit(cfg, tag, path, first)
+        explosive = path is paths[2] or path.seed == bad_seed
+        return _with_cube(out, path.x, 1e4 if explosive else 0.0) if tag == "sieve" else out
+
+    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    group = _check_group_against_singles(cfg, paths, shocks, targets)
+    assert [o if isinstance(o, str) else "ok" for o in group] == ["ok", "ok", "PathDivergedError", "ok"]
+    # in a study, at any process count, the failure stays with replication 5
+    results = [run_study(replace(study_cfg, threads=threads)) for threads in (1, 2, 3)]
+    for res in results:
+        assert res.failed == (5,) and res.failure_causes == {"PathDivergedError": 1}
+        for key in res.mse:
+            assert res.mse[key].tobytes() == results[0].mse[key].tobytes()
+            assert res.se[key].tobytes() == results[0].se[key].tobytes()
+
+
+def test_tracer_hooks_resolve():
+    """Every (module, function) the benchmark's tracer wraps still exists on
+    sievar; its install raises AttributeError otherwise."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py").read_text()
+    table = next(
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED_FUNCTIONS" for t in node.targets)
+    )
+    hooks = [(entry.elts[0].value, [m.value for m in entry.elts[1].elts]) for entry in table.elts]
+    assert hooks
+    for name, modules in hooks:
+        for module in modules:
+            assert callable(getattr(getattr(sievar, module), name.rsplit(".", 1)[1])), (module, name)
+    assert callable(sievar.NonlinFn.__call__)
 
 
 def test_derived_seeds_disjoint():
@@ -376,7 +521,7 @@ def test_simulation_batch_only_moves_rounding(dgp_id, monkeypatch):
     batches = []
     real_batch = study_mod.simulate_batch
     monkeypatch.setattr(study_mod, "simulate_batch", lambda *a: batches.append(len(a[2])) or real_batch(*a))
-    monkeypatch.setattr(study_mod, "SIMULATION_BATCH", study_mod.REPLICATION_CHUNK)
+    monkeypatch.setattr(study_mod, "SIMULATION_BATCH", 25)
     small = run_study(cfg)
     assert batches == [25, 25, 10]
     assert small.n_ok == big.n_ok == 60 and small.clamped == big.clamped
@@ -390,25 +535,40 @@ def test_simulation_batch_only_moves_rounding(dgp_id, monkeypatch):
 
 
 def test_failed_replication_contributes_nothing(monkeypatch):
-    """A replication failing in its last IRF adds no partial error sums."""
+    """A replication failing in its last stacked IRF adds no partial errors,
+    and the replications that shared its group keep theirs."""
     cfg = small_cfg(mc_replications=10, pop_replications=500,
                     estimators=("parametric_true", "sieve"), max_failure_fraction=0.2)
+    seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(cfg.mc_replications)]
+    bad_x = sievar.model.simulate_batch(sievar.builtin_dgp(2), cfg.n, seeds, cfg.burn_in)[3].x
+    calls = []
+    real_responses = study_mod._responses
+
+    def responses(plans, samples, *args):
+        sieve = any(not isinstance(key, str) for key, _ in plans[0].groups)
+        calls.append((sieve, len(samples)))
+        if sieve and any(np.array_equal(zt[0], bad_x) for zt, _ in samples):
+            raise np.linalg.LinAlgError("singular matrix")
+        return real_responses(plans, samples, *args)
+
+    # replication 3's sieve IRF fails in the group's stacked call and alone
+    monkeypatch.setattr(study_mod, "_responses", responses)
+    late = run_study(cfg)
+    # one group of ten, whose failed sieve call reran its replications one at a time
+    assert calls == [(False, 10), (True, 10)] + [(False, 1), (True, 1)] * 10
+    monkeypatch.undo()
 
     def fail_on_call(fn, k):
-        calls = {"n": 0}
+        count = {"n": 0}
 
         def flaky(*args):
-            calls["n"] += 1
-            if calls["n"] == k:
+            count["n"] += 1
+            if count["n"] == k:
                 raise np.linalg.LinAlgError("singular matrix")
             return fn(*args)
 
         return flaky
 
-    # replication 3's sieve IRF is the 8th estimated_irf call (two per replication)
-    monkeypatch.setattr(study_mod, "estimated_irf", fail_on_call(study_mod.estimated_irf, 8))
-    late = run_study(cfg)
-    monkeypatch.undo()
     # replication 3's parametric fit is the 7th stage-II fit (two per replication)
     monkeypatch.setattr(study_mod, "_fit_stage_two", fail_on_call(study_mod._fit_stage_two, 7))
     early = run_study(cfg)
@@ -418,6 +578,7 @@ def test_failed_replication_contributes_nothing(monkeypatch):
     for key in late.mse:
         np.testing.assert_array_equal(late.mse[key], early.mse[key])
         np.testing.assert_array_equal(late.bias[key], early.bias[key])
+        np.testing.assert_array_equal(late.se[key], early.se[key])
 
 
 def test_self_consistency_parametric_rate():
@@ -442,3 +603,15 @@ def test_rows_schema():
     assert len(rows) == 1 * 1 * 2 * 4  # estimators x deltas x vars x horizons
     tag, delta, var, h, mse, bias, se, n_ok = rows[0]
     assert tag == "sieve" and var == "X" and h == 0 and n_ok == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 1000])
+def test_moments_match_mean_and_variance_and_leave_errors_unchanged(n):
+    rng = np.random.default_rng(n)
+    errors = rng.normal(size=(n, 3, 5, 2)) * rng.uniform(0.1, 10.0, size=(1, 3, 5, 2)) + 100.0
+    before = errors.copy()
+    bias, mse, se = study_mod._moments(errors)
+    assert errors.tobytes() == before.tobytes()
+    np.testing.assert_allclose(bias, errors.mean(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(mse, np.square(errors).mean(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(se, np.sqrt(errors.var(axis=0) / n), rtol=1e-9, atol=1e-13)
