@@ -19,12 +19,15 @@ import numpy as np
 
 from ._workers import can_fork, map_in_processes
 from .estimator import _as_xy
-# iterate_paths is not called here, but perfbench's tracer wraps it in this module
+# tracer-only imports (perfbench wraps them here): iterate_paths
 from .model import (  # noqa: F401
+    Divergence,
     LagPolynomial,
     ModelSpec,
     _forward,
+    _finite,
     _stack,
+    _union,
     derive_seed,
     draw_clipped,
     iterate_paths,
@@ -254,14 +257,26 @@ def _burn_in(
     zero state in ``steps`` steps of the stream: a stationary draw when
     ``steps`` is long. The steps are drawn ``DRAW_STEPS`` at a time into one
     reused ``block`` (allocated here if none is given), so memory does not
-    grow with ``steps`` and the states do not depend on the block size."""
+    grow with ``steps`` and the states do not depend on the block size. A
+    diverging column raises ``PathDivergedError`` at the burn-in's step."""
     if block is None:
         block = np.empty(min(DRAW_STEPS, steps) * spec.d * size)
     states = np.zeros((max(spec.p, 1), spec.d, size))
     for done in range(0, steps, DRAW_STEPS):
         eps = _draw_steps(spec, gen, min(DRAW_STEPS, steps - done), size, block)
-        states, _ = _forward(spec, states, eps, keep_path=False)
+        states, _ = _finite(*_forward(spec, states, eps, keep_path=False), after=done)
     return states
+
+
+def _two_pass(e: np.ndarray, square: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The pairwise sums of ``e`` over its last, contiguous axis and the sums
+    of squared deviations from their means, two-pass with the rounding
+    correction (Chan, Golub & LeVeque 1983). Overwrites ``e`` with the
+    deviations and ``square``, if given, with their squares."""
+    n = e.shape[-1]
+    total = e.sum(axis=-1)
+    dev = np.subtract(e, (total / n)[..., None], out=e)
+    return total, np.square(dev, out=square).sum(axis=-1) - np.square(dev.sum(axis=-1)) / n
 
 
 def population_irf(
@@ -277,22 +292,21 @@ def population_irf(
 
     Every replication draws its own burn-in history and innovation future.
     Chunk k of ``chunk`` replications, B of them, reads its own Philox
-    stream keyed by ``derive_seed(seed, k)``, step-major: the stream fills a
-    C-contiguous (burn_in + H + 1, d, B) array, each step holding the B draws
-    of each component in turn. The draws are clipped to the innovation
-    bound and component j is scaled by sigma_j. The first ``burn_in`` steps
-    carry each replication from a zero state to its history, the last H + 1
-    are its future, and the shock falls on component 0 of the future's first
-    step. A chunk runs its burn-in through ``_burn_in``, the helper that the
-    dependence diagnostics' burn-ins share: it draws ``DRAW_STEPS`` steps at
-    a time into one block, which each process allocates on first use and
-    the future's draw reuses, so memory does not grow with ``burn_in`` and
-    the result does not depend on the block size.
-    The chunks run in up to ``threads`` processes, as ``run_study``'s
-    replications do. Each chunk iterates its (T, d, B) paths component-major
-    and sums the differences and their squares pairwise over the contiguous
-    batch axis (error O(log B u) rather than O(B u)). Chunk sums merge in
-    chunk order, so the result is independent of the process count.
+    stream keyed by ``derive_seed(seed, k)``, step-major: each step holds
+    the B draws of each component in turn, clipped to the innovation bound,
+    component j scaled by sigma_j. The first ``burn_in`` steps carry each
+    replication from a zero state to its history (``_burn_in``, which the
+    dependence diagnostics share; each process allocates its draw block on
+    first use), the last H + 1 are its future, and the shock falls on
+    component 0 of the future's first step. The chunks run in up to
+    ``threads`` processes, as ``run_study``'s replications do. Each chunk
+    sums its (T, d, B) differences pairwise over the contiguous batch axis
+    (error O(log B u) rather than O(B u)), with their squared deviations
+    from its mean (``_two_pass``, as ``run_study``'s moments). The chunks
+    merge in chunk order, the deviations by Chan, Golub & LeVeque's update,
+    so the result is independent of the process count and ``mc_se`` loses
+    no digits to cancellation. A diverging column raises
+    ``PathDivergedError``.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
@@ -333,25 +347,26 @@ def population_irf(
                 )
         # the shocked path reuses the baseline's innovations, and the
         # differences and their squares overwrite the paths
-        base, clamp_b = _forward(spec, states, eps)
-        shocked, clamp_s = _forward(spec, states, eps, impact=w)
-        diff = np.subtract(shocked, base, out=shocked)
-        return diff.sum(axis=2), np.square(diff, out=base).sum(axis=2), clamp_b + clamp_s
+        base, clamp_b = _finite(*_forward(spec, states, eps))
+        shocked, clamp_s = _finite(*_forward(spec, states, eps, impact=w))
+        total, m2 = _two_pass(np.subtract(shocked, base, out=shocked), base)
+        return size, total, m2, clamp_b + clamp_s
 
     starts = list(range(0, replications, chunk))
     parts = map_in_processes(run_chunk, starts, threads if can_fork() else 1)
-    total = np.zeros((h + 1, d))
-    total_sq = np.zeros((h + 1, d))
-    clamped = 0
-    for s, sq, cl in parts:
+    total, m2 = np.zeros((h + 1, d)), np.zeros((h + 1, d))
+    done = clamped = 0
+    for size, s, m2_k, cl in parts:
+        if done:
+            # Chan, Golub & LeVeque's update: add the squared deviation of the
+            # chunk's mean from the running mean
+            m2_k += np.square(s / size - total / done) * (done * size / (done + size))
+        m2 += m2_k
         total += s
-        total_sq += sq
+        done += size
         clamped += cl
-    mean = total / replications
-    var = np.maximum(total_sq / replications - mean**2, 0.0)
-    mc_se = np.sqrt(var / replications)
     return IrfResult(
-        values=mean,
+        values=total / replications,
         variables=variable_names(spec.d_y),
         method="population",
         delta=shock.delta,
@@ -359,7 +374,7 @@ def population_irf(
         n_used=replications,
         seed=seed,
         clamped=clamped,
-        mc_se=mc_se,
+        mc_se=np.sqrt(np.maximum(m2 / replications, 0.0) / replications),
     )
 
 
@@ -369,22 +384,19 @@ def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
 
     Every impact time with a full H-step residual future contributes (the
     common-t convention). A first-stage fit reproduces its sample from its
-    residuals, so its baseline is the observed window z[t+p .. t+p+H] and only
-    the impact times with a nonzero shock delta * rho(eps_1t) are iterated: a
-    zero shock iterates nothing and gives an exactly zero response. An
-    infeasible fit does not reproduce its sample, so both of its paths are
-    iterated from every impact time. The impact times are iterated ``chunk``
-    at a time, component-major, each chunk's differences summed pairwise
-    over the contiguous batch axis (error O(log B u) rather than O(B u))
-    and the chunk sums in chunk order. ``clamped`` counts the clamped
-    spline evaluations of the iterated paths. A fit whose one-step
-    predictions from the observed histories miss the sample (in every
-    column, or in X alone for an infeasible fit) raises ``ValueError``.
-
-    The fit is a group of one in the stacked path that ``run_study`` runs
-    its replications' fits through (``_check_samples`` and ``_responses``),
-    so a replication's response there has the bits of this call with
-    ``chunk`` at least its count of shocked impact times.
+    residuals, so its baseline is the observed window z[t+p .. t+p+H] and
+    only the impact times with a nonzero shock delta * rho(eps_1t) are
+    iterated (a zero shock gives an exactly zero response); an infeasible
+    fit iterates both paths from every impact time. They run ``chunk`` at a
+    time, each chunk's differences summed pairwise over the contiguous batch
+    axis and the chunk sums in order. ``clamped`` counts the clamped spline
+    evaluations of the iterated paths. A fit whose one-step predictions
+    from the observed histories miss the sample (in every column, or in X
+    alone for an infeasible fit) raises ``ValueError``, and one whose paths
+    diverge ``PathDivergedError``. The fit is a group of one in the stacked
+    path of ``run_study`` (``_check_samples``, ``_responses``), so a
+    replication's response there has the bits of this call with ``chunk``
+    at least its count of shocked impact times.
     """
     return _estimated_irfs(fit, data, (shock,), chunk, stacklevel=4)[0]
 
@@ -412,9 +424,9 @@ def _estimated_irfs(fit, data, shocks, chunk: int = 4096, stacklevel: int = 3) -
     replay = fit.generated == "first_stage"
     # the X step is the first stage for every fit kind; the Y steps reproduce
     # the sample only when stage II used the first-stage residuals
-    _check_samples([fit._step_plan], [sample], replay)
+    _finite(_check_samples([fit._step_plan], [sample], replay))
     impacts = [[_impact(shock, fit.first_stage.residuals[: n - fit.p - h])] for shock in shocks]
-    values, clamped = _responses([fit._step_plan], [sample], impacts, h, replay, chunk)
+    values, clamped = _finite(*_responses([fit._step_plan], [sample], impacts, h, replay, chunk))
     return [
         IrfResult(
             values=v[0],
@@ -446,26 +458,29 @@ def _parts(arrays: list):
     return arrays[0] if len(arrays) == 1 else arrays
 
 
-def _check_samples(plans, samples, replay: bool) -> None:
+def _check_samples(plans, samples, replay: bool) -> Divergence | None:
     """Raise ``ValueError`` unless each fit reproduces its sample: one step
     from every observed history must give the observation, in every
     component, or in X alone when ``replay`` is false. ``plans`` are the
     fits' step plans, of one impact layout, and ``samples`` their
-    ``_sample`` arrays; all fits step side by side in one ``_forward`` call."""
+    ``_sample`` arrays; all fits step side by side in one ``_forward`` call.
+    Returns the ``Divergence`` of the fits whose step diverged, unchecked."""
     p = plans[0].p
     states = [_columns(zt, np.arange(zt.shape[1] - p), p) for zt, _ in samples]
-    step, _ = _forward(_stack(plans), _parts(states), _parts([rt[None] for _, rt in samples]))
+    step, _, diverged = _forward(_stack(plans), _parts(states), _parts([rt[None] for _, rt in samples]))
     comps = slice(None) if replay else slice(0, 1)
-    start = 0
-    for zt, _ in samples:
+    failed, start = np.zeros(len(samples), dtype=bool), 0
+    for m, (zt, _) in enumerate(samples):
         stop = start + zt.shape[1] - p
+        failed[m] = diverged is not None and diverged.columns[start:stop].any()
         miss = float(np.max(np.abs(step[0, comps, start:stop] - zt[comps, p:])))
-        if not miss <= 1e-8 * (1.0 + float(np.max(np.abs(zt)))):
+        if not (failed[m] or miss <= 1e-8 * (1.0 + float(np.max(np.abs(zt))))):
             raise ValueError(
                 f"fit was not produced from this sample: its residuals "
                 f"miss the observations by {miss:.3g}"
             )
         start = stop
+    return None if diverged is None else Divergence(failed, diverged.step)
 
 
 def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
@@ -474,15 +489,18 @@ def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
     ``impacts[k][m]`` is fit m's shock at each of its impact times under
     shock k (``_impact``). Returns, per shock, an (M, H+1, d) array of each
     fit's mean response (``estimated_irf``'s values) and the count of
-    clamped spline evaluations in the iterated paths. A replay fit iterates
-    only its impact times with a nonzero shock. Each fit's iterated impact
-    times are cut into pieces of at most ``chunk``, and whole pieces run
-    side by side, up to ``chunk`` columns per ``_forward`` call. A fit sums
-    its own contiguous columns pairwise and its pieces in order, so its
-    response is the same whichever fits share its calls.
+    clamped spline evaluations in the iterated paths; and the ``Divergence``
+    of the fits whose paths diverged, at the step of the first such call.
+    A replay fit iterates only its impact times with a nonzero shock. Each
+    fit's iterated impact times are cut into pieces of at most ``chunk``,
+    and whole pieces run side by side, up to ``chunk`` columns per
+    ``_forward`` call. A fit sums its own contiguous columns pairwise and
+    its pieces in order, so its response is the same whichever fits share
+    its calls, even one that diverges.
     """
     p, h = plans[0].p, horizon
     values, clamped = [], []
+    failed, first = np.zeros(len(samples), dtype=bool), None
     for shock_rows in impacts:
         pieces = []
         for m, w in enumerate(shock_rows):
@@ -504,14 +522,15 @@ def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
             state = _parts([_columns(samples[m][0], live, p) for m, live, _ in call])
             eps = _parts([_columns(samples[m][1], live, h + 1) for m, live, _ in call])
             impact = np.concatenate([w[live] for _, live, w in call])
-            if not replay:
-                base_path, clamp_b = _forward(plan, state, eps)
-                count += clamp_b
-            shocked, clamp_s = _forward(plan, state, eps, impact=impact)
-            count += clamp_s
+            base_path, clamp_b, diverged = (None, 0, None) if replay else _forward(plan, state, eps)
+            shocked, clamp_s, shocked_diverged = _forward(plan, state, eps, impact=impact)
+            count += clamp_b + clamp_s
+            diverged = _union(diverged, shocked_diverged)
+            first = first or diverged
             start = 0
             for m, live, _ in call:
                 cols = slice(start, start + live.size)
+                failed[m] |= diverged is not None and diverged.columns[cols].any()
                 base = _columns(samples[m][0], live + p, h + 1) if replay else base_path[:, :, cols]
                 diff = np.subtract(shocked[:, :, cols], base, out=shocked[:, :, cols])
                 total[m] += diff.sum(axis=2)
@@ -520,7 +539,7 @@ def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
             total[m] /= w.size
         values.append(total)
         clamped.append(count)
-    return values, clamped
+    return values, clamped, None if first is None else Divergence(failed, first.step)
 
 
 def linear_irf(

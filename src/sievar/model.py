@@ -14,17 +14,14 @@ its new X and every lag reuses it: f(x) for a transform, to which each term
 applies its own scale, and for a knot vector each point's knot span and
 offset, from which each spline term evaluates its own per-span polynomial.
 
-The iteration works component-major: a batch of B states is held as a
-contiguous (d, B) block rather than as B rows of d. The lag product is then
-A_k @ S, an orientation in which BLAS is four to six times faster than
-S @ A_k' for d of 2 or 3 and B in the thousands. The X row, each Y row
-and their impact features are contiguous length-B rows instead of strided
-columns, and a path summed over the batch is summed pairwise. The IRFs call
-the component-major loop ``_forward`` directly; ``iterate_paths`` and
-``final_states`` wrap it for callers that pass and receive (B, T, d) arrays.
-``_forward`` also runs several models of one impact layout side by side, each
-on its own columns, from a stacked step plan (``_stack``): the study's fits of
-one estimator take one call per group of replications.
+The iteration works component-major: a batch of B states is one contiguous
+(d, B) block, so the lag product is A_k @ S (four to six times faster in
+BLAS than S @ A_k' for d of 2 or 3 and B in the thousands), each row is
+contiguous, and a path summed over the batch is summed pairwise. The IRFs
+and the simulations call the loop ``_forward`` directly; ``iterate_paths``
+and ``final_states`` wrap it for (B, T, d) arrays. It also runs several
+models of one impact layout side by side, each on its own columns, from a
+stacked step plan (``_stack``), and marks the columns that diverge.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# bspline_matrix is not called here, but perfbench's tracer wraps it in this module too
+# tracer-only imports (perfbench wraps them here): bspline_matrix
 from .basis import KnotVector, SpanLookup, bspline_matrix, span_offsets  # noqa: F401
 
 __all__ = [
@@ -78,6 +75,31 @@ class PathDivergedError(RuntimeError):
 
 class StabilityWarning(RuntimeWarning):
     """The linear part's companion spectral radius is at or above one."""
+
+
+class Divergence(NamedTuple):
+    """Which columns of a ``_forward`` call (or fits of a stacked one) left
+    the finite range, as a bool array, and the 1-based step of the first."""
+
+    columns: np.ndarray
+    step: int
+
+
+def _finite(*result, after: int = 0):
+    """``result`` but its last item, a ``Divergence`` or None; for a
+    divergence, raise ``PathDivergedError`` at its step counted after
+    ``after`` steps. The rule of every caller that is all or nothing."""
+    *out, diverged = result
+    if diverged is not None:
+        step = after + diverged.step
+        raise PathDivergedError(f"path diverged at step {step}", step=step)
+    return out
+
+
+def _union(first: Divergence | None, then: Divergence | None) -> Divergence | None:
+    """The columns that diverged in ``first`` or in ``then``, a later call
+    over the same columns, at the earliest step."""
+    return Divergence(first.columns | then.columns, first.step) if first and then else first or then
 
 
 @dataclass(frozen=True)
@@ -464,13 +486,10 @@ def draw_clipped(
 
 
 def scale_innovations(eps: np.ndarray, sigma) -> np.ndarray:
-    """Multiply component k of the (..., d) draws by ``sigma[k]`` in place.
-
-    One strided multiply per component gives the same bits as broadcasting
-    the length-d ``sigma``, whose short inner loop is about five times
-    slower on a large buffer. A component whose sigma is exactly 1.0 is
-    skipped, since x * 1.0 == x bit for bit.
-    """
+    """Multiply component k of the (..., d) draws by ``sigma[k]`` in place:
+    one strided multiply per component, the bits of broadcasting ``sigma``
+    but about five times faster on a large buffer. A sigma of exactly 1.0
+    is skipped, since x * 1.0 == x bit for bit."""
     for k, s in enumerate(sigma):
         if s != 1.0:
             eps[..., k] *= s
@@ -498,30 +517,26 @@ def iterate_paths(
     (B, T, d), row s supplying (eps_1, xi_2) for step s. Returns a fresh
     C-contiguous (B, T, d) continuation, which shares no memory with the
     inputs, and the count of clamped spline-impact evaluations. Neither
-    input is written. A caller that needs only the state the iteration
-    ends in, such as a burn-in, calls ``final_states`` instead.
+    input is written. A diverging row raises ``PathDivergedError``.
 
-    A thin wrapper of the component-major loop ``_forward``: the inputs are
-    read through (d, B) and (T, d, B) views, and the (T, d, B) path is
-    copied into the (B, T, d) result once. A caller that reduces the paths
-    over the batch is better served by ``_forward`` itself, where the batch
-    axis is the contiguous one, so numpy sums it pairwise.
+    A thin wrapper of the component-major loop ``_forward``, which reads the
+    inputs through (d, B) and (T, d, B) views; its (T, d, B) path is copied
+    into the (B, T, d) result once. A caller that reduces the paths over the
+    batch calls ``_forward`` itself, whose batch axis is the contiguous one.
     """
-    path, clamped = _forward(spec, *_component_major(spec, state, eps_path))
+    path, clamped = _finite(*_forward(spec, *_component_major(spec, state, eps_path)))
     return path.transpose(2, 0, 1).copy(), clamped
 
 
 def final_states(spec: ModelSpec, state: np.ndarray, eps_path: np.ndarray) -> np.ndarray:
     """The fresh (B, max(p, 1), d) companion state after ``iterate_paths``.
 
-    Same arguments, validation and arithmetic as ``iterate_paths``, but no
-    path is stored: the result is byte-equal to the last max(p, 1) rows of
-    the input state followed by the path, and memory stays O(B p d) for any
-    T. Burn-ins use it, since only the state they hand on is read. It wraps
-    ``_forward`` as ``iterate_paths`` does; ``_forward``'s (d, B) states
-    keep the batch axis contiguous, so numpy sums them over it pairwise.
+    Same arguments, validation, arithmetic and divergence rule as
+    ``iterate_paths``, but no path is stored: the result is byte-equal to
+    the last max(p, 1) rows of the input state followed by the path, and
+    memory stays O(B p d) for any T, as a burn-in needs.
     """
-    last, _ = _forward(spec, *_component_major(spec, state, eps_path), keep_path=False)
+    last, _ = _finite(*_forward(spec, *_component_major(spec, state, eps_path), keep_path=False))
     return last.transpose(2, 0, 1).copy()
 
 
@@ -562,41 +577,38 @@ class _StepTerm(NamedTuple):
     table: np.ndarray | None  # a spline's (M * #spans, degree + 1) span tables
 
 
-# every step is checked for divergence; the overflow itself is expected there
+# a diverged column runs on to the end, so overflow and NaN are expected
 @np.errstate(over="ignore", invalid="ignore")
 def _forward(model, states, eps, impact=None, keep_path=True):
     """The forward iteration, component-major.
 
-    ``model`` is a ``ModelSpec`` or a ``_StepPlan`` of one model, with
-    ``states`` a (k, d, B) array or view of the states before the first
-    step, oldest first, with k = max(p, 1) or p, and ``eps`` a (T, d, B)
-    array or view of the innovations, step s supplying (eps_1, xi_2) for
-    step s. A plan of M models that share one impact layout (``_stack``)
-    takes lists of M such arrays instead, one per model, each with its own
-    width B_m: the models run side by side as one block of
-    B = sum B_m columns, model m on its own contiguous columns. A length-B
-    ``impact`` row is added to component 0 of step 0, as a shock written
-    into a copy of the innovations would be. No input is written. Returns
-    the fresh (T, d, B) path, or without ``keep_path`` the (max(p, 1), d, B)
-    states the iteration ends in, oldest first; and the count of clamped
-    spline-impact evaluations. The batch axis is the contiguous one, so
-    numpy sums a path over it pairwise, with an error bound of O(log B u)
-    rather than O(B u).
+    ``model`` is a ``ModelSpec`` or a ``_StepPlan`` of one model, ``states``
+    a (k, d, B) array or view of the states before the first step, oldest
+    first, with k = max(p, 1) or p, and ``eps`` a (T, d, B) one of the
+    innovations, step s supplying (eps_1, xi_2) for step s. A plan of M
+    models of one impact layout (``_stack``) takes lists of M such arrays,
+    each of its own width B_m, and runs them side by side as one block of
+    B = sum B_m columns. A length-B ``impact`` row is added to component 0
+    of step 0. No input is written. Returns the fresh (T, d, B) path, or
+    without ``keep_path`` the (max(p, 1), d, B) end states, oldest first;
+    the count of clamped spline-impact evaluations; and the ``Divergence``
+    of the columns that left the finite range, or None. The batch axis is
+    the contiguous one, so numpy sums a path over it pairwise.
 
     Each column's arithmetic is its own: every elementwise operation reads
     its model's parameters spread over its columns, and each lag product is
     one gemm per model over its own columns. So a model's columns get the
-    same bits whichever models share the call, and a ``ModelSpec`` is a
-    plan of one model.
+    same bits whichever models share the call, and a column that diverges
+    touches no other. This loop is the one place that decides divergence: a
+    step whose dot product with zeros is not 0 marks its non-finite columns
+    for good, and the block runs on to its end.
 
-    Each call plans its steps once: rows for the states, which without a
-    path are a ring of max(p, 1) + 1; the innovations copied ``STAGE_STEPS``
-    steps at a time into one contiguous block, along with each Y row's
-    b0_21 eps_1 + xi_2; and per feature group of the plan a ring of p + 1
-    slots, which holds the group's feature at the X of the last p + 1 time
-    indices, so each X is transformed once however many lags read it. A
-    step then writes the lag products, the X row, one new feature per group
-    and the Y rows into these preallocated buffers.
+    Each call plans its steps once: rows for the states (without a path a
+    ring of max(p, 1) + 1); the innovations, copied ``STAGE_STEPS`` steps at
+    a time into one block with each Y row's b0_21 eps_1 + xi_2; and per
+    feature group a ring of p + 1 slots holding its feature at the X of the
+    last p + 1 time indices, so each X is transformed once however many
+    lags read it.
     """
     plan = model if isinstance(model, _StepPlan) else model._step_plan
     if isinstance(eps, np.ndarray):
@@ -656,7 +668,7 @@ def _forward(model, states, eps, impact=None, keep_path=True):
     for group, (_, lags_g) in zip(groups, plan.groups):
         for t in sorted({q + s - j for j in lags_g for s in range(min(j - lags_g[0], steps))}):
             evaluate(group, t)
-    clamped = 0
+    clamped, diverged = 0, None
     for s in range(steps):
         k = s % STAGE_STEPS
         if k == 0:
@@ -693,18 +705,14 @@ def _forward(model, states, eps, impact=None, keep_path=True):
         # 0 * x is 0 for finite x and NaN for inf or NaN, so the step is
         # finite exactly when its dot product with zeros is 0
         if not np.dot(flat[r % rows], zeros) == 0.0:
-            raise PathDivergedError(f"path diverged at step {s + 1}", step=s + 1)
+            diverged = _union(diverged, Divergence(~np.isfinite(new).all(axis=0), s + 1))
     if keep_path:
-        return buf[q:], clamped
-    return buf.take(np.arange(steps, steps + q) % rows, axis=0), clamped
+        return buf[q:], clamped, diverged
+    return buf.take(np.arange(steps, steps + q) % rows, axis=0), clamped, diverged
 
 
 def simulate(
-    spec: ModelSpec,
-    n: int,
-    seed: int | None = None,
-    burn_in: int = 500,
-    eps: np.ndarray | None = None,
+    spec: ModelSpec, n: int, seed: int | None = None, burn_in: int = 500, eps: np.ndarray | None = None
 ) -> SimPath:
     """Simulate n observations after ``burn_in`` steps from a zero state.
 
@@ -712,55 +720,50 @@ def simulate(
     The map (spec, n, seed, burn_in) -> SimPath is deterministic and is the
     one-row case of ``simulate_batch``.
     """
-    if eps is None:
-        if seed is None:
-            raise ValueError("either a seed or explicit innovations are required")
-        return simulate_batch(spec, n, (seed,), burn_in)[0]
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (burn_in + n, spec.d):
-        raise ValueError(f"innovation override must have shape ({burn_in + n}, {spec.d})")
-    return _paths_from(spec, n, eps[None], (seed,), burn_in)[0]
+    if eps is None and seed is None:
+        raise ValueError("either a seed or explicit innovations are required")
+    if eps is not None:
+        eps = np.asarray(eps, dtype=float)[None]
+        if eps.shape[1:] != (burn_in + n, spec.d):
+            raise ValueError(f"innovation override must have shape ({burn_in + n}, {spec.d})")
+    return _finite(*_simulate_rows(spec, n, (seed,), burn_in, eps))[0][0]
 
 
-def simulate_batch(
-    spec: ModelSpec, n: int, seeds, burn_in: int = 500
-) -> list[SimPath]:
+def simulate_batch(spec: ModelSpec, n: int, seeds, burn_in: int = 500) -> list[SimPath]:
     """``simulate`` for many seeds in one batched burn-in and one batched
-    ``iterate_paths`` call over the n kept steps.
+    forward iteration over the n kept steps.
 
     Row r draws its innovations from ``seeds[r]``'s own stream, exactly as
     ``simulate(spec, n, seeds[r], burn_in)`` does. The rows are iterated
     together, so a non-diagonal lag matrix can round differently from the
     one-row call (a few 1e-15); a diagonal one gives identical paths. A
-    diverging row raises ``PathDivergedError`` for the whole batch.
+    diverging row raises ``PathDivergedError`` for the whole batch, its step
+    counted from the first burn-in step.
     """
-    seeds = tuple(seeds)
-    eps = np.empty((len(seeds), burn_in + n, spec.d))
-    for row, seed in zip(eps, seeds):
-        row[...] = draw_innovations(spec, burn_in + n, seed)
-    return _paths_from(spec, n, eps, seeds, burn_in)
+    return _finite(*_simulate_rows(spec, n, seeds, burn_in))[0]
 
 
-def _paths_from(spec: ModelSpec, n: int, eps: np.ndarray, seeds, burn_in: int) -> list[SimPath]:
-    """Iterate (R, burn_in + n, d) innovations from a zero state into R paths.
-
-    The burn-in keeps only the state it hands on. A divergence reports its
-    step counted from the first burn-in step.
-    """
+def _simulate_rows(
+    spec: ModelSpec, n: int, seeds, burn_in: int, eps: np.ndarray | None = None
+) -> tuple[list[SimPath], Divergence | None]:
+    """``simulate_batch``'s paths, or those of (R, burn_in + n, d) innovations
+    ``eps``, and the ``Divergence`` of the rows, its step counted from the
+    first burn-in step. The burn-in keeps only the state it hands on."""
     if n < max(spec.p + 1, 1):
         raise ValueError("n must exceed the lag order")
-    state = np.zeros((eps.shape[0], max(spec.p, 1), spec.d))
-    if burn_in > 0:
-        state = final_states(spec, state, eps[:, :burn_in])
-    try:
-        paths, _ = iterate_paths(spec, state, eps[:, burn_in:])
-    except PathDivergedError as exc:
-        step = burn_in + exc.step
-        raise PathDivergedError(f"path diverged at step {step}", step=step) from None
-    return [
+    seeds = tuple(seeds)
+    if eps is None:
+        eps = np.empty((len(seeds), burn_in + n, spec.d))
+        for row, seed in zip(eps, seeds):
+            row[...] = draw_innovations(spec, burn_in + n, seed)
+    steps, state = eps.transpose(1, 2, 0), np.zeros((max(spec.p, 1), spec.d, len(seeds)))
+    state, _, burnt = _forward(spec, state, steps[:burn_in], keep_path=False)
+    path, _, kept = _forward(spec, state, steps[burn_in:])
+    paths = [
         SimPath(x=z[:, 0], y=z[:, 1:], eps=e[burn_in:], seed=seed, burn_in=burn_in)
-        for z, e, seed in zip(paths, eps, seeds)
+        for z, e, seed in zip(path.transpose(2, 0, 1).copy(), eps, seeds)
     ]
+    return paths, _union(burnt, kept and kept._replace(step=burn_in + kept.step))
 
 
 def linearized(spec: ModelSpec) -> ModelSpec:

@@ -3,26 +3,24 @@ simulated population reference, reproducing the benchmark experiments.
 
 Replication r always consumes the stream derived from (master_seed, r).
 The paths of up to ``SIMULATION_BATCH`` replications are simulated together
-in one batch, always in the calling process; the fixed batching fixes the
-rounding of the simulation. With ``threads > 1`` the population chunks
-and the fits and IRFs of each batch are split into contiguous shares over
-the calling process and ``threads - 1`` forked worker processes. These run
-only where ``os.fork`` exists, the calling process runs a single thread,
-and BLAS is pinned to one thread (see the ``sievar`` package docstring);
-otherwise the calling process does all the work.
+in the calling process; the fixed batching fixes their rounding. With
+``threads > 1`` the population chunks and the fits and IRFs of each batch
+are split into contiguous shares over the calling process and
+``threads - 1`` forked workers, where ``os.fork`` exists and BLAS is pinned
+to one thread (see the ``sievar`` package docstring).
 
 A process runs its share in stacked groups of consecutive replications,
-as many as fit ``GROUP_COLUMNS`` columns of one sample each. Every
-replication fits its first stage once and its estimators through the one
-least-squares solver, each with its own ridge fallback. Then, per
-estimator, the sample check of the group's fits is one ``_forward`` step
-and the shocked paths of each shock one ``_forward`` call, the fits side
-by side on their own columns (``irf._check_samples`` and
-``irf._responses``). A replication's errors have the same bits whichever
-replications share its group, and a group whose stacked call fails reruns
-its replications one at a time, so each failure stays with its own
-replication. The errors are kept in replication order and reduced once at
-the end, so results are bit-identical for any thread count.
+as many as fit ``GROUP_COLUMNS`` columns of one sample each. A replication
+fits its first stage once and its estimators through the one least-squares
+solver, each with its own ridge fallback. Per estimator, the group's fits
+then take one stacked sample check and one stacked ``_forward`` call per
+shock (``irf._check_samples``, ``irf._responses``), each fit on its own
+columns, so its errors have the same bits whichever replications share its
+group. ``model._forward`` marks the columns that diverge and runs the
+others on: a diverged row of a simulation batch, or a replication whose
+fits diverge, fails alone with cause ``PathDivergedError``, and nothing is
+rerun. The errors are kept in replication order and reduced once at the
+end, so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ import numpy as np
 
 from ._workers import can_fork, map_in_processes
 from .basis import KnotVector, SievePlan
-# fit_parametric and fit_two_step are not called here, but perfbench's tracer
-# wraps them in this module
+# tracer-only imports (perfbench wraps them here): estimated_irf, fit_parametric, fit_two_step, simulate
 from .estimator import (  # noqa: F401
     FirstStageFit,
     FittedModel,
@@ -49,7 +46,6 @@ from .estimator import (  # noqa: F401
     fit_two_step,
     max0_prior_form,
 )
-# estimated_irf is not called here either, but the tracer wraps it here too
 from .irf import (  # noqa: F401
     IncompatibleShockError,
     IrfResult,
@@ -59,17 +55,19 @@ from .irf import (  # noqa: F401
     _impact,
     _responses,
     _sample,
+    _two_pass,
     check_compatibility,
     estimated_irf,
     population_irf,
 )
-from .model import (
+from .model import (  # noqa: F401
     PathDivergedError,
     StabilityWarning,
+    _simulate_rows,
+    _union,
     builtin_dgp,
     derive_seed,
     simulate,
-    simulate_batch,
 )
 
 __all__ = [
@@ -168,9 +166,10 @@ def default_study_config(dgp_id: int, **overrides) -> StudyConfig:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Moments over the successful replications. ``clamped`` sums their
-    estimated IRFs' ``clamped`` counts (spline evaluations outside the knot
-    domain in the iterated paths); ``failure_causes`` counts the failed
+    """Moments over the successful replications. ``clamped`` sums the
+    ``clamped`` counts of the estimated IRFs that the study iterated (spline
+    evaluations outside the knot domain in the iterated paths), a diverged
+    replication's included; ``failure_causes`` counts the failed
     replications by exception class name. ``processes`` is the number of
     processes the fits and IRFs were split over: 1 when the worker
     processes could not run."""
@@ -239,31 +238,14 @@ def _fit_one(cfg: StudyConfig, tag: str, path, first: FirstStageFit | None = Non
     return _fit_stage_two(layout, x, y, first.residuals, first, cfg.p)
 
 
-def _simulate_batch(spec, cfg: StudyConfig, seeds: list[int]) -> list:
-    """Paths of one simulation batch. When a row diverges, the paths are
-    simulated one by one, and a path that fails holds its failure cause."""
-    try:
-        return simulate_batch(spec, cfg.n, seeds, cfg.burn_in)
-    except PathDivergedError:
-        pass
-    paths: list = []
-    for seed in seeds:
-        try:
-            paths.append(simulate(spec, cfg.n, seed, cfg.burn_in))
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            paths.append(type(exc).__name__)
-    return paths
-
-
 def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[list, int]:
     """Each replication's errors, an (estimators x deltas, H+1, d) array
     against ``targets``, or its failure cause, for the paths (or the
-    simulation's failure causes) of one group; and the clamped count of the
-    successful replications. A replication fits its first stage once and
-    passes it to each of its estimators; a fit that raises
-    ``RuntimeError``, ``LinAlgError`` or ``ValueError`` (such as a sample
-    whose range misses an interior knot; ``_check_sieve`` has raised the
-    config's own errors before) fails its replication."""
+    simulation's failure causes) of one group; and the clamped count of its
+    responses (``_respond``). A replication fits its first stage once for
+    all its estimators; a fit that raises ``RuntimeError``, ``LinAlgError``
+    or ``ValueError`` (a sample whose range misses an interior knot, say;
+    ``_check_sieve`` raised the config's own errors) fails its replication."""
     outcomes = list(paths)
     fitted = []
     for i, path in enumerate(paths):
@@ -282,60 +264,48 @@ def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[li
 
 def _respond(fitted: list, shocks, targets) -> tuple[list, int]:
     """The errors of the fitted replications of a group, or their failure
-    causes, and the clamped count of the successful ones. Per estimator the
+    causes, and the clamped count of their responses. Per estimator the
     group's fits run stacked: one sample check and one ``_responses`` call.
-    A group whose stacked call raises ``RuntimeError`` (a diverged path) or
-    ``LinAlgError`` reruns its replications one at a time, so each failure
-    stays with its own replication and keeps its cause."""
+    A replication any of whose fits diverges in either fails with
+    ``PathDivergedError``; the others keep their errors."""
     if not fitted:
         return [], 0
-    try:
-        errors = np.empty((len(fitted), len(fitted[0][2]) * len(shocks)) + targets.shape[1:])
-        clamped = 0
-        h = shocks[0].horizon
-        # a replication's estimators share its first stage, and so its shocks
-        impacts = [
-            [_impact(shock, fits[0].first_stage.residuals[: path.n - fits[0].p - h]) for _, path, fits in fitted]
-            for shock in shocks
-        ]
-        for e, fits in enumerate(zip(*(fits for _, _, fits in fitted))):
-            plans = [fit._step_plan for fit in fits]
-            samples = [_sample(fit, path.x, path.y) for fit, (_, path, _) in zip(fits, fitted)]
-            _check_samples(plans, samples, True)
-            values, counts = _responses(plans, samples, impacts, h, True, GROUP_COLUMNS)
-            for k, v in enumerate(values):
-                errors[:, e * len(shocks) + k] = v - targets[k]
-            clamped += sum(counts)
-        return list(errors), clamped
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        if len(fitted) == 1:
-            return [type(exc).__name__], 0
-    outcomes, clamped = [], 0
-    for one in fitted:
-        out, count = _respond([one], shocks, targets)
-        outcomes += out
-        clamped += count
-    return outcomes, clamped
+    errors = np.empty((len(fitted), len(fitted[0][2]) * len(shocks)) + targets.shape[1:])
+    failed, clamped, h = np.zeros(len(fitted), dtype=bool), 0, shocks[0].horizon
+    # a replication's estimators share its first stage, and so its shocks
+    impacts = [
+        [_impact(shock, fits[0].first_stage.residuals[: path.n - fits[0].p - h]) for _, path, fits in fitted]
+        for shock in shocks
+    ]
+    for e, fits in enumerate(zip(*(fits for _, _, fits in fitted))):
+        plans = [fit._step_plan for fit in fits]
+        samples = [_sample(fit, path.x, path.y) for fit, (_, path, _) in zip(fits, fitted)]
+        checked = _check_samples(plans, samples, True)
+        values, counts, diverged = _responses(plans, samples, impacts, h, True, GROUP_COLUMNS)
+        if checked or diverged:
+            failed |= _union(checked, diverged).columns
+        for k, v in enumerate(values):
+            errors[:, e * len(shocks) + k] = v - targets[k]
+        clamped += sum(counts)
+    return [PathDivergedError.__name__ if bad else error for bad, error in zip(failed, errors)], clamped
 
 
 def _moments(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bias, MSE and the MC standard error of the bias from (n, keys, H+1,
     d) errors in replication order, one key at a time so the temporaries
     stay small. The replications are summed pairwise, along a contiguous
-    axis, and the variance is the two-pass one with its rounding correction
-    (Chan, Golub & LeVeque 1983)."""
+    axis, and the variance is the two-pass one (``irf._two_pass``)."""
     n = errors.shape[0]
     bias, mse, se = (np.empty(errors.shape[1:]) for _ in range(3))
     for i in range(errors.shape[1]):
         # a (H+1, d, n) copy, each (horizon, component) row one contiguous run
         # of replications; it is written in place below
         e = np.moveaxis(errors[:, i], 0, -1).copy()
-        bias[i] = e.sum(axis=-1) / n
         square = np.square(e)
         mse[i] = square.sum(axis=-1) / n
-        dev = np.subtract(e, bias[i][..., None], out=e)
-        var = (np.square(dev, out=square).sum(axis=-1) - np.square(dev.sum(axis=-1)) / n) / n
-        se[i] = np.sqrt(np.maximum(var, 0.0) / n)
+        total, m2 = _two_pass(e, square)
+        bias[i] = total / n
+        se[i] = np.sqrt(np.maximum(m2 / n, 0.0) / n)
     return bias, mse, se
 
 
@@ -396,7 +366,9 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
         for start in range(0, m, SIMULATION_BATCH):
-            paths = _simulate_batch(spec, cfg, seeds[start : start + SIMULATION_BATCH])
+            paths, diverged = _simulate_rows(spec, cfg.n, seeds[start : start + SIMULATION_BATCH], cfg.burn_in)
+            if diverged:
+                paths = [PathDivergedError.__name__ if bad else p for p, bad in zip(paths, diverged.columns)]
             shares = min(processes, len(paths))
             cuts = [len(paths) * i // shares for i in range(shares + 1)]
             parts = [paths[a:b] for a, b in zip(cuts[:-1], cuts[1:])]

@@ -368,7 +368,7 @@ def oracle_population_irf(spec, shock, replications, seed, burn_in, chunk):
     (burn_in + H + 1, d, B) array per chunk, clipped, scaled and iterated
     through the public (B, T, d) calls."""
     h, d = shock.horizon, spec.d
-    total, total_sq, clamped = np.zeros((h + 1, d)), np.zeros((h + 1, d)), 0
+    total, m2, clamped = np.zeros((h + 1, d)), np.zeros((h + 1, d)), 0
     for k, start in enumerate(range(0, replications, chunk)):
         size = min(chunk, replications - start)
         eps = philox(derive_seed(seed, k)).standard_normal((burn_in + h + 1, d, size))
@@ -382,13 +382,36 @@ def oracle_population_irf(spec, shock, replications, seed, burn_in, chunk):
         shocked_eps = future.copy()
         shocked_eps[:, 0, 0] += shock.delta * relax_eval(shock.relaxation, future[:, 0, 0])
         shocked, clamp_s = iterate_paths(spec, state, shocked_eps)
-        # summed over the contiguous batch axis, as population_irf sums
+        # summed over the contiguous batch axis, as population_irf sums; the
+        # chunk's squared deviations two-pass, merged by Chan, Golub & LeVeque
         diff = np.ascontiguousarray((shocked - base).transpose(1, 2, 0))
-        total += diff.sum(axis=2)
-        total_sq += (diff**2).sum(axis=2)
+        chunk_sum = diff.sum(axis=2)
+        dev = diff - (chunk_sum / size)[:, :, None]
+        chunk_m2 = (dev**2).sum(axis=2) - dev.sum(axis=2) ** 2 / size
+        if start:
+            chunk_m2 += (chunk_sum / size - total / start) ** 2 * (start * size / (start + size))
+        m2 += chunk_m2
+        total += chunk_sum
         clamped += clamp_b + clamp_s
-    mean = total / replications
-    return mean, np.sqrt(np.maximum(total_sq / replications - mean**2, 0.0) / replications), clamped
+    return total / replications, np.sqrt(np.maximum(m2 / replications, 0.0) / replications), clamped
+
+
+@pytest.mark.filterwarnings("ignore::sievar.irf.SupportWarning")
+def test_population_mc_se_is_zero_for_constant_differences():
+    # with X's innovations scaled to zero, X stays at zero and the shocked X
+    # is delta times a power of two at every h: each difference is constant
+    dgp2 = sievar.builtin_dgp(2)
+    spec = dataclasses.replace(dgp2, innovation=InnovationLaw(sigma=(0.0, 1.0), bound=3.0))
+    shock = ShockSpec(0.3, RelaxationFn.constant_one(), 4)
+    # 20,000 replications leave a short last chunk of 3,616
+    for threads in (1, 2):
+        got = population_irf(spec, shock, replications=20_000, seed=2, burn_in=30, threads=threads)
+        np.testing.assert_allclose(got.values[:, 0], 0.3 * 0.5 ** np.arange(5), rtol=1e-15)
+        assert got.mc_se[:, 0].tolist() == [0.0] * 5
+        assert np.all(got.mc_se[1:, 1] > 0.0)
+    # DGP 2's h = 0 X differences vary only by rounding (about 1e-16), so
+    # their standard error is of the order 1e-16 / sqrt(20,000)
+    assert population_irf(dgp2, shock, replications=20_000, seed=0).mc_se[0, 0] < 1e-17
 
 
 @pytest.mark.filterwarnings("ignore::sievar.StabilityWarning")
@@ -708,9 +731,9 @@ def _counting_forward():
     forward = sievar.irf._forward
 
     def counting(spec, states, eps, impact=None, keep_path=True):
-        out, clamped = forward(spec, states, eps, impact, keep_path)
+        out, clamped, diverged = forward(spec, states, eps, impact, keep_path)
         calls.append((eps.shape[2], eps.shape[0], clamped))
-        return out, clamped
+        return out, clamped, diverged
 
     return calls, counting
 
@@ -833,10 +856,11 @@ def test_stacked_forward_equals_each_model_alone(widths, lags):
     impact = rng.uniform(-1.0, 1.0, size=sum(widths))
     edges = np.cumsum((0,) + widths)
     for keep_path in (True, False):
-        got, clamped = sievar.model._forward(plan, states, eps, impact=impact, keep_path=keep_path)
+        got, clamped, diverged = sievar.model._forward(plan, states, eps, impact=impact, keep_path=keep_path)
+        assert diverged is None
         total = 0
         for m, fit in enumerate(fits):
-            alone, count = sievar.model._forward(
+            alone, count, _ = sievar.model._forward(
                 fit, states[m], eps[m], impact=impact[edges[m] : edges[m + 1]], keep_path=keep_path
             )
             assert got[:, :, edges[m] : edges[m + 1]].tobytes() == alone.tobytes()
@@ -864,7 +888,8 @@ def test_stacked_responses_equal_estimated_irf(chunk):
         [sievar.irf._impact(shock, fit.first_stage.residuals[: path.n - fit.p - h]) for fit, path in zip(fits, paths)]
         for shock in shocks
     ]
-    values, clamped = sievar.irf._responses([fit._step_plan for fit in fits], samples, impacts, h, True, chunk)
+    values, clamped, diverged = sievar.irf._responses([fit._step_plan for fit in fits], samples, impacts, h, True, chunk)
+    assert diverged is None
     for k, shock in enumerate(shocks):
         alone = [estimated_irf(fit, path, shock, chunk=chunk) for fit, path in zip(fits, paths)]
         for m, res in enumerate(alone):

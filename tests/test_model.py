@@ -564,6 +564,64 @@ def test_divergence_step_equals_dict_keyed_loop(model, batch, oracle_specs):
         assert got.value.step == expected.value.step
 
 
+# non-finite innovations or states, and finite ones that may overflow later
+INJECTED = (np.inf, -np.inf, np.nan, 1e200, 1e308)
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_diverged_columns_leave_the_others_unchanged(model, oracle_specs, data):
+    """A column that leaves the finite range is marked and runs on; every
+    other column keeps the bits of the clean call, in a single-model call
+    and in a stacked one, and the mask and first step are those of each
+    column run alone."""
+    spec = oracle_specs[model]
+    widths = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3), label="widths")
+    n_batch = sum(widths)
+    columns = sorted(data.draw(st.sets(st.integers(0, n_batch - 1), min_size=1), label="columns"))
+    value = data.draw(st.sampled_from(INJECTED), label="value")
+    keep_path = data.draw(st.booleans(), label="keep_path")
+    steps, q, d = 2 * sievar.model.STAGE_STEPS + 3, max(spec.p, 1), spec.d
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    state = rng.uniform(-3.0, 3.0, size=(q, d, n_batch))
+    eps = rng.uniform(-3.0, 3.0, size=(steps, d, n_batch))
+    impact = rng.uniform(-1.0, 1.0, size=n_batch)
+    bad_state, bad_eps = state.copy(), eps.copy()
+    comp = data.draw(st.integers(0, d - 1), label="component")
+    if data.draw(st.booleans(), label="in_state"):
+        bad_state[-1, comp, columns] = value
+    # each column from its own step on, so the columns diverge at different steps
+    for c in columns:
+        bad_eps[data.draw(st.integers(0, steps), label="step") :, comp, c] = value
+    edges = np.cumsum([0] + widths)
+
+    def run(states, innovations):
+        if len(widths) == 1:
+            return sievar.model._forward(spec, states, innovations, impact=impact, keep_path=keep_path)
+        plan = sievar.model._stack([spec._step_plan] * len(widths))
+        states, innovations = ([a[..., lo:hi] for lo, hi in zip(edges, edges[1:])] for a in (states, innovations))
+        return sievar.model._forward(plan, list(states), list(innovations), impact=impact, keep_path=keep_path)
+
+    clean, _, none = run(state, eps)
+    assert none is None
+    got, _, diverged = run(bad_state, bad_eps)
+    alone = {
+        c: sievar.model._forward(spec, bad_state[..., [c]], bad_eps[..., [c]], impact=impact[[c]],
+                                 keep_path=keep_path)[2]
+        for c in columns
+    }
+    expected = np.zeros(n_batch, dtype=bool)
+    expected[[c for c, one in alone.items() if one is not None]] = True
+    if expected.any():
+        assert diverged.columns.tolist() == expected.tolist()
+        assert diverged.step == min(one.step for one in alone.values() if one is not None)
+    else:
+        assert diverged is None
+    others = np.setdiff1d(np.arange(n_batch), columns)
+    assert got[..., others].tobytes() == clean[..., others].tobytes()
+
+
 @pytest.mark.parametrize("shape", [(4, 6, 1), (4, 6, 3), (6, 3), (12,), (1, 4, 6, 2)])
 def test_innovations_of_the_wrong_shape_raise(shape):
     # unchecked, a narrow array fails inside numpy and a wide one is cut to width

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -329,6 +330,44 @@ def test_group_with_a_replication_diverging_in_its_irf(monkeypatch):
             assert res.se[key].tobytes() == results[0].se[key].tobytes()
 
 
+def test_group_with_a_replication_diverging_in_its_sample_check(monkeypatch):
+    # at h = 0 a fit's responses read only its residuals at the shocked
+    # impact times, so an inf residual where the shock is zero is stepped
+    # through by the sample check alone
+    cfg = default_study_config(3, n=400, horizon=0, estimators=("parametric_true", "sieve"),
+                               relaxation=sievar.RelaxationFn.symmetric_bump(2.0, 4.0))
+    paths, shocks, targets = _group_inputs(cfg, 4, 17)
+    study_cfg = replace(cfg, mc_replications=12, pop_replications=500, max_failure_fraction=0.2)
+    bad_seed = derive_seed(study_cfg.master_seed, 2, 5)
+    real_fit = study_mod._fit_one
+
+    def fit(cfg, tag, path, first=None):
+        out = real_fit(cfg, tag, path, first)
+        if tag == "sieve" and (path is paths[1] or path.seed == bad_seed):
+            t = int(np.argmax(np.abs(out.first_stage.residuals)))
+            assert sievar.relax_eval(cfg.relaxation, out.first_stage.residuals[t]) == 0.0
+            residuals2 = out.residuals2.copy()
+            residuals2[t] = np.inf
+            out = replace(out, residuals2=residuals2)
+        return out
+
+    fits = [fit(cfg, "sieve", path) for path in paths]
+    plans = [f._step_plan for f in fits]
+    samples = [sievar.irf._sample(f, path.x, path.y) for f, path in zip(fits, paths)]
+    diverged = sievar.irf._check_samples(plans, samples, True)
+    assert diverged.columns.tolist() == [False, True, False, False] and diverged.step == 1
+    impacts = [[sievar.irf._impact(shocks[0], f.first_stage.residuals) for f in fits]]
+    assert sievar.irf._responses(plans, samples, impacts, 0, True, 4096)[2] is None
+    with pytest.raises(PathDivergedError, match=r"at step 1$"):
+        sievar.estimated_irf(fits[1], paths[1], shocks[0])
+    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    group = _check_group_against_singles(cfg, paths, shocks, targets)
+    assert [o if isinstance(o, str) else "ok" for o in group] == ["ok", "PathDivergedError", "ok", "ok"]
+    for threads in (1, 2):
+        res = run_study(replace(study_cfg, threads=threads))
+        assert res.failed == (5,) and res.failure_causes == {"PathDivergedError": 1}
+
+
 def test_tracer_hooks_resolve():
     """Every (module, function) the benchmark's tracer wraps still exists on
     sievar; its install raises AttributeError otherwise."""
@@ -343,6 +382,24 @@ def test_tracer_hooks_resolve():
         for module in modules:
             assert callable(getattr(getattr(sievar, module), name.rsplit(".", 1)[1])), (module, name)
     assert callable(sievar.NonlinFn.__call__)
+    # the converse: an import kept only for the tracer names a hook, is
+    # used nowhere else in its module, and goes when the hook goes
+    wrapped = {(module, name.rsplit(".", 1)[1]) for name, modules in hooks for module in modules}
+    kept = []
+    for path in sorted(Path(sievar.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        module = path.stem
+        for line in text.splitlines():
+            if "tracer" in line and line.lstrip().startswith("#"):
+                names = re.fullmatch(r"# tracer-only imports \(perfbench wraps them here\): (.+)", line.strip())
+                assert names, (module, line)
+                kept += [(module, name) for name in names[1].split(", ")]
+        loads = {node.id for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Name)}
+        for name in (name for m, name in kept if m == module):
+            assert name not in loads, f"{module} calls {name}, which it imports for the tracer only"
+    assert kept
+    for module, name in kept:
+        assert (module, name) in wrapped, f"{module} keeps {name} for a hook that perfbench no longer has"
 
 
 def test_derived_seeds_disjoint():
@@ -459,58 +516,54 @@ def test_nonrelaxed_estimator_has_higher_mse():
     assert np.median(mses_non) >= np.median(mses_rel)
 
 
-def test_failed_replications_excluded_and_abort(monkeypatch):
-    real_simulate = study_mod.simulate
-    calls = {"n": 0}
-
-    def flaky(spec, n, seed, burn_in):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise PathDivergedError("path diverged at step 1")
-        return real_simulate(spec, n, seed, burn_in)
-
-    def diverged_batch(spec, n, seeds, burn_in):
-        raise PathDivergedError("path diverged at step 1")
-
-    monkeypatch.setattr(study_mod, "simulate_batch", diverged_batch)
-    monkeypatch.setattr(study_mod, "simulate", flaky)
-    cfg = small_cfg(mc_replications=150, pop_replications=500, max_failure_fraction=0.01)
-    res = run_study(cfg)
-    assert res.n_ok == 149
-    assert len(res.failed) == 1
-
-    def always_fail(spec, n, seed, burn_in):
-        raise PathDivergedError("path diverged at step 1")
-
-    monkeypatch.setattr(study_mod, "simulate", always_fail)
-    with pytest.raises(RuntimeError, match="replications failed"):
-        run_study(small_cfg(mc_replications=20, pop_replications=500))
-    # with every failure allowed there are still no moments to report
-    with pytest.raises(RuntimeError, match=r"all 20 replications failed; causes: \{'PathDivergedError': 20\}"):
-        run_study(small_cfg(mc_replications=20, pop_replications=500, max_failure_fraction=1.0))
-
-    # one row of a full simulation batch leaves the finite range
-    monkeypatch.undo()
-    cfg = small_cfg(mc_replications=study_mod.SIMULATION_BATCH + 10, pop_replications=500,
-                    horizon=2, burn_in=50, max_failure_fraction=0.01)
-    bad = derive_seed(cfg.master_seed, 2, 137)
+def _diverging_draws(monkeypatch, bad_seeds):
+    """Make the innovations of the seeds in ``bad_seeds`` all inf, so that
+    their simulated rows leave the finite range at the first step."""
     real_draw = sievar.model.draw_innovations
     monkeypatch.setattr(
         sievar.model, "draw_innovations",
-        lambda spec, n, seed: np.full((n, spec.d), np.inf) if seed == bad else real_draw(spec, n, seed),
+        lambda spec, n, seed: np.full((n, spec.d), np.inf) if seed in bad_seeds else real_draw(spec, n, seed),
     )
+
+
+def test_failed_replications_excluded_and_abort(monkeypatch):
+    cfg = small_cfg(mc_replications=150, pop_replications=500, max_failure_fraction=0.01)
+    _diverging_draws(monkeypatch, {derive_seed(cfg.master_seed, 2, 2)})
+    res = run_study(cfg)
+    assert res.n_ok == 149
+    assert res.failed == (2,) and res.failure_causes == {"PathDivergedError": 1}
+    monkeypatch.undo()
+
+    cfg = small_cfg(mc_replications=20, pop_replications=500)
+    _diverging_draws(monkeypatch, {derive_seed(cfg.master_seed, 2, r) for r in range(20)})
+    with pytest.raises(RuntimeError, match="replications failed"):
+        run_study(cfg)
+    # with every failure allowed there are still no moments to report
+    with pytest.raises(RuntimeError, match=r"all 20 replications failed; causes: \{'PathDivergedError': 20\}"):
+        run_study(replace(cfg, max_failure_fraction=1.0))
+    monkeypatch.undo()
+
+    # one row of a full simulation batch leaves the finite range; the other
+    # rows keep the batch's paths
+    cfg = small_cfg(mc_replications=study_mod.SIMULATION_BATCH + 10, pop_replications=500,
+                    horizon=2, burn_in=50, max_failure_fraction=0.01)
+    clean = run_study(cfg)
+    _diverging_draws(monkeypatch, {derive_seed(cfg.master_seed, 2, 137)})
     batches = []
-    real_batch = study_mod.simulate_batch
-    monkeypatch.setattr(study_mod, "simulate_batch", lambda *a: batches.append(len(a[2])) or real_batch(*a))
+    real_rows = study_mod._simulate_rows
+    monkeypatch.setattr(study_mod, "_simulate_rows", lambda *a: batches.append(len(a[2])) or real_rows(*a))
     res = run_study(cfg)
     assert batches == [study_mod.SIMULATION_BATCH, 10]
     assert res.failed == (137,)
     assert res.failure_causes == {"PathDivergedError": 1}
     assert res.n_ok == cfg.mc_replications - 1
+    assert res.clamped < clean.clamped
     # the failure cause of a path passes through a worker's share too
     forked = run_study(replace(cfg, threads=2))
     assert forked.processes == 2
     assert (forked.failed, forked.failure_causes) == (res.failed, res.failure_causes)
+    for key in res.mse:
+        assert forked.mse[key].tobytes() == res.mse[key].tobytes()
 
 
 @pytest.mark.parametrize("dgp_id", [2, 7])
@@ -519,8 +572,8 @@ def test_simulation_batch_only_moves_rounding(dgp_id, monkeypatch):
                                horizon=4, master_seed=9)
     big = run_study(cfg)
     batches = []
-    real_batch = study_mod.simulate_batch
-    monkeypatch.setattr(study_mod, "simulate_batch", lambda *a: batches.append(len(a[2])) or real_batch(*a))
+    real_rows = study_mod._simulate_rows
+    monkeypatch.setattr(study_mod, "_simulate_rows", lambda *a: batches.append(len(a[2])) or real_rows(*a))
     monkeypatch.setattr(study_mod, "SIMULATION_BATCH", 25)
     small = run_study(cfg)
     assert batches == [25, 25, 10]
@@ -537,26 +590,22 @@ def test_simulation_batch_only_moves_rounding(dgp_id, monkeypatch):
 def test_failed_replication_contributes_nothing(monkeypatch):
     """A replication failing in its last stacked IRF adds no partial errors,
     and the replications that shared its group keep theirs."""
-    cfg = small_cfg(mc_replications=10, pop_replications=500,
+    cfg = small_cfg(dgp_id=3, mc_replications=10, pop_replications=500,
                     estimators=("parametric_true", "sieve"), max_failure_fraction=0.2)
-    seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(cfg.mc_replications)]
-    bad_x = sievar.model.simulate_batch(sievar.builtin_dgp(2), cfg.n, seeds, cfg.burn_in)[3].x
-    calls = []
-    real_responses = study_mod._responses
+    bad = derive_seed(cfg.master_seed, 2, 3)
+    real_fit = study_mod._fit_one
 
-    def responses(plans, samples, *args):
-        sieve = any(not isinstance(key, str) for key, _ in plans[0].groups)
-        calls.append((sieve, len(samples)))
-        if sieve and any(np.array_equal(zt[0], bad_x) for zt, _ in samples):
-            raise np.linalg.LinAlgError("singular matrix")
-        return real_responses(plans, samples, *args)
+    def cubed(scale):
+        def fit(cfg, tag, path, first=None):
+            # every sieve fit gets the term, so the group's fits share one layout
+            out = real_fit(cfg, tag, path, first)
+            return _with_cube(out, path.x, scale if path.seed == bad else 0.0) if tag == "sieve" else out
 
-    # replication 3's sieve IRF fails in the group's stacked call and alone
-    monkeypatch.setattr(study_mod, "_responses", responses)
+        return fit
+
+    # replication 3's sieve IRF, its last, diverges in the group's stacked call
+    monkeypatch.setattr(study_mod, "_fit_one", cubed(1e4))
     late = run_study(cfg)
-    # one group of ten, whose failed sieve call reran its replications one at a time
-    assert calls == [(False, 10), (True, 10)] + [(False, 1), (True, 1)] * 10
-    monkeypatch.undo()
 
     def fail_on_call(fn, k):
         count = {"n": 0}
@@ -570,11 +619,12 @@ def test_failed_replication_contributes_nothing(monkeypatch):
         return flaky
 
     # replication 3's parametric fit is the 7th stage-II fit (two per replication)
+    monkeypatch.setattr(study_mod, "_fit_one", cubed(0.0))
     monkeypatch.setattr(study_mod, "_fit_stage_two", fail_on_call(study_mod._fit_stage_two, 7))
     early = run_study(cfg)
-    for res in (late, early):
-        assert res.failed == (3,)
-        assert res.failure_causes == {"LinAlgError": 1}
+    assert late.failed == early.failed == (3,)
+    assert late.failure_causes == {"PathDivergedError": 1}
+    assert early.failure_causes == {"LinAlgError": 1}
     for key in late.mse:
         np.testing.assert_array_equal(late.mse[key], early.mse[key])
         np.testing.assert_array_equal(late.bias[key], early.bias[key])
