@@ -35,6 +35,7 @@ from .irf import (
     RelaxationFn,
     ShockSpec,
     _estimated_irfs,
+    _require_compatible,
     check_compatibility,
     linear_irf,
     population_irf,
@@ -92,10 +93,12 @@ _str = _typed(str, "a string")
 _object = _typed(dict, "a JSON object")
 
 
-def _list_of(item: Callable, length: int | None = None) -> Callable:
+def _list_of(item: Callable, length: int | None = None, nonempty: bool = False) -> Callable:
+    what = f"a list of {length}" if length else "a non-empty list" if nonempty else "a list"
+
     def convert(v) -> tuple:
-        if not isinstance(v, list) or length not in (None, len(v)):
-            raise TypeError(f"expected a list{f' of {length}' if length else ''}, got {v!r}")
+        if not isinstance(v, list) or length not in (None, len(v)) or (nonempty and not v):
+            raise TypeError(f"expected {what}, got {v!r}")
         return tuple(item(x) for x in v)
     return convert
 
@@ -162,13 +165,13 @@ KEYS = {
     "sieve": Key(default={}, table=SIEVE),
     "grid_points": Key(_int, 101),
     "fit_bundle": Key(_str),
-    "methods": Key(_list_of(_choice(*IRF_METHODS)), ["sieve", "linear"]),
-    "deltas": Key(_list_of(_float), [1.0]),
+    "methods": Key(_list_of(_choice(*IRF_METHODS), nonempty=True), ["sieve", "linear"]),
+    "deltas": Key(_list_of(_float, nonempty=True), [1.0]),
     "horizon": Key(_int, 12),
     "relaxation": Key(_relaxation, {"c": 3.0, "alpha": 4.0}, RELAXATION),
     "population_replications": Key(_int, 20_000, study="pop_replications"),
     "replications": Key(_int, 2000, study="mc_replications"),
-    "estimators": Key(_list_of(_str)),
+    "estimators": Key(_list_of(_str, nonempty=True)),
     "target_relaxed": Key(_bool, True),
     "estimator_relaxed": Key(_bool, True),
     "paper_scale": Key(_bool, False),
@@ -329,12 +332,7 @@ def cmd_irf(cfg: dict, run: Run) -> int:
         raise ConfigError("population IRFs need a model source, not a data table")
     if spec is not None and rho.kind != "constant_one":
         for delta in cfg["deltas"]:
-            verdict = check_compatibility(rho, delta, spec.innovation.support(0))
-            if not verdict.compatible:
-                raise IncompatibleShockError(
-                    f"relaxation incompatible with delta={delta:g}: "
-                    f"worst margin {verdict.worst_margin:.6g}"
-                )
+            _require_compatible(rho, delta, spec.innovation.support(0))
 
     # each estimator is fitted once and serves every shock size
     fits = {}

@@ -16,10 +16,14 @@ block, so memory does not grow with the burn-in's length. The probe's
 per-sample burn-ins, which keep a stream each, are one ``final_states``
 call, and its h-step finite-difference paths and its one-step innovation
 perturbations are one ``iterate_paths`` call each. All spectral norms come
-from one stacked SVD. Each probe sample keeps its own random stream, so the
-numbers match a sample-by-sample probe exactly when the lag matrices are
-diagonal; otherwise a many-row matrix product can round differently, which
-moves the constants at rounding level (about 1e-11 relative).
+from one stacked SVD, and ``check_contractivity`` is the probe at one step.
+Every Gaussian draw, of the burn-ins, the shared coupling future and the
+probe's samples, is clipped and scaled by ``model._innovations``, as the
+simulations' and the population reference's are. Each probe sample keeps
+its own random stream, so the numbers match a sample-by-sample probe
+exactly when the lag matrices are diagonal; otherwise a many-row matrix
+product can round differently, which moves the constants at rounding level
+(about 1e-11 relative).
 """
 
 from __future__ import annotations
@@ -30,15 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .irf import _burn_in
-from .model import (
-    ModelSpec,
-    derive_seed,
-    draw_clipped,
-    final_states,
-    iterate_paths,
-    philox,
-    scale_innovations,
-)
+from .model import ModelSpec, _innovations, derive_seed, final_states, iterate_paths, philox
 
 __all__ = [
     "DependenceProfile",
@@ -104,10 +100,7 @@ def estimate_delta_r(
     if not comps or len(set(comps)) < len(comps) or not all(0 <= c < spec.d for c in comps):
         raise ValueError(f"components must be distinct indices in 0..{spec.d - 1}, got {comps}")
     states = _burn_in(spec, philox(derive_seed(seed, 11)), 2 * replications, burn_in)
-    shared = draw_clipped(
-        philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec.innovation.bound
-    )
-    scale_innovations(shared, spec.innovation.sigma)
+    shared = _innovations(spec, philox(derive_seed(seed, 13)), (replications, h_max, spec.d))
     paths, _ = iterate_paths(spec, states.transpose(2, 0, 1), np.concatenate([shared, shared]))
     gap = np.linalg.norm(paths[:replications, :, comps] - paths[replications:, :, comps], axis=2)
     delta_hat = np.mean(gap**r, axis=0) ** (1.0 / r)
@@ -161,16 +154,13 @@ def _sample_states_eps(
     states = np.empty((samples, p, spec.d))
     eps = np.empty((samples, h_cap, spec.d))
     burn = np.stack([
-        draw_clipped(philox(derive_seed(seed, 32, k)), (400, spec.d), bound)
-        for k in range(0, samples, 2)
+        _innovations(spec, philox(derive_seed(seed, 32, k)), (400, spec.d)) for k in range(0, samples, 2)
     ])
-    scale_innovations(burn, sigma)
     states[::2] = final_states(spec, np.zeros((burn.shape[0], p, spec.d)), burn)
     for k in range(samples):
         gen = philox(derive_seed(seed, 31, k))
         if k % 2 == 0:
-            eps[k] = draw_clipped(gen, (h_cap, spec.d), bound)
-            eps[k] *= sigma
+            _innovations(spec, gen, (h_cap, spec.d), out=eps[k])
         else:
             states[k] = gen.uniform(lo, hi).reshape(p, spec.d)
             eps[k] = gen.uniform(-bound * sigma, bound * sigma, size=(h_cap, spec.d))
@@ -243,19 +233,9 @@ def check_contractivity(spec: ModelSpec, samples: int = 200, seed: int = 0) -> S
 
     The estimate is a maximum over stationary-law samples plus uniform draws
     over the sampled domain box, so it is a lower bound on the supremum.
-    All samples iterate in one batch with their own streams; see the module
-    notes on rounding.
+    This is ``find_h_star`` at ``h_cap = 1``, every field included.
     """
-    c_z, c_eps = _lipschitz_profile(spec, 1, samples, seed)
-    contractive = bool(c_z[0] < 1.0 - CONTRACTIVE_MARGIN)
-    return StabilityReport(
-        contractive=contractive,
-        c_z=float(c_z[0]),
-        c_eps=c_eps,
-        h_star=1 if contractive else None,
-        decay=(float(c_z[0]),),
-        samples=samples,
-    )
+    return find_h_star(spec, 1, samples, seed)
 
 
 def find_h_star(
@@ -263,9 +243,9 @@ def find_h_star(
 ) -> StabilityReport:
     """Smallest iterate whose sampled state Lipschitz constant drops below one.
 
-    Shares the probe of ``check_contractivity``: all samples iterate h_cap
-    steps in one batch with their own streams, so the first entry of
-    ``decay`` is the one-step constant.
+    All samples iterate h_cap steps in one batch with their own streams (see
+    the module notes on rounding), so the first entry of ``decay`` is the
+    one-step constant of ``check_contractivity``.
     """
     if h_cap < 1:
         raise ValueError("h_cap must be at least 1")

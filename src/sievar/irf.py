@@ -26,13 +26,12 @@ from .model import (  # noqa: F401
     ModelSpec,
     _forward,
     _finite,
+    _innovations,
     _stack,
     _union,
     derive_seed,
-    draw_clipped,
     iterate_paths,
     philox,
-    scale_innovations,
 )
 
 __all__ = [
@@ -177,6 +176,17 @@ def check_compatibility(
     return Compatibility(bool(margin >= 0.0), float(margin), float(best))
 
 
+def _require_compatible(rho: RelaxationFn, delta: float, support: tuple[float, float]) -> None:
+    """Raise ``IncompatibleShockError``, with the worst margin, when
+    ``check_compatibility`` finds that the shocked innovation can leave the
+    support."""
+    verdict = check_compatibility(rho, delta, support)
+    if not verdict.compatible:
+        raise IncompatibleShockError(
+            f"relaxation incompatible with delta={delta:g} (worst margin {verdict.worst_margin:.6g})"
+        )
+
+
 @dataclass(frozen=True)
 class ShockSpec:
     """Impulse size, relaxation function, and horizon."""
@@ -243,11 +253,9 @@ def _columns(a: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
 def _draw_steps(spec: ModelSpec, gen, steps: int, size: int, block: np.ndarray) -> np.ndarray:
     """The stream's next ``steps`` steps of ``size`` columns as a (steps, d,
     size) view of ``block``: each step holds the draws of each component in
-    turn, clipped to the innovation bound, component j scaled by sigma_j."""
-    eps = block[: steps * spec.d * size].reshape(steps, spec.d, size)
-    draw_clipped(gen, eps.shape, spec.innovation.bound, eps)
-    scale_innovations(eps.transpose(2, 0, 1), spec.innovation.sigma)
-    return eps
+    turn (``model._innovations``)."""
+    shape = (steps, spec.d, size)
+    return _innovations(spec, gen, shape, axis=1, out=block[: steps * spec.d * size].reshape(shape))
 
 
 def _burn_in(
@@ -319,11 +327,9 @@ def population_irf(
     _warn_if_unrelaxed(spec, shock)
     h = shock.horizon
     d = spec.d
-    compat = None
-    if shock.relaxation.kind != "constant_one":
-        compat = check_compatibility(
-            shock.relaxation, shock.delta, spec.innovation.support(0)
-        )
+    relaxed = shock.relaxation.kind != "constant_one"
+    if relaxed:
+        _require_compatible(shock.relaxation, shock.delta, spec.innovation.support(0))
 
     @functools.cache
     def block() -> np.ndarray:
@@ -336,7 +342,7 @@ def population_irf(
         states = _burn_in(spec, gen, size, burn_in, block())
         eps = _draw_steps(spec, gen, h + 1, size, block())
         w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps[0, 0]))
-        if compat is not None and compat.compatible:
+        if relaxed:
             lo, hi = spec.innovation.support(0)
             impact = eps[0, 0] + w
             bad = np.count_nonzero((impact < lo - 1e-9) | (impact > hi + 1e-9))
@@ -421,10 +427,9 @@ def _estimated_irfs(fit, data, shocks, chunk: int = 4096, stacklevel: int = 3) -
         if shock.horizon != h:
             raise ValueError("the shocks must share one horizon")
     sample = _sample(fit, x, y)
-    replay = fit.generated == "first_stage"
     # the X step is the first stage for every fit kind; the Y steps reproduce
     # the sample only when stage II used the first-stage residuals
-    _finite(_check_samples([fit._step_plan], [sample], replay))
+    replay = fit.generated == "first_stage"
     impacts = [[_impact(shock, fit.first_stage.residuals[: n - fit.p - h])] for shock in shocks]
     values, clamped = _finite(*_responses([fit._step_plan], [sample], impacts, h, replay, chunk))
     return [
@@ -453,11 +458,6 @@ def _impact(shock: ShockSpec, eps_1: np.ndarray) -> np.ndarray:
     return shock.delta * np.asarray(relax_eval(shock.relaxation, eps_1))
 
 
-def _parts(arrays: list):
-    # one model's arrays go to _forward as they are, several as a list
-    return arrays[0] if len(arrays) == 1 else arrays
-
-
 def _check_samples(plans, samples, replay: bool) -> Divergence | None:
     """Raise ``ValueError`` unless each fit reproduces its sample: one step
     from every observed history must give the observation, in every
@@ -467,7 +467,7 @@ def _check_samples(plans, samples, replay: bool) -> Divergence | None:
     Returns the ``Divergence`` of the fits whose step diverged, unchecked."""
     p = plans[0].p
     states = [_columns(zt, np.arange(zt.shape[1] - p), p) for zt, _ in samples]
-    step, _, diverged = _forward(_stack(plans), _parts(states), _parts([rt[None] for _, rt in samples]))
+    step, _, diverged = _forward(_stack(plans), states, [rt[None] for _, rt in samples])
     comps = slice(None) if replay else slice(0, 1)
     failed, start = np.zeros(len(samples), dtype=bool), 0
     for m, (zt, _) in enumerate(samples):
@@ -484,13 +484,16 @@ def _check_samples(plans, samples, replay: bool) -> Divergence | None:
 
 
 def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
-    """The plug-in responses of fits of one impact layout to their samples.
+    """The plug-in responses of fits of one impact layout to their samples,
+    after one stacked sample check of all of them (``_check_samples``, which
+    raises ``ValueError`` for a fit of another sample).
 
     ``impacts[k][m]`` is fit m's shock at each of its impact times under
     shock k (``_impact``). Returns, per shock, an (M, H+1, d) array of each
     fit's mean response (``estimated_irf``'s values) and the count of
     clamped spline evaluations in the iterated paths; and the ``Divergence``
-    of the fits whose paths diverged, at the step of the first such call.
+    of the fits whose sample check or paths diverged, at the step of the
+    first such call, the check's first of all.
     A replay fit iterates only its impact times with a nonzero shock. Each
     fit's iterated impact times are cut into pieces of at most ``chunk``,
     and whole pieces run side by side, up to ``chunk`` columns per
@@ -500,7 +503,8 @@ def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
     """
     p, h = plans[0].p, horizon
     values, clamped = [], []
-    failed, first = np.zeros(len(samples), dtype=bool), None
+    first = _check_samples(plans, samples, replay)
+    failed = np.zeros(len(samples), dtype=bool) if first is None else first.columns
     for shock_rows in impacts:
         pieces = []
         for m, w in enumerate(shock_rows):
@@ -519,8 +523,8 @@ def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
             # from impact t: the p-state history before it, its residual
             # future and its observed continuation
             plan = _stack([plans[m] for m, _, _ in call])
-            state = _parts([_columns(samples[m][0], live, p) for m, live, _ in call])
-            eps = _parts([_columns(samples[m][1], live, h + 1) for m, live, _ in call])
+            state = [_columns(samples[m][0], live, p) for m, live, _ in call]
+            eps = [_columns(samples[m][1], live, h + 1) for m, live, _ in call]
             impact = np.concatenate([w[live] for _, live, w in call])
             base_path, clamp_b, diverged = (None, 0, None) if replay else _forward(plan, state, eps)
             shocked, clamp_s, shocked_diverged = _forward(plan, state, eps, impact=impact)

@@ -3,18 +3,19 @@ simulated population reference, reproducing the benchmark experiments.
 
 Replication r always consumes the stream derived from (master_seed, r).
 The paths of up to ``SIMULATION_BATCH`` replications are simulated together
-in the calling process; the fixed batching fixes their rounding. With
-``threads > 1`` the population chunks and the fits and IRFs of each batch
-are split into contiguous shares over the calling process and
-``threads - 1`` forked workers, where ``os.fork`` exists and BLAS is pinned
-to one thread (see the ``sievar`` package docstring).
+in the calling process; the fixed batching fixes their rounding. Each batch
+is cut once into near-equal groups of consecutive replications that fit
+within ``GROUP_COLUMNS`` columns of one sample each, as many per process.
+With ``threads > 1`` the population chunks and these groups are split into
+contiguous shares over the calling process and ``threads - 1`` forked
+workers (``map_in_processes``), where ``os.fork`` exists and BLAS is pinned
+to one thread (see the ``sievar`` package docstring); so each process runs
+a near-equal contiguous share of the batch.
 
-A process runs its share in stacked groups of consecutive replications,
-as many as fit ``GROUP_COLUMNS`` columns of one sample each. A replication
-fits its first stage once and its estimators through the one least-squares
-solver, each with its own ridge fallback. Per estimator, the group's fits
-then take one stacked sample check and one stacked ``_forward`` call per
-shock (``irf._check_samples``, ``irf._responses``), each fit on its own
+A replication fits its first stage once and its estimators through the one
+least-squares solver, each with its own ridge fallback. Per estimator, the
+group's fits then take one ``irf._responses`` call: one stacked sample
+check and one stacked ``_forward`` call per shock, each fit on its own
 columns, so its errors have the same bits whichever replications share its
 group. ``model._forward`` marks the columns that diverge and runs the
 others on: a diverged row of a simulation batch, or a replication whose
@@ -28,13 +29,13 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from ._workers import can_fork, map_in_processes
 from .basis import KnotVector, SievePlan
-# tracer-only imports (perfbench wraps them here): estimated_irf, fit_parametric, fit_two_step, simulate
+# tracer-only imports (perfbench wraps them here): check_compatibility, estimated_irf, fit_parametric, fit_two_step, simulate
 from .estimator import (  # noqa: F401
     FirstStageFit,
     FittedModel,
@@ -47,12 +48,11 @@ from .estimator import (  # noqa: F401
     max0_prior_form,
 )
 from .irf import (  # noqa: F401
-    IncompatibleShockError,
     IrfResult,
     RelaxationFn,
     ShockSpec,
-    _check_samples,
     _impact,
+    _require_compatible,
     _responses,
     _sample,
     _two_pass,
@@ -64,7 +64,6 @@ from .model import (  # noqa: F401
     PathDivergedError,
     StabilityWarning,
     _simulate_rows,
-    _union,
     builtin_dgp,
     derive_seed,
     simulate,
@@ -125,8 +124,14 @@ class StudyConfig:
         unknown = set(self.estimators) - set(ESTIMATOR_TAGS)
         if unknown:
             raise ValueError(f"unknown estimator tags {sorted(unknown)}")
+        if not self.estimators:
+            raise ValueError("estimators must not be empty")
+        if not self.deltas:
+            raise ValueError("deltas must not be empty")
         if self.mc_replications < 1:
             raise ValueError("mc_replications must be positive")
+        if self.pop_replications < 1:
+            raise ValueError("pop_replications must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.burn_in < 0:
@@ -242,10 +247,14 @@ def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[li
     """Each replication's errors, an (estimators x deltas, H+1, d) array
     against ``targets``, or its failure cause, for the paths (or the
     simulation's failure causes) of one group; and the clamped count of its
-    responses (``_respond``). A replication fits its first stage once for
-    all its estimators; a fit that raises ``RuntimeError``, ``LinAlgError``
-    or ``ValueError`` (a sample whose range misses an interior knot, say;
-    ``_check_sieve`` raised the config's own errors) fails its replication."""
+    responses. A replication fits its first stage once for all its
+    estimators; a fit that raises ``RuntimeError``, ``LinAlgError`` or
+    ``ValueError`` (a sample whose range misses an interior knot, say;
+    ``_check_sieve`` raised the config's own errors) fails its replication.
+    Per estimator the group's fits then run stacked in one ``_responses``
+    call, sample check included; a replication any of whose fits diverges
+    there fails with ``PathDivergedError``, and the others keep their
+    errors."""
     outcomes = list(paths)
     fitted = []
     for i, path in enumerate(paths):
@@ -256,38 +265,27 @@ def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[li
             fitted.append((i, path, [_fit_one(cfg, tag, path, first) for tag in cfg.estimators]))
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             outcomes[i] = type(exc).__name__
-    errors, clamped = _respond(fitted, shocks, targets)
-    for (i, _, _), outcome in zip(fitted, errors):
-        outcomes[i] = outcome
-    return outcomes, clamped
-
-
-def _respond(fitted: list, shocks, targets) -> tuple[list, int]:
-    """The errors of the fitted replications of a group, or their failure
-    causes, and the clamped count of their responses. Per estimator the
-    group's fits run stacked: one sample check and one ``_responses`` call.
-    A replication any of whose fits diverges in either fails with
-    ``PathDivergedError``; the others keep their errors."""
     if not fitted:
-        return [], 0
-    errors = np.empty((len(fitted), len(fitted[0][2]) * len(shocks)) + targets.shape[1:])
-    failed, clamped, h = np.zeros(len(fitted), dtype=bool), 0, shocks[0].horizon
+        return outcomes, 0
+    errors = np.empty((len(fitted), len(cfg.estimators) * len(shocks)) + targets.shape[1:])
+    failed, clamped, h = np.zeros(len(fitted), dtype=bool), 0, cfg.horizon
     # a replication's estimators share its first stage, and so its shocks
     impacts = [
-        [_impact(shock, fits[0].first_stage.residuals[: path.n - fits[0].p - h]) for _, path, fits in fitted]
+        [_impact(shock, fits[0].first_stage.residuals[: path.n - cfg.p - h]) for _, path, fits in fitted]
         for shock in shocks
     ]
     for e, fits in enumerate(zip(*(fits for _, _, fits in fitted))):
         plans = [fit._step_plan for fit in fits]
         samples = [_sample(fit, path.x, path.y) for fit, (_, path, _) in zip(fits, fitted)]
-        checked = _check_samples(plans, samples, True)
         values, counts, diverged = _responses(plans, samples, impacts, h, True, GROUP_COLUMNS)
-        if checked or diverged:
-            failed |= _union(checked, diverged).columns
+        if diverged:
+            failed |= diverged.columns
         for k, v in enumerate(values):
             errors[:, e * len(shocks) + k] = v - targets[k]
         clamped += sum(counts)
-    return [PathDivergedError.__name__ if bad else error for bad, error in zip(failed, errors)], clamped
+    for (i, _, _), bad, error in zip(fitted, failed, errors):
+        outcomes[i] = PathDivergedError.__name__ if bad else error
+    return outcomes, clamped
 
 
 def _moments(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,15 +313,9 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     and reducing them once at the end."""
     spec = builtin_dgp(cfg.dgp_id, phi_shift=cfg.phi_shift)
     _check_sieve(cfg, spec.d_y)
-    support = spec.innovation.support(0)
     if cfg.relaxation.kind != "constant_one":
         for delta in cfg.deltas:
-            verdict = check_compatibility(cfg.relaxation, delta, support)
-            if not verdict.compatible:
-                raise IncompatibleShockError(
-                    f"relaxation incompatible with delta={delta:g} "
-                    f"(worst margin {verdict.worst_margin:.4g})"
-                )
+            _require_compatible(cfg.relaxation, delta, spec.innovation.support(0))
 
     target_rho = cfg.relaxation if cfg.target_relaxed else RelaxationFn.constant_one()
     est_rho = cfg.relaxation if cfg.estimator_relaxed else RelaxationFn.constant_one()
@@ -348,19 +340,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     causes: Counter[str] = Counter()
     processes = min(cfg.threads, m) if can_fork() else 1
     group = max(1, GROUP_COLUMNS // (cfg.n - cfg.p))
-
-    def replicate(share: list) -> tuple[list, int]:
-        """Outcomes of one process's share of a batch, in as few groups of
-        at most ``group`` replications as it takes, of near-equal size."""
-        outcomes, count = [], 0
-        groups = -(-len(share) // group)
-        cuts = [len(share) * i // groups for i in range(groups + 1)]
-        for start, stop in zip(cuts, cuts[1:]):
-            out, c = _replicate_group(cfg, share[start:stop], shocks, targets)
-            outcomes += out
-            count += c
-        return outcomes, count
-
+    replicate = partial(_replicate_group, cfg, shocks=shocks, targets=targets)
     seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
@@ -369,11 +349,12 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             paths, diverged = _simulate_rows(spec, cfg.n, seeds[start : start + SIMULATION_BATCH], cfg.burn_in)
             if diverged:
                 paths = [PathDivergedError.__name__ if bad else p for p, bad in zip(paths, diverged.columns)]
-            shares = min(processes, len(paths))
-            cuts = [len(paths) * i // shares for i in range(shares + 1)]
-            parts = [paths[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+            # near-equal groups of at most ``group``, as many per process, so
+            # that each process's contiguous share is len(paths) * i // processes
+            k = min(len(paths), processes * -(-len(paths) // (group * processes)))
+            groups = [paths[len(paths) * i // k : len(paths) * (i + 1) // k] for i in range(k)]
             r = start
-            for outcomes, count in map_in_processes(replicate, parts, shares):
+            for outcomes, count in map_in_processes(replicate, groups, processes):
                 clamped += count
                 for outcome in outcomes:
                     if isinstance(outcome, str):

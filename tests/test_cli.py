@@ -506,7 +506,12 @@ SMALL = {
      if key in COMMANDS[command].keys]
     # mc's knots go to the study config, which takes no quantile knots
     + [("mc", {"sieve": {"knots": "quantile:2"}}), ("simulate", {"model": {"d_y": 1}})]
-    + [(command, {"bogus": 1}) for command in COMMANDS],
+
+    + [(command, {"bogus": 1}) for command in COMMANDS]
+    # empty lists, and a study without population replications
+    + [(command, {key: []}) for key in ("deltas", "methods", "estimators") for command in COMMANDS
+       if key in COMMANDS[command].keys]
+    + [("mc", {"population_replications": 0})],
 )
 def test_malformed_config_exits_2_and_leaves_no_run_dir(tmp_path, capsys, command, bad):
     code, out = run_cli(tmp_path, command, SMALL[command] | bad)

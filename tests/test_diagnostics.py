@@ -25,7 +25,6 @@ from sievar.model import (
     ModelSpec,
     StabilityWarning,
     derive_seed,
-    draw_clipped,
     iterate_paths,
     philox,
 )
@@ -43,12 +42,20 @@ def ar_spec(*coeffs, bound=3.0):
         )
 
 
+def clipped_normals(gen, shape, spec):
+    """The generator's next standard normals of ``shape``, clipped to the
+    innovation bound and scaled by sigma along the last axis."""
+    bound = spec.innovation.bound
+    return np.clip(gen.standard_normal(shape), -bound, bound) * np.asarray(spec.innovation.sigma)
+
+
 def _oracle_stationary(spec, size, seed, burn_in):
     """(size, max(p, 1), d) states burnt in from zeros over the whole
     step-major (burn_in, d, size) draw, made in one call."""
     p = max(spec.p, 1)
     sigma = np.asarray(spec.innovation.sigma)[:, None]
-    eps = draw_clipped(philox(seed), (burn_in, spec.d, size), spec.innovation.bound) * sigma
+    bound = spec.innovation.bound
+    eps = np.clip(philox(seed).standard_normal((burn_in, spec.d, size)), -bound, bound) * sigma
     warm, _ = iterate_paths(spec, np.zeros((size, p, spec.d)), eps.transpose(2, 0, 1))
     return warm[:, -p:, :]
 
@@ -75,9 +82,7 @@ def oracle_delta_r(spec, r, h_max, replications, seed, burn_in, components):
     copies' columns [0, R) and [R, 2R), each iterated over the shared
     innovations by its own call."""
     states = _oracle_stationary(spec, 2 * replications, derive_seed(seed, 11), burn_in)
-    shared = draw_clipped(
-        philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec.innovation.bound
-    ) * np.asarray(spec.innovation.sigma)
+    shared = clipped_normals(philox(derive_seed(seed, 13)), (replications, h_max, spec.d), spec)
     path_a, _ = iterate_paths(spec, states[:replications], shared)
     path_b, _ = iterate_paths(spec, states[replications:], shared)
     gap = np.linalg.norm(path_a[:, :, components] - path_b[:, :, components], axis=2)
@@ -120,15 +125,15 @@ def test_coupling_independent_of_block_size(burn_in, draw_steps):
     spec = sievar.builtin_dgp(2)
     args = dict(h_max=4, replications=100, seed=3, burn_in=burn_in)
     ref = estimate_delta_r(spec, **args)
-    draw_clipped = sievar.irf.draw_clipped
+    innovations = sievar.irf._innovations
     steps = []
 
-    def recording_draw(gen, shape, bound, out=None):
+    def recording_draw(spec, gen, shape, axis=-1, out=None):
         steps.append(shape[0])
-        return draw_clipped(gen, shape, bound, out)
+        return innovations(spec, gen, shape, axis, out)
 
     with mock.patch.object(sievar.irf, "DRAW_STEPS", draw_steps), \
-            mock.patch.object(sievar.irf, "draw_clipped", recording_draw):
+            mock.patch.object(sievar.irf, "_innovations", recording_draw):
         got = estimate_delta_r(spec, **args)
     assert got.delta_hat.tobytes() == ref.delta_hat.tobytes()
     # both copies' burn-in is read draw_steps steps at a time
@@ -266,7 +271,7 @@ def oracle_lipschitz_profile(spec, h_cap, samples, seed):
         gen = philox(derive_seed(seed, 31, s_idx))
         if s_idx % 2 == 0:
             state = _oracle_stationary(spec, 1, derive_seed(seed, 32, s_idx), 400)[0]
-            eps = draw_clipped(gen, (h_cap, d), bound) * sigma
+            eps = clipped_normals(gen, (h_cap, d), spec)
         else:
             state = gen.uniform(lo, hi).reshape(p, d)
             eps = gen.uniform(-bound * sigma, bound * sigma, size=(h_cap, d))
@@ -307,6 +312,8 @@ def oracle_lipschitz_profile(spec, h_cap, samples, seed):
 def _probe_and_oracle(spec, h_cap, samples, seed):
     report = find_h_star(spec, h_cap=h_cap, samples=samples, seed=seed)
     one_step = check_contractivity(spec, samples=samples, seed=seed)
+    # every field of the one-step probe is that of the h_cap = 1 probe
+    assert one_step == find_h_star(spec, h_cap=1, samples=samples, seed=seed)
     c_z, c_eps = oracle_lipschitz_profile(spec, h_cap, samples, seed)
     below = np.nonzero(c_z < 1.0 - CONTRACTIVE_MARGIN)[0]
     h_star = int(below[0]) + 1 if below.size else None

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -347,10 +348,11 @@ def test_estimated_irf_chunk_invariance(dgp2, bump34):
 @pytest.mark.filterwarnings("ignore::sievar.StabilityWarning")
 def test_population_irf_thread_invariance(dgp2, bump34):
     # 1000 replications in chunks of 300 leave a short last chunk; a sieve
-    # fit's paths leave its knot domain, so clamped counts something
+    # fit's paths leave its knot domain, so clamped counts something. The
+    # shock is compatible with both supports (about +-3)
     path = sievar.simulate(sievar.builtin_dgp(7), 400, seed=8)
     cfg = default_study_config(7)
-    shock = ShockSpec(2.0, cfg.relaxation, 3)
+    shock = ShockSpec(1.0, bump34, 3)
     for spec in (dgp2, _fit_one(cfg, "sieve", path)):
         runs = [
             population_irf(spec, shock, replications=1000, seed=3, burn_in=40, threads=t, chunk=300)
@@ -507,16 +509,16 @@ def test_domain_safety_assertion_on_compatible_shock(dgp2, bump34):
 def test_population_chunks_draw_disjoint_streams(dgp2, bump34, monkeypatch):
     draws: dict[int, list] = {}
     gens = []  # so that no finished chunk's generator id is reused
-    draw_clipped = sievar.irf.draw_clipped
+    innovations = sievar.irf._innovations
 
-    def recording_draw(gen, shape, bound, out=None):
+    def recording_draw(spec, gen, shape, axis=-1, out=None):
         gens.append(gen)
-        out = draw_clipped(gen, shape, bound, out)
+        out = innovations(spec, gen, shape, axis, out)
         # clipped values repeat by construction
-        draws.setdefault(id(gen), []).append(out[np.abs(out) < bound])
+        draws.setdefault(id(gen), []).append(out[np.abs(out) < spec.innovation.bound])
         return out
 
-    monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
+    monkeypatch.setattr(sievar.irf, "_innovations", recording_draw)
     shock = ShockSpec(1.0, bump34, 3)
     a = population_irf(dgp2, shock, replications=400, seed=5, burn_in=50, chunk=200)
     chunk0, chunk1 = (np.concatenate(d) for d in draws.values())  # one generator per chunk
@@ -531,16 +533,16 @@ def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, mon
     # every process, the calling one and its forked workers, appends its
     # draws to one log, since a worker's own memory is gone when it exits
     log = tmp_path / "draws.log"
-    draw_clipped = sievar.irf.draw_clipped
+    innovations = sievar.irf._innovations
     alive = []  # so that no freed block's id is reused
 
-    def recording_draw(gen, shape, bound, out=None):
+    def recording_draw(spec, gen, shape, axis=-1, out=None):
         alive.append(out.base)
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {id(out.base)} {out.base.size} {out.size}\n")
-        return draw_clipped(gen, shape, bound, out)
+        return innovations(spec, gen, shape, axis, out)
 
-    monkeypatch.setattr(sievar.irf, "draw_clipped", recording_draw)
+    monkeypatch.setattr(sievar.irf, "_innovations", recording_draw)
     # blocks of 7 steps, not the default, so a burn-in that ignored the
     # block size would draw other sizes
     monkeypatch.setattr(sievar.irf, "DRAW_STEPS", 7)
@@ -561,6 +563,16 @@ def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, mon
     one_thread = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200)
     np.testing.assert_array_equal(got.values, one_thread.values)
     np.testing.assert_array_equal(got.mc_se, one_thread.mc_se)
+
+
+def test_population_irf_rejects_an_incompatible_relaxed_shock(dgp2, monkeypatch):
+    # the shocked impact can leave the +-3 support: raised before any chunk runs
+    shock = ShockSpec(5.0, RelaxationFn.symmetric_bump(3.0, 4.0), 3)
+    verdict = check_compatibility(shock.relaxation, shock.delta, dgp2.innovation.support(0))
+    assert not verdict.compatible
+    monkeypatch.setattr(sievar.irf, "_burn_in", None)
+    with pytest.raises(IncompatibleShockError, match=re.escape(f"worst margin {verdict.worst_margin:.6g}")):
+        population_irf(dgp2, shock, replications=500, seed=1)
 
 
 def test_out_of_support_impact_raises_typed_error(dgp2, tmp_path, monkeypatch):
@@ -732,7 +744,8 @@ def _counting_forward():
 
     def counting(spec, states, eps, impact=None, keep_path=True):
         out, clamped, diverged = forward(spec, states, eps, impact, keep_path)
-        calls.append((eps.shape[2], eps.shape[0], clamped))
+        # the estimated IRF passes its fits' states and innovations as lists
+        calls.append((sum(part.shape[2] for part in eps), eps[0].shape[0], clamped))
         return out, clamped, diverged
 
     return calls, counting

@@ -21,7 +21,6 @@ from sievar.model import (
     StabilityWarning,
     builtin_dgp,
     derive_seed,
-    draw_clipped,
     draw_innovations,
     final_states,
     iterate_paths,
@@ -95,20 +94,28 @@ def test_draw_innovations_zero_sigma():
     np.testing.assert_array_equal(draw_innovations(spec, 100, seed=1), 0.0)
 
 
-def test_draw_clipped_is_the_clipped_stream():
-    shape, bound = (3, 50, 2), 1.5
-    gen, twin = philox(17), philox(17)
-    draws = draw_clipped(gen, shape, bound)
-    expected = np.clip(twin.standard_normal(shape), -bound, bound)
-    assert draws.tobytes() == expected.tobytes()
-    assert np.count_nonzero(np.abs(draws) == bound) > 0
-    # the generator's next draw is unchanged
-    np.testing.assert_array_equal(gen.standard_normal(7), twin.standard_normal(7))
-    # drawn into a buffer: the same stream, written in place
-    buffer = np.full((5,) + shape[1:], np.nan)
-    into = draw_clipped(gen, shape, bound, buffer[:3])
-    assert np.shares_memory(into, buffer) and np.isnan(buffer[3:]).all()
-    assert into.tobytes() == np.clip(twin.standard_normal(shape), -bound, bound).tobytes()
+def test_innovations_are_the_clipped_scaled_stream():
+    bound, sigma = 1.5, (1.0, 0.5, 2.0)
+    spec = ModelSpec(
+        d_y=2, p=0, mu=np.zeros(3), lags=LagPolynomial(np.zeros((0, 3, 3))), impact=None,
+        b0_21=np.zeros(2), innovation=InnovationLaw(sigma=sigma, bound=bound),
+    )
+    for axis, shape in [(0, (3, 4, 50)), (1, (4, 3, 50)), (-1, (4, 50, 3))]:
+        # sigma_j along ``axis``, broadcast over the others
+        scale = np.moveaxis(np.reshape(sigma, (3, 1, 1)), 0, axis)
+        gen, twin = philox(17), philox(17)
+        draws = sievar.model._innovations(spec, gen, shape, axis)
+        expected = np.clip(twin.standard_normal(shape), -bound, bound) * scale
+        assert draws.shape == shape and draws.tobytes() == expected.tobytes()
+        assert np.count_nonzero(np.abs(draws) == bound) > 0
+        # the generator's next draw is unchanged
+        np.testing.assert_array_equal(gen.standard_normal(7), twin.standard_normal(7))
+        # drawn into a buffer: the same stream, written in place
+        buffer = np.full((5,) + shape[1:], np.nan)
+        into = sievar.model._innovations(spec, gen, (3,) + shape[1:], axis, buffer[:3])
+        assert np.shares_memory(into, buffer) and np.isnan(buffer[3:]).all()
+        expected = np.clip(twin.standard_normal((3,) + shape[1:]), -bound, bound) * scale
+        assert into.tobytes() == expected.tobytes()
 
 
 def test_draw_innovations_deterministic():

@@ -9,9 +9,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievar
 from sievar import study as study_mod
@@ -357,7 +360,10 @@ def test_group_with_a_replication_diverging_in_its_sample_check(monkeypatch):
     diverged = sievar.irf._check_samples(plans, samples, True)
     assert diverged.columns.tolist() == [False, True, False, False] and diverged.step == 1
     impacts = [[sievar.irf._impact(shocks[0], f.first_stage.residuals) for f in fits]]
-    assert sievar.irf._responses(plans, samples, impacts, 0, True, 4096)[2] is None
+    # the responses run the sample check and report the union of both
+    # divergences, here the check's alone
+    union = sievar.irf._responses(plans, samples, impacts, 0, True, 4096)[2]
+    assert union.columns.tolist() == diverged.columns.tolist() and union.step == 1
     with pytest.raises(PathDivergedError, match=r"at step 1$"):
         sievar.estimated_irf(fits[1], paths[1], shocks[0])
     monkeypatch.setattr(study_mod, "_fit_one", fit)
@@ -366,6 +372,57 @@ def test_group_with_a_replication_diverging_in_its_sample_check(monkeypatch):
     for threads in (1, 2):
         res = run_study(replace(study_cfg, threads=threads))
         assert res.failed == (5,) and res.failure_causes == {"PathDivergedError": 1}
+
+
+@settings(max_examples=8, deadline=None)
+@given(m=st.integers(1, 25), threads=st.integers(1, 3), group=st.integers(1, 7))
+def test_study_splits_each_batch_into_equal_shares_of_capped_groups(m, threads, group):
+    cfg = small_cfg(n=60, horizon=2, mc_replications=m, pop_replications=200)
+    seeds = [derive_seed(cfg.master_seed, 2, r) for r in range(m)]
+    calls = []
+    real_map = study_mod.map_in_processes
+
+    def recording_map(fn, items, processes):
+        calls.append((items, processes))
+        return real_map(fn, items, processes)
+
+    # batches of 10 leave a short last one; the columns give groups of ``group``
+    with mock.patch.object(study_mod, "SIMULATION_BATCH", 10), \
+            mock.patch.object(study_mod, "GROUP_COLUMNS", group * (cfg.n - cfg.p)):
+        serial = run_study(cfg)
+        with mock.patch.object(study_mod, "map_in_processes", recording_map):
+            res = run_study(replace(cfg, threads=threads))
+    assert res.processes == min(threads, m)
+    assert len(calls) == -(-m // 10)
+    for b, (groups, processes) in enumerate(calls):
+        batch = seeds[10 * b : 10 * (b + 1)]
+        assert processes == res.processes
+        assert [path.seed for g in groups for path in g] == batch
+        assert all(0 < len(g) <= group for g in groups)
+        # map_in_processes hands process i the contiguous groups
+        # len(groups) * i // P onwards, which must hold its equal share
+        shares = min(processes, len(groups))
+        cuts = [len(groups) * i // shares for i in range(shares + 1)]
+        sizes = [sum(len(g) for g in groups[a:c]) for a, c in zip(cuts, cuts[1:])]
+        procs = min(processes, len(batch))
+        assert sizes == [len(batch) * (i + 1) // procs - len(batch) * i // procs for i in range(procs)]
+    assert (res.n_ok, res.failed, res.clamped) == (serial.n_ok, serial.failed, serial.clamped)
+    for key in serial.mse:
+        for moment in ("mse", "bias", "se"):
+            assert getattr(res, moment)[key].tobytes() == getattr(serial, moment)[key].tobytes()
+
+
+def test_one_innovation_draw():
+    """The package draws standard normals in one place, ``model._innovations``,
+    which clips and scales them for every stream."""
+    sites = []
+    for path in sorted(Path(sievar.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "standard_normal" \
+                        or isinstance(node, ast.Name) and node.id == "standard_normal":
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("model", "_innovations")]
 
 
 def test_tracer_hooks_resolve():
@@ -439,6 +496,9 @@ def test_incompatible_relaxation_rejected():
         (dict(n=13, horizon=12), "n must exceed"),
         (dict(max_failure_fraction=-0.1), "max_failure_fraction"),
         (dict(max_failure_fraction=1.5), "max_failure_fraction"),
+        (dict(deltas=()), "deltas must not be empty"),
+        (dict(estimators=()), "estimators must not be empty"),
+        (dict(pop_replications=0), "pop_replications must be positive"),
     ],
 )
 def test_invalid_config_rejected(overrides, message):
