@@ -1,5 +1,6 @@
 """Forked worker processes for batch work: the study's replications and
-the population reference's chunks."""
+the population reference's chunks; and the rule for when a CPU is left
+over for the burn-in's helper thread."""
 
 import os
 import pickle
@@ -14,6 +15,13 @@ def can_fork() -> bool:
     """Forked workers are safe and fast only from a single-threaded process
     whose BLAS runs one thread; otherwise they compete for the cores."""
     return hasattr(os, "fork") and _BLAS_PINNED and threading.active_count() == 1
+
+
+def spare_cpu(processes: int) -> bool:
+    """Whether a CPU is left over beside ``processes`` busy processes: they
+    are fewer than the CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return processes < cpus
 
 
 def map_in_processes(fn, items: list, processes: int) -> list:

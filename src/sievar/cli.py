@@ -93,6 +93,15 @@ _str = _typed(str, "a string")
 _object = _typed(dict, "a JSON object")
 
 
+def _int_from(low: int) -> Callable:
+    """An integer of at least ``low``."""
+    def convert(v) -> int:
+        if _int(v) < low:
+            raise ValueError(f"expected an integer of at least {low}, got {v}")
+        return v
+    return convert
+
+
 def _list_of(item: Callable, length: int | None = None, nonempty: bool = False) -> Callable:
     what = f"a list of {length}" if length else "a non-empty list" if nonempty else "a list"
 
@@ -157,19 +166,19 @@ KEYS = {
     "dgp": Key(_int),
     "ar": Key(_list_of(_float)),
     "phi_shift": Key(_bool, False),
-    "n": Key(_int, 240),
-    "burn_in": Key(_int, 500),
+    "n": Key(_int_from(1), 240),
+    "burn_in": Key(_int_from(0), 500),
     "seed": Key(_int, 0, study="master_seed"),
     # fits and responses
     "p": Key(_int),  # default: the model's lag order, 1 for a data table
     "sieve": Key(default={}, table=SIEVE),
-    "grid_points": Key(_int, 101),
+    "grid_points": Key(_int_from(1), 101),
     "fit_bundle": Key(_str),
     "methods": Key(_list_of(_choice(*IRF_METHODS), nonempty=True), ["sieve", "linear"]),
     "deltas": Key(_list_of(_float, nonempty=True), [1.0]),
-    "horizon": Key(_int, 12),
+    "horizon": Key(_int_from(0), 12),
     "relaxation": Key(_relaxation, {"c": 3.0, "alpha": 4.0}, RELAXATION),
-    "population_replications": Key(_int, 20_000, study="pop_replications"),
+    "population_replications": Key(_int_from(1), 20_000, study="pop_replications"),
     "replications": Key(_int, 2000, study="mc_replications"),
     "estimators": Key(_list_of(_str, nonempty=True)),
     "target_relaxed": Key(_bool, True),
@@ -276,6 +285,8 @@ def _sample(cfg: dict):
     """The run's sample, and its model when it is simulated."""
     spec = _spec(cfg)
     if spec is not None:
+        if cfg["n"] <= spec.p:
+            raise ConfigError(f"n: must exceed the lag order ({spec.p}), got {cfg['n']}")
         return simulate(spec, cfg["n"], cfg["seed"], cfg["burn_in"]), spec
     data = cfg["data"]
     with _config_values("data"):
@@ -418,6 +429,7 @@ def cmd_mc(cfg: dict, run: Run) -> int:
         clamped=result.clamped,
         threads=study_cfg.threads,
         processes=result.processes,
+        stage_seconds=result.stage_seconds,
         population_max_mc_se=[
             {"delta": delta, "max_mc_se": float(np.max(irf.mc_se))}
             for delta, irf in sorted(result.population.items())

@@ -12,7 +12,11 @@ Every forward iteration runs batched over all samples. The coupling copies
 and the probe's domain box reach the stationary law through the burn-in
 that the population reference runs (``irf._burn_in``): one stream is read
 step-major over all columns, ``DRAW_STEPS`` steps at a time into one reused
-block, so memory does not grow with the burn-in's length. The probe's
+block, so memory does not grow with the burn-in's length. The diagnostics
+run in one process, so on a machine of two or more CPUs that block is read
+in two halves: the calling thread draws the next while a helper thread runs
+the forward loop on the current one, and the values are those of one
+thread. The probe's
 per-sample burn-ins, which keep a stream each, are one ``final_states``
 call, and its h-step finite-difference paths and its one-step innovation
 perturbations are one ``iterate_paths`` call each. All spectral norms come
@@ -82,8 +86,10 @@ def estimate_delta_r(
     Both copies burn in from a zero state over one stream,
     ``derive_seed(seed, 11)``, read step-major over 2R columns: copy a is
     columns [0, R) and copy b columns [R, 2R), and one loop runs both
-    burn-ins ``DRAW_STEPS`` steps at a time, so memory does not grow with
-    ``burn_in``. (The stream of tag 12, which copy b once read, is retired.)
+    burn-ins ``DRAW_STEPS`` steps at a time (in halves, the forward loop on
+    a helper thread, when a CPU is spare; see ``irf._burn_in``), so memory
+    does not grow with ``burn_in``. (The stream of tag 12, which copy b
+    once read, is retired.)
     Both copies then iterate in one call over the shared innovations of
     ``derive_seed(seed, 13)``, drawn as an (R, h_max, d) array.
     """

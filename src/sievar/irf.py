@@ -12,12 +12,13 @@ A closed-form moving-average recursion is provided as the linear oracle.
 from __future__ import annotations
 
 import functools
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import can_fork, map_in_processes
+from ._workers import can_fork, map_in_processes, spare_cpu
 from .estimator import _as_xy
 # tracer-only imports (perfbench wraps them here): iterate_paths
 from .model import (  # noqa: F401
@@ -259,20 +260,73 @@ def _draw_steps(spec: ModelSpec, gen, steps: int, size: int, block: np.ndarray) 
 
 
 def _burn_in(
-    spec: ModelSpec, gen, size: int, steps: int, block: np.ndarray | None = None
+    spec: ModelSpec, gen, size: int, steps: int, block: np.ndarray | None = None, processes: int = 1
 ) -> np.ndarray:
     """The (max(p, 1), d, size) states that ``size`` columns reach from a
     zero state in ``steps`` steps of the stream: a stationary draw when
     ``steps`` is long. The steps are drawn ``DRAW_STEPS`` at a time into one
     reused ``block`` (allocated here if none is given), so memory does not
     grow with ``steps`` and the states do not depend on the block size. A
-    diverging column raises ``PathDivergedError`` at the burn-in's step."""
+    diverging column raises ``PathDivergedError`` at the burn-in's step.
+
+    The draws fill without the interpreter lock, so when a CPU is spare
+    beside the caller's ``processes`` busy processes (``spare_cpu``), the
+    block is read as two halves of ``DRAW_STEPS // 2`` steps: this thread
+    draws the next half while a helper thread runs ``_forward`` on the
+    current one. On wide blocks drawing takes the longer of the two, so
+    this thread seldom waits, and it alone reads the stream, in the same order, so the
+    states keep their bits. The helper is joined before this returns or
+    raises, its error (a ``PathDivergedError`` among them) is raised here,
+    and so ``can_fork`` still sees one thread. Burn-ins shorter than two
+    steps, and callers whose processes fill the CPUs (``run_study``'s
+    population chunks at ``threads`` 2 on two CPUs), run in this thread."""
     if block is None:
         block = np.empty(min(DRAW_STEPS, steps) * spec.d * size)
     states = np.zeros((max(spec.p, 1), spec.d, size))
-    for done in range(0, steps, DRAW_STEPS):
-        eps = _draw_steps(spec, gen, min(DRAW_STEPS, steps - done), size, block)
-        states, _ = _finite(*_forward(spec, states, eps, keep_path=False), after=done)
+    half = min(DRAW_STEPS, steps) // 2
+    if not (half and spare_cpu(processes)):
+        for done in range(0, steps, DRAW_STEPS):
+            eps = _draw_steps(spec, gen, min(DRAW_STEPS, steps - done), size, block)
+            states, _ = _finite(*_forward(spec, states, eps, keep_path=False), after=done)
+        return states
+    starts = range(0, steps, half)
+    halves = (block, block[half * spec.d * size :])
+    # ``free`` counts the halves that the helper is done with, or its error
+    # in ``failed``; ``ready`` the drawn ones, listed in ``drawn``
+    free, ready, stop = threading.Semaphore(2), threading.Semaphore(0), threading.Event()
+    drawn, failed = [], []
+
+    def step_forward() -> None:
+        nonlocal states
+        try:
+            for k, done in enumerate(starts):
+                ready.acquire()
+                if stop.is_set():
+                    return
+                states, _ = _finite(*_forward(spec, states, drawn[k], keep_path=False), after=done)
+                free.release()
+        except BaseException as exc:
+            failed.append(exc)
+            free.release()
+
+    helper = threading.Thread(target=step_forward, name="sievar-burn-in-forward")
+    helper.start()
+    try:
+        for k, done in enumerate(starts):
+            free.acquire()
+            if failed:
+                break
+            drawn.append(_draw_steps(spec, gen, min(half, steps - done), size, halves[k % 2]))
+            ready.release()
+    except BaseException:
+        # a draw that raised: the helper stops at its next wait
+        stop.set()
+        ready.release()
+        raise
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
     return states
 
 
@@ -307,7 +361,11 @@ def population_irf(
     dependence diagnostics share; each process allocates its draw block on
     first use), the last H + 1 are its future, and the shock falls on
     component 0 of the future's first step. The chunks run in up to
-    ``threads`` processes, as ``run_study``'s replications do. Each chunk
+    ``threads`` processes, as ``run_study``'s replications do. When those
+    processes are fewer than the CPUs, as at ``threads`` 1 or with one
+    chunk, each burn-in draws its next block while a helper thread runs the
+    forward loop on the current one; at ``threads`` 2 on two CPUs each
+    chunk's process already fills a CPU and starts no helper. Each chunk
     sums its (T, d, B) differences pairwise over the contiguous batch axis
     (error O(log B u) rather than O(B u)), with their squared deviations
     from its mean (``_two_pass``, as ``run_study``'s moments). The chunks
@@ -339,7 +397,7 @@ def population_irf(
     def run_chunk(start: int):
         size = min(chunk, replications - start)
         gen = philox(derive_seed(seed, start // chunk))
-        states = _burn_in(spec, gen, size, burn_in, block())
+        states = _burn_in(spec, gen, size, burn_in, block(), processes)
         eps = _draw_steps(spec, gen, h + 1, size, block())
         w = shock.delta * np.asarray(relax_eval(shock.relaxation, eps[0, 0]))
         if relaxed:
@@ -359,7 +417,8 @@ def population_irf(
         return size, total, m2, clamp_b + clamp_s
 
     starts = list(range(0, replications, chunk))
-    parts = map_in_processes(run_chunk, starts, threads if can_fork() else 1)
+    processes = min(threads, len(starts)) if can_fork() else 1
+    parts = map_in_processes(run_chunk, starts, processes)
     total, m2 = np.zeros((h + 1, d)), np.zeros((h + 1, d))
     done = clamped = 0
     for size, s, m2_k, cl in parts:

@@ -26,6 +26,7 @@ end, so results are bit-identical for any thread count.
 
 from __future__ import annotations
 
+import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -177,7 +178,11 @@ class StudyResult:
     replication's included; ``failure_causes`` counts the failed
     replications by exception class name. ``processes`` is the number of
     processes the fits and IRFs were split over: 1 when the worker
-    processes could not run."""
+    processes could not run. ``stage_seconds`` holds the wall seconds of
+    the population reference (``"population"``), of the batches'
+    simulation in the calling process (``"simulation"``) and of their fits
+    and responses (``"fit_and_response"``); it is not a moment, so neither
+    ``rows`` nor the CSV holds it."""
 
     config: StudyConfig
     population: dict[float, IrfResult]
@@ -189,6 +194,7 @@ class StudyResult:
     clamped: int
     failure_causes: dict[str, int]
     processes: int
+    stage_seconds: dict[str, float]
 
     def rows(self):
         """Flat (estimator, delta, var, h, mse, bias, se, n_ok) records."""
@@ -320,6 +326,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     target_rho = cfg.relaxation if cfg.target_relaxed else RelaxationFn.constant_one()
     est_rho = cfg.relaxation if cfg.estimator_relaxed else RelaxationFn.constant_one()
     population: dict[float, IrfResult] = {}
+    began = time.perf_counter()
     for k, delta in enumerate(cfg.deltas):
         population[delta] = population_irf(
             spec,
@@ -329,6 +336,8 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             burn_in=cfg.burn_in,
             threads=cfg.threads,
         )
+
+    stage_seconds = {"population": time.perf_counter() - began, "simulation": 0.0, "fit_and_response": 0.0}
 
     shocks = tuple(ShockSpec(delta, est_rho, cfg.horizon) for delta in cfg.deltas)
     targets = np.stack([population[delta].values for delta in cfg.deltas])
@@ -346,7 +355,10 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         warnings.simplefilter("ignore", StabilityWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
         for start in range(0, m, SIMULATION_BATCH):
+            began = time.perf_counter()
             paths, diverged = _simulate_rows(spec, cfg.n, seeds[start : start + SIMULATION_BATCH], cfg.burn_in)
+            simulated = time.perf_counter()
+            stage_seconds["simulation"] += simulated - began
             if diverged:
                 paths = [PathDivergedError.__name__ if bad else p for p, bad in zip(paths, diverged.columns)]
             # near-equal groups of at most ``group``, as many per process, so
@@ -354,7 +366,9 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             k = min(len(paths), processes * -(-len(paths) // (group * processes)))
             groups = [paths[len(paths) * i // k : len(paths) * (i + 1) // k] for i in range(k)]
             r = start
-            for outcomes, count in map_in_processes(replicate, groups, processes):
+            results = map_in_processes(replicate, groups, processes)
+            stage_seconds["fit_and_response"] += time.perf_counter() - simulated
+            for outcomes, count in results:
                 clamped += count
                 for outcome in outcomes:
                     if isinstance(outcome, str):
@@ -386,6 +400,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         clamped=clamped,
         failure_causes=dict(causes),
         processes=processes,
+        stage_seconds=stage_seconds,
     )
 
 

@@ -326,6 +326,8 @@ def test_mc_run_manifest_matches_direct_study(tmp_path):
         {"delta": delta, "max_mc_se": float(np.max(direct.population[delta].mc_se))}
         for delta in (-1.0, 1.0)
     ]
+    assert set(manifest["stage_seconds"]) == set(direct.stage_seconds)
+    assert all(v > 0.0 for v in manifest["stage_seconds"].values())
     assert manifest["sievar_version"] == sievar.__version__
     assert manifest["numpy_version"] == np.__version__
     assert (run_dir / "config.json").exists()
@@ -511,7 +513,11 @@ SMALL = {
     # empty lists, and a study without population replications
     + [(command, {key: []}) for key in ("deltas", "methods", "estimators") for command in COMMANDS
        if key in COMMANDS[command].keys]
-    + [("mc", {"population_replications": 0})],
+    + [("mc", {"population_replications": 0})]
+    # library argument checks, rejected with the config
+    + [("irf", {"methods": ["population"], "population_replications": 0}), ("irf", {"horizon": -1}),
+       ("simulate", {"n": 0}), ("simulate", {"n": 1}), ("simulate", {"burn_in": -1}),
+       ("estimate", {"grid_points": 0}), ("estimate", {"grid_points": -1})],
 )
 def test_malformed_config_exits_2_and_leaves_no_run_dir(tmp_path, capsys, command, bad):
     code, out = run_cli(tmp_path, command, SMALL[command] | bad)

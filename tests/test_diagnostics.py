@@ -132,12 +132,17 @@ def test_coupling_independent_of_block_size(burn_in, draw_steps):
         steps.append(shape[0])
         return innovations(spec, gen, shape, axis, out)
 
-    with mock.patch.object(sievar.irf, "DRAW_STEPS", draw_steps), \
-            mock.patch.object(sievar.irf, "_innovations", recording_draw):
-        got = estimate_delta_r(spec, **args)
-    assert got.delta_hat.tobytes() == ref.delta_hat.tobytes()
-    # both copies' burn-in is read draw_steps steps at a time
-    assert sum(steps) == burn_in and max(steps) == min(draw_steps, burn_in)
+    block = min(draw_steps, burn_in)
+    for spare in (False, True):
+        steps.clear()
+        with mock.patch.object(sievar.irf, "DRAW_STEPS", draw_steps), \
+                mock.patch.object(sievar.irf, "_innovations", recording_draw), \
+                mock.patch.object(sievar.irf, "spare_cpu", lambda processes: spare):
+            got = estimate_delta_r(spec, **args)
+        assert got.delta_hat.tobytes() == ref.delta_hat.tobytes()
+        # both copies' burn-in is read draw_steps steps at a time, or with
+        # the helper thread in halves of that block
+        assert sum(steps) == burn_in and max(steps) == ((block // 2 or block) if spare else block)
 
 
 def test_coupling_memory_is_one_burn_in_block():

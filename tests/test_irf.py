@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+import faulthandler
 import json
 import math
 import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sievar
@@ -34,6 +37,8 @@ from sievar.model import (
     LagPolynomial,
     ModelSpec,
     final_states,
+    PathDivergedError,
+    builtin_dgp,
     iterate_paths,
     philox,
 )
@@ -547,18 +552,21 @@ def test_population_draws_reuse_one_buffer_per_worker(dgp2, bump34, threads, mon
     # block size would draw other sizes
     monkeypatch.setattr(sievar.irf, "DRAW_STEPS", 7)
     shock = ShockSpec(1.0, bump34, 3)
-    got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200, threads=threads)
-    draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
-    # three chunks, the last one short, each draw fills at most its
-    # process's block, and there is one block per process
     block = 7 * 2 * 200
-    assert all(base == block and size <= block for _, _, base, size in draws)
     # per chunk of B columns: a 60-step burn-in in eight 7-step blocks and a
-    # 4-step one, then the 4-step future
-    steps = [7] * 8 + [4, 4]
-    assert sorted(size for *_, size in draws) == sorted(s * 2 * b for b in (200, 200, 100) for s in steps)
-    blocks = {(pid, base_id) for pid, base_id, _, _ in draws}
-    assert len(blocks) == len({pid for pid, *_ in draws}) == min(threads, 3)
+    # 4-step one, or, with the helper thread, in twenty 3-step halves of the
+    # block; then the 4-step future
+    for spare, steps in ((False, [7] * 8 + [4, 4]), (True, [3] * 20 + [4])):
+        monkeypatch.setattr(sievar.irf, "spare_cpu", lambda processes, spare=spare: spare)
+        log.unlink(missing_ok=True)
+        got = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200, threads=threads)
+        draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
+        # three chunks, the last one short, each draw fills at most its
+        # process's block, and there is one block per process
+        assert all(base == block and size <= block for _, _, base, size in draws)
+        assert sorted(size for *_, size in draws) == sorted(s * 2 * b for b in (200, 200, 100) for s in steps)
+        blocks = {(pid, base_id) for pid, base_id, _, _ in draws}
+        assert len(blocks) == len({pid for pid, *_ in draws}) == min(threads, 3)
     monkeypatch.undo()
     one_thread = population_irf(dgp2, shock, replications=500, seed=5, burn_in=60, chunk=200)
     np.testing.assert_array_equal(got.values, one_thread.values)
@@ -908,3 +916,120 @@ def test_stacked_responses_equal_estimated_irf(chunk):
         for m, res in enumerate(alone):
             assert values[k][m].tobytes() == res.values.tobytes()
         assert clamped[k] == sum(res.clamped for res in alone)
+
+
+def _forced_burn_in(spare: bool, *args, **kwargs):
+    """``irf._burn_in`` with the spare-CPU rule answering ``spare``, so the
+    helper thread runs (True) or not (False) whatever this machine's CPUs."""
+    with mock.patch.object(sievar.irf, "spare_cpu", lambda processes: spare):
+        return sievar.irf._burn_in(*args, **kwargs)
+
+
+@pytest.mark.parametrize("dgp_id", range(1, 8))
+@settings(max_examples=8, deadline=None)
+@given(steps=st.integers(0, 80), size=st.integers(1, 40), supplied=st.booleans())
+# no step, one step, below one block, and a multiple of neither the block
+# nor its halves
+@example(steps=0, size=3, supplied=False)
+@example(steps=1, size=3, supplied=True)
+@example(steps=13, size=5, supplied=False)
+@example(steps=61, size=7, supplied=True)
+def test_burn_in_helper_thread_keeps_the_bits(dgp_id, steps, size, supplied):
+    spec = builtin_dgp(dgp_id)
+    d = sievar.irf.DRAW_STEPS
+    states = []
+    for spare in (False, True):
+        # a supplied block is larger than the burn-in needs, as a
+        # population chunk's is
+        block = np.full((d + 4) * spec.d * (size + 3), np.nan) if supplied else None
+        states.append(_forced_burn_in(spare, spec, philox(derive_seed(11, steps)), size, steps, block))
+    assert states[1].tobytes() == states[0].tobytes()
+
+
+@pytest.fixture
+def hang_guard():
+    """End the test run with a traceback if a test waits for over a minute,
+    as a lost wake-up between the burn-in's two threads would."""
+    faulthandler.dump_traceback_later(60, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def test_burn_in_helper_thread_under_fast_switching(dgp2, monkeypatch, hang_guard):
+    # one-step halves and a tiny switch interval: hundreds of hand-offs, each
+    # a chance for a draw to overwrite a half the helper's forward loop still
+    # reads
+    monkeypatch.setattr(sievar.irf, "DRAW_STEPS", 2)
+    expected = _forced_burn_in(False, dgp2, philox(3), 300, 400)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _forced_burn_in(True, dgp2, philox(3), 300, 400).tobytes() == expected.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == 1
+
+
+def test_burn_in_helper_thread_is_joined_on_return_and_on_error(dgp2, monkeypatch, hang_guard):
+    innovations, forward = sievar.irf._innovations, sievar.irf._forward
+    draws, steps = [], []
+
+    def corrupted_draw(spec, gen, shape, axis=-1, out=None):
+        # the third draw holds an inf, past the clip, or raises
+        draws.append(shape)
+        eps = innovations(spec, gen, shape, axis, out)
+        if len(draws) == 3:
+            if failure == "draw":
+                raise KeyError("draw failed")
+            if failure == "inf":
+                eps[1, 0, 7] = np.inf
+        return eps
+
+    def failing_forward(*args, **kwargs):
+        # the helper's third forward call raises
+        steps.append(1)
+        if failure == "forward" and len(steps) == 3:
+            raise KeyError("forward failed")
+        return forward(*args, **kwargs)
+
+    half = sievar.irf.DRAW_STEPS // 2
+    assert _forced_burn_in(True, dgp2, philox(1), 50, 60).shape == (dgp2.p, 2, 50)
+    assert threading.active_count() == 1
+    monkeypatch.setattr(sievar.irf, "_innovations", corrupted_draw)
+    monkeypatch.setattr(sievar.irf, "_forward", failing_forward)
+    failure = "inf"
+    with pytest.raises(PathDivergedError) as info:
+        _forced_burn_in(True, dgp2, philox(1), 50, 60)
+    # the third half block's second step, as in the one-thread loop
+    assert info.value.step == 2 * half + 2 and draws[2][0] == half
+    assert threading.active_count() == 1
+    for failure in ("draw", "forward"):
+        draws.clear()
+        steps.clear()
+        with pytest.raises(KeyError, match=f"{failure} failed"):
+            _forced_burn_in(True, dgp2, philox(1), 50, 60)
+        assert threading.active_count() == 1
+
+
+def test_population_irf_with_helper_thread_matches_two_processes(dgp2, bump34, monkeypatch):
+    # one process with the helper thread, against two processes without it
+    shock = ShockSpec(1.0, bump34, 4)
+    args = dict(replications=900, seed=6, burn_in=70, chunk=300)
+    innovations = sievar.irf._innovations
+    steps = []
+
+    def recording_draw(spec, gen, shape, axis=-1, out=None):
+        steps.append(shape[0])
+        return innovations(spec, gen, shape, axis, out)
+
+    monkeypatch.setattr(sievar.irf, "_innovations", recording_draw)
+    monkeypatch.setattr(sievar.irf, "spare_cpu", lambda processes: processes == 1)
+    threaded = population_irf(dgp2, shock, threads=1, **args)
+    assert max(steps) == sievar.irf.DRAW_STEPS // 2
+    monkeypatch.undo()
+    monkeypatch.setattr(sievar.irf, "spare_cpu", lambda processes: False)
+    forked = population_irf(dgp2, shock, threads=2, **args)
+    assert threaded.values.tobytes() == forked.values.tobytes()
+    assert threaded.mc_se.tobytes() == forked.mc_se.tobytes()
+    assert threaded.clamped == forked.clamped

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -423,6 +424,55 @@ def test_one_innovation_draw():
                         or isinstance(node, ast.Name) and node.id == "standard_normal":
                     sites.append((path.stem, getattr(top, "name", None)))
     assert sites == [("model", "_innovations")]
+
+
+def test_stage_seconds_time_the_three_stages(monkeypatch):
+    # each stage's seconds hold its own calls: the population reference, the
+    # batches' simulation and their fits and responses
+    spent = dict.fromkeys(("population", "simulation", "fit_and_response"), 0.0)
+
+    def timed(stage, fn):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[stage] += time.perf_counter() - start
+        return call
+
+    for stage, name in (("population", "population_irf"), ("simulation", "_simulate_rows"),
+                        ("fit_and_response", "map_in_processes")):
+        monkeypatch.setattr(study_mod, name, timed(stage, getattr(study_mod, name)))
+    start = time.perf_counter()
+    res = run_study(small_cfg(mc_replications=300, pop_replications=2000, horizon=3, burn_in=40))
+    wall = time.perf_counter() - start
+    assert set(res.stage_seconds) == set(spent)
+    for stage, seconds in res.stage_seconds.items():
+        assert spent[stage] <= seconds <= spent[stage] + 0.05 * wall, stage
+    assert sum(res.stage_seconds.values()) <= wall
+
+
+def test_one_thread_site():
+    """The package starts a thread in one place, the forward-loop helper
+    of ``irf._burn_in``, which joins it before it returns or raises."""
+    sites = []
+    for path in sorted(Path(sievar.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "Thread" \
+                        or isinstance(node, ast.Name) and node.id == "Thread":
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("irf", "_burn_in")]
+
+
+def test_study_forks_after_the_diagnostics(monkeypatch):
+    # the diagnostics' burn-in runs its forward loop on a helper thread and
+    # joins it, so a study that follows still forks its workers
+    monkeypatch.setattr(sievar.irf, "spare_cpu", lambda processes: True)
+    sievar.estimate_delta_r(sievar.builtin_dgp(2), h_max=3, replications=100, seed=1, burn_in=40)
+    sievar.find_h_star(sievar.builtin_dgp(2), h_cap=2, samples=4, seed=1)
+    res = run_study(small_cfg(mc_replications=8, pop_replications=400, horizon=2, burn_in=30, threads=2))
+    assert res.processes == 2
 
 
 def test_tracer_hooks_resolve():
