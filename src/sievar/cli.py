@@ -426,6 +426,7 @@ def cmd_mc(cfg: dict, run: Run) -> int:
         n_ok=result.n_ok,
         failed=len(result.failed),
         failure_causes=result.failure_causes,
+        regularized=result.regularized,
         clamped=result.clamped,
         threads=study_cfg.threads,
         processes=result.processes,

@@ -192,12 +192,21 @@ def write_irfs(results: list[IrfResult], file: Path) -> None:
 
 
 def write_study(result: StudyResult, file: Path) -> None:
-    """Header: estimator,delta,var,h,mse,bias,se,n_ok."""
+    """Header: estimator,delta,var,h,mse,bias,se,n_ok,population,population_mc_se;
+    the last two are the population reference's value and MC standard error
+    at (delta, var, h)."""
     with open(file, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["estimator", "delta", "var", "h", "mse", "bias", "se", "n_ok"])
+        writer.writerow(
+            ["estimator", "delta", "var", "h", "mse", "bias", "se", "n_ok", "population", "population_mc_se"]
+        )
         for tag, delta, var, h, mse, bias, se, n_ok in result.rows():
-            writer.writerow([tag, _fmt(delta), var, h, _fmt(mse), _fmt(bias), _fmt(se), n_ok])
+            pop = result.population[delta]
+            v = pop.variables.index(var)
+            writer.writerow([
+                tag, _fmt(delta), var, h, _fmt(mse), _fmt(bias), _fmt(se), n_ok,
+                _fmt(pop.values[h, v]), _fmt(pop.mc_se[h, v]),
+            ])
 
 
 def save_fitted(fit: FittedModel, file: Path) -> None:

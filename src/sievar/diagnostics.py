@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import ols
 from .irf import _burn_in
 from .model import ModelSpec, _innovations, derive_seed, final_states, iterate_paths, philox
 
@@ -81,7 +82,8 @@ def estimate_delta_r(
     Per replication, a stationary state and an independent copy are iterated
     h_max steps with shared innovations; delta_hat(h) is the L^r norm of the
     gap over the ``components`` (all by default), r >= 1. log delta_hat is
-    then regressed on h for the exp(-a2 h) fit (tau fixed at one).
+    then regressed on h for the exp(-a2 h) fit (tau fixed at one), through
+    the package's one least-squares solver (``estimator.ols``).
 
     Both copies burn in from a zero state over one stream,
     ``derive_seed(seed, 11)``, read step-major over 2R columns: copy a is
@@ -115,10 +117,9 @@ def estimate_delta_r(
     if positive.sum() >= 2:
         h = np.arange(1, h_max + 1, dtype=float)[positive]
         logd = np.log(delta_hat[positive])
-        design = np.column_stack([np.ones_like(h), -h])
-        coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
-        a1, a2 = float(math.exp(coef[0])), float(coef[1])
-        resid = float(np.sqrt(np.mean((logd - design @ coef) ** 2)))
+        fit = ols(np.column_stack([np.ones_like(h), -h]), logd)
+        a1, a2 = float(math.exp(fit.coefficients[0])), float(fit.coefficients[1])
+        resid = float(np.sqrt(np.mean(fit.residuals**2)))
     else:
         a1, a2, resid = 0.0, math.inf, 0.0
     return DependenceProfile(

@@ -146,15 +146,27 @@ class NonlinFn:
     def _span_table(self) -> np.ndarray:
         """(#spans, degree + 1) power coefficients in the offset from each
         span's left knot of this spline term, scale included."""
-        kv = self.knots
-        live = np.arange(kv.span_power.shape[0])[:, None] + np.arange(kv.degree + 1)
-        table = self.scale * np.einsum("sr,srm->sm", np.asarray(self.coeffs)[live], kv.span_power)
+        table = _span_tables(np.asarray(self.coeffs), self.knots.span_power, self.scale)
         table.flags.writeable = False
         return table
 
     def from_spans(self, span: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """Spline term value at points given by ``span_offsets``."""
         return _horner(self._span_table, span, offset)
+
+
+def _span_tables(coeffs: np.ndarray, power: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The (..., #spans, degree + 1) power coefficients of splines with
+    (..., dim) basis coefficients on knots with (..., #spans, degree + 1,
+    degree + 1) ``span_power`` tables, ``scale`` folded in. Every step is
+    elementwise in the leading axes, so a spline's table has the same bits
+    alone (``NonlinFn._span_table``) or in a group's stack."""
+    spans, width = power.shape[-3], power.shape[-1]
+    live = coeffs[..., np.arange(spans)[:, None] + np.arange(width)]
+    table = live[..., :, :1] * power[..., 0, :]
+    for r in range(1, width):
+        table += live[..., :, r : r + 1] * power[..., r, :]
+    return scale * table
 
 
 def _horner(table: np.ndarray, span: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -253,20 +265,40 @@ class LagPolynomial:
         return self.coeffs.shape[1]
 
     def companion(self) -> np.ndarray:
-        p, d = self.p, self.d
-        if p == 0:
-            return np.zeros((d, d))
-        comp = np.zeros((p * d, p * d))
-        comp[:d, :] = np.concatenate(list(self.coeffs), axis=1)
-        if p > 1:
-            comp[d:, :-d] = np.eye((p - 1) * d)
-        return comp
+        if self.p == 0:
+            return np.zeros((self.d, self.d))
+        return _companions(self.coeffs)
 
     def spectral_radius(self) -> float:
-        comp = self.companion()
-        if comp.size == 0:
+        return self._radius
+
+    @cached_property
+    def _radius(self) -> float:
+        # filled in by ``_lag_polynomials`` for the models of a group
+        if self.p == 0 or self.d == 0:
             return 0.0
-        return float(np.max(np.abs(np.linalg.eigvals(comp))))
+        return float(np.max(np.abs(np.linalg.eigvals(self.companion()))))
+
+
+def _companions(coeffs: np.ndarray) -> np.ndarray:
+    """The (..., p*d, p*d) companion matrices of (..., p, d, d) lag matrices."""
+    *lead, p, d, _ = coeffs.shape
+    comp = np.zeros((*lead, p * d, p * d))
+    comp[..., :d, :] = coeffs.swapaxes(-3, -2).reshape(*lead, d, p * d)
+    if p > 1:
+        comp[..., d:, :-d] = np.eye((p - 1) * d)
+    return comp
+
+
+def _lag_polynomials(coeffs: np.ndarray) -> list[LagPolynomial]:
+    """The lag polynomials of an (R, p, d, d) stack, their spectral radii
+    from one stacked eigenvalue call."""
+    polys = [LagPolynomial(c) for c in coeffs]
+    if coeffs.shape[1] and coeffs.shape[2]:
+        radii = np.max(np.abs(np.linalg.eigvals(_companions(coeffs))), axis=-1)
+        for poly, radius in zip(polys, radii.tolist()):
+            poly.__dict__["_radius"] = radius
+    return polys
 
 
 @dataclass(frozen=True)

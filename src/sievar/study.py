@@ -12,14 +12,26 @@ workers (``map_in_processes``), where ``os.fork`` exists and BLAS is pinned
 to one thread (see the ``sievar`` package docstring); so each process runs
 a near-equal contiguous share of the batch.
 
-A replication fits its first stage once and its estimators through the one
-least-squares solver, each with its own ridge fallback. Per estimator, the
-group's fits then take one ``irf._responses`` call: one stacked sample
-check and one stacked ``_forward`` call per shock, each fit on its own
-columns, so its errors have the same bits whichever replications share its
-group. ``model._forward`` marks the columns that diverge and runs the
-others on: a diverged row of a simulation batch, or a replication whose
-fits diverge, fails alone with cause ``PathDivergedError``, and nothing is
+A group is fitted all at once: one stacked stage-I regression, then per
+estimator one stacked (R, k + d_y, n - p) design, whose sieve blocks come
+from one pass over the group's knot tables (its knot vectors share the
+config's interior knots, so one span lookup serves every replication's
+points), and one call of the one least-squares solver,
+``estimator._lstsq``: a stacked QR of each [X | y], a rank rule on the
+singular values of each R (rank below k when one is at most 1e-10 times
+the largest) and a stacked triangular solve; a rank-deficient replication
+alone takes its ridge fallback and its ``regularized`` flag. A
+replication whose fit fails (a sample whose range misses an interior knot,
+a non-finite design) fails alone. Per estimator, the group's fits then
+take one ``irf._responses`` call: one stacked sample check and one stacked
+``_forward`` call per shock, each fit on its own columns. Every step of
+both is elementwise or one LAPACK call per replication, so a replication's
+fits and errors have the same bits whichever replications share its group,
+and equal those of ``fit_two_step``/``fit_parametric`` and
+``estimated_irf``, which are groups of one of the same code.
+``model._forward`` marks the columns that diverge and runs the others on:
+a diverged row of a simulation batch, or a replication whose fits
+diverge, fails alone with cause ``PathDivergedError``, and nothing is
 rerun. The errors are kept in replication order and reduced once at the
 end, so results are bit-identical for any thread count.
 """
@@ -38,12 +50,9 @@ from ._workers import can_fork, map_in_processes
 from .basis import KnotVector, SievePlan
 # tracer-only imports (perfbench wraps them here): check_compatibility, estimated_irf, fit_parametric, fit_two_step, simulate
 from .estimator import (  # noqa: F401
-    FirstStageFit,
-    FittedModel,
-    _as_xy,
-    _fit_stage_two,
+    _stage_one,
+    _stage_two,
     benchmark_true_form,
-    first_stage,
     fit_parametric,
     fit_two_step,
     max0_prior_form,
@@ -176,7 +185,9 @@ class StudyResult:
     ``clamped`` counts of the estimated IRFs that the study iterated (spline
     evaluations outside the knot domain in the iterated paths), a diverged
     replication's included; ``failure_causes`` counts the failed
-    replications by exception class name. ``processes`` is the number of
+    replications by exception class name; ``regularized`` counts per
+    estimator the successful replications whose stage-I or stage-II solve
+    took the ridge fallback. ``processes`` is the number of
     processes the fits and IRFs were split over: 1 when the worker
     processes could not run. ``stage_seconds`` holds the wall seconds of
     the population reference (``"population"``), of the batches'
@@ -193,6 +204,7 @@ class StudyResult:
     failed: tuple[int, ...]
     clamped: int
     failure_causes: dict[str, int]
+    regularized: dict[str, int]
     processes: int
     stage_seconds: dict[str, float]
 
@@ -229,69 +241,105 @@ def _check_sieve(cfg: StudyConfig, d_y: int) -> None:
         raise ValueError("overparameterized sieve: K_total must be below the usable sample size")
 
 
-def _fit_one(cfg: StudyConfig, tag: str, path, first: FirstStageFit | None = None) -> FittedModel:
-    """Estimator ``tag``'s fit to ``path``: the same bits as ``fit_two_step``
-    or ``fit_parametric``. A replication fits its first stage once and passes
-    it as ``first`` to each of its estimators."""
-    x, y, _ = _as_xy(path)
+def _layout(cfg: StudyConfig, tag: str, path):
+    """Estimator ``tag``'s design layout for ``path``."""
     if tag == "sieve":
-        layout = _study_plan(cfg, x)
-    elif tag == "parametric_true":
+        return _study_plan(cfg, path.x)
+    if tag == "parametric_true":
         layout = benchmark_true_form(cfg.dgp_id)
         if cfg.phi_shift and cfg.dgp_id == 7:
             layout = replace(layout, terms=tuple((j, "smooth_phi_shift") for j, _ in layout.terms))
-    elif tag == "parametric_max0":
-        layout = max0_prior_form(cfg.p)
-    else:
-        raise ValueError(f"unknown estimator tag {tag!r}")
-    if first is None:
-        first = first_stage(x, y, cfg.p)
-    return _fit_stage_two(layout, x, y, first.residuals, first, cfg.p)
+        return layout
+    if tag == "parametric_max0":
+        return max0_prior_form(cfg.p)
+    raise ValueError(f"unknown estimator tag {tag!r}")
 
 
-def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[list, int]:
-    """Each replication's errors, an (estimators x deltas, H+1, d) array
-    against ``targets``, or its failure cause, for the paths (or the
-    simulation's failure causes) of one group; and the clamped count of its
-    responses. A replication fits its first stage once for all its
-    estimators; a fit that raises ``RuntimeError``, ``LinAlgError`` or
-    ``ValueError`` (a sample whose range misses an interior knot, say;
-    ``_check_sieve`` raised the config's own errors) fails its replication.
-    Per estimator the group's fits then run stacked in one ``_responses``
-    call, sample check included; a replication any of whose fits diverges
-    there fails with ``PathDivergedError``, and the others keep their
-    errors."""
-    outcomes = list(paths)
-    fitted = []
-    for i, path in enumerate(paths):
-        if isinstance(path, str):
+def _samples(paths) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, n) X and (R, d_y, n) Y paths of a group's samples."""
+    return np.stack([path.x for path in paths]), np.stack([path.y.T for path in paths])
+
+
+def _fit_group(cfg: StudyConfig, tag: str, paths, firsts=None) -> list:
+    """Estimator ``tag``'s fits to ``paths``, all at once: per path its
+    ``FittedModel``, with the bits of ``fit_two_step`` or
+    ``fit_parametric``, or the exception that fails its replication (a
+    sample whose range misses an interior knot, say). ``firsts`` are the
+    paths' stage-I fits, which a replication's estimators share; they are
+    fitted here when not given."""
+    x, y = _samples(paths)
+    if firsts is None:
+        firsts = _stage_one(x, y, cfg.p)
+    # a replication whose first stage failed keeps that failure
+    outcomes = list(firsts)
+    layouts, kept = [], []
+    for i, (path, first) in enumerate(zip(paths, firsts)):
+        if isinstance(first, Exception):
             continue
         try:
-            first = first_stage(path.x, path.y, cfg.p)
-            fitted.append((i, path, [_fit_one(cfg, tag, path, first) for tag in cfg.estimators]))
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-            outcomes[i] = type(exc).__name__
-    if not fitted:
-        return outcomes, 0
-    errors = np.empty((len(fitted), len(cfg.estimators) * len(shocks)) + targets.shape[1:])
-    failed, clamped, h = np.zeros(len(fitted), dtype=bool), 0, cfg.horizon
+            layouts.append(_layout(cfg, tag, path))
+            kept.append(i)
+        except ValueError as exc:
+            outcomes[i] = exc
+    if kept:
+        for i, fit in zip(kept, _stage_two(layouts, x[kept], y[kept], [firsts[i] for i in kept], cfg.p)):
+            outcomes[i] = fit
+    return outcomes
+
+
+def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[list, int, list[int]]:
+    """Each replication's errors, an (estimators x deltas, H+1, d) array
+    against ``targets``, or its failure cause, for the paths (or the
+    simulation's failure causes) of one group; the clamped count of its
+    responses; and per estimator the count of its successful replications
+    whose stage-I or stage-II solve took the ridge. The group fits its
+    first stage once for all its estimators, then each estimator at once
+    (``_fit_group``); a fit that fails with ``RuntimeError``,
+    ``LinAlgError`` or ``ValueError`` (``_check_sieve`` raised the
+    config's own errors) fails its replication, which its later estimators
+    skip. Per estimator the group's fits then run stacked in one
+    ``_responses`` call, sample check included; a replication any of whose
+    fits diverges there fails with ``PathDivergedError``, and the others
+    keep their errors."""
+    outcomes = list(paths)
+    live = [i for i, path in enumerate(paths) if not isinstance(path, str)]
+    fits: dict[int, list] = {i: [] for i in live}
+    firsts = _stage_one(*_samples([paths[i] for i in live]), cfg.p) if live else []
+    for tag in cfg.estimators:
+        if not live:
+            break
+        for i, outcome in zip(live, _fit_group(cfg, tag, [paths[i] for i in live], firsts)):
+            if isinstance(outcome, (RuntimeError, ValueError, np.linalg.LinAlgError)):
+                outcomes[i] = type(outcome).__name__
+                del fits[i]
+            elif isinstance(outcome, Exception):
+                raise outcome
+            else:
+                fits[i].append(outcome)
+        firsts = [first for i, first in zip(live, firsts) if i in fits]
+        live = [i for i in live if i in fits]
+    if not live:
+        return outcomes, 0, [0] * len(cfg.estimators)
+    errors = np.empty((len(live), len(cfg.estimators) * len(shocks)) + targets.shape[1:])
+    failed, clamped, h = np.zeros(len(live), dtype=bool), 0, cfg.horizon
     # a replication's estimators share its first stage, and so its shocks
     impacts = [
-        [_impact(shock, fits[0].first_stage.residuals[: path.n - cfg.p - h]) for _, path, fits in fitted]
+        [_impact(shock, fits[i][0].first_stage.residuals[: paths[i].n - cfg.p - h]) for i in live]
         for shock in shocks
     ]
-    for e, fits in enumerate(zip(*(fits for _, _, fits in fitted))):
-        plans = [fit._step_plan for fit in fits]
-        samples = [_sample(fit, path.x, path.y) for fit, (_, path, _) in zip(fits, fitted)]
+    for e in range(len(cfg.estimators)):
+        plans = [fits[i][e]._step_plan for i in live]
+        samples = [_sample(fits[i][e], paths[i].x, paths[i].y) for i in live]
         values, counts, diverged = _responses(plans, samples, impacts, h, True, GROUP_COLUMNS)
         if diverged:
             failed |= diverged.columns
         for k, v in enumerate(values):
             errors[:, e * len(shocks) + k] = v - targets[k]
         clamped += sum(counts)
-    for (i, _, _), bad, error in zip(fitted, failed, errors):
+    for i, bad, error in zip(live, failed, errors):
         outcomes[i] = PathDivergedError.__name__ if bad else error
-    return outcomes, clamped
+    kept = [i for i, bad in zip(live, failed) if not bad]
+    return outcomes, clamped, [sum(fits[i][e].regularized for i in kept) for e in range(len(cfg.estimators))]
 
 
 def _moments(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,6 +395,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     clamped = 0
     failed: list[int] = []
     causes: Counter[str] = Counter()
+    regularized = dict.fromkeys(cfg.estimators, 0)
     processes = min(cfg.threads, m) if can_fork() else 1
     group = max(1, GROUP_COLUMNS // (cfg.n - cfg.p))
     replicate = partial(_replicate_group, cfg, shocks=shocks, targets=targets)
@@ -368,8 +417,10 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             r = start
             results = map_in_processes(replicate, groups, processes)
             stage_seconds["fit_and_response"] += time.perf_counter() - simulated
-            for outcomes, count in results:
+            for outcomes, count, ridge in results:
                 clamped += count
+                for tag, ridged in zip(cfg.estimators, ridge):
+                    regularized[tag] += ridged
                 for outcome in outcomes:
                     if isinstance(outcome, str):
                         failed.append(r)
@@ -399,6 +450,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
         failed=tuple(failed),
         clamped=clamped,
         failure_causes=dict(causes),
+        regularized=regularized,
         processes=processes,
         stage_seconds=stage_seconds,
     )

@@ -46,3 +46,12 @@ def dgp2_pop_irf(dgp2, bump34):
 def make_plan(x: np.ndarray, knots=(0.0,), degree=3, lags=2) -> sievar.SievePlan:
     kv = sievar.KnotVector(degree, tuple(knots), float(np.min(x)), float(np.max(x)))
     return sievar.SievePlan(x_blocks=(kv,) * lags)
+
+
+def study_fit(cfg, tag: str, path):
+    """The study's fit of estimator ``tag`` to one path, a group of one of
+    ``study._fit_group``; a failed fit raises its exception."""
+    (fit,) = sievar.study._fit_group(cfg, tag, [path])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit

@@ -294,7 +294,9 @@ def test_mc_command_writes_schema(tmp_path):
     assert code == 0
     run_dir = only_run_dir(out, "mc")
     rows = read_rows(run_dir / "study.csv")
-    assert list(rows[0]) == ["estimator", "delta", "var", "h", "mse", "bias", "se", "n_ok"]
+    assert list(rows[0]) == [
+        "estimator", "delta", "var", "h", "mse", "bias", "se", "n_ok", "population", "population_mc_se"
+    ]
     assert len(rows) == 2 * 5  # vars x horizons
     assert all(r["n_ok"] == "8" for r in rows)
     assert (run_dir / "study.svg").exists()
@@ -318,6 +320,7 @@ def test_mc_run_manifest_matches_direct_study(tmp_path):
     assert manifest["n_ok"] == direct.n_ok == 6
     assert manifest["failed"] == len(direct.failed)
     assert manifest["failure_causes"] == direct.failure_causes
+    assert manifest["regularized"] == direct.regularized == {"sieve": 0}
     assert manifest["clamped"] == direct.clamped > 0
     assert direct.processes == 1
     # the forked worker was reaped, so its peak counts among the children's
@@ -328,6 +331,15 @@ def test_mc_run_manifest_matches_direct_study(tmp_path):
     ]
     assert set(manifest["stage_seconds"]) == set(direct.stage_seconds)
     assert all(v > 0.0 for v in manifest["stage_seconds"].values())
+    # study.csv carries the population reference beside each moment, by repr
+    rows = read_rows(run_dir / "study.csv")
+    assert len(rows) == 2 * 2 * 5  # deltas x vars x horizons
+    for row in rows:
+        pop = direct.population[float(row["delta"])]
+        v = pop.variables.index(row["var"])
+        h = int(row["h"])
+        assert row["population"] == repr(float(pop.values[h, v]))
+        assert row["population_mc_se"] == repr(float(pop.mc_se[h, v]))
     assert manifest["sievar_version"] == sievar.__version__
     assert manifest["numpy_version"] == np.__version__
     assert (run_dir / "config.json").exists()

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sievar
 from sievar.estimator import (
+    _lstsq,
     benchmark_true_form,
     first_stage,
     fit_infeasible,
@@ -49,6 +52,70 @@ def test_ols_duplicate_column_regularized():
 def test_ols_underdetermined():
     with pytest.raises(ValueError, match="underdetermined"):
         ols(np.ones((3, 4)), np.ones(3))
+
+
+# QR and SVD least-squares solutions of well-conditioned float64 systems
+# (standard normal designs with at least twice as many rows as columns)
+# agree to within this multiple of the largest coefficient
+SOLVER_RTOL = 1e4 * np.finfo(np.float64).eps
+
+
+def _random_stack(seed: int, count: int, k: int, m: int, extra: int) -> tuple[np.ndarray, int]:
+    """``count`` random regressions of k regressors, m responses and 2k +
+    extra rows, as the solver takes them, (count, k + m, rows); and k."""
+    return np.random.default_rng(seed).standard_normal((count, k + m, 2 * k + extra)), k
+
+
+_stacks = st.builds(
+    _random_stack,
+    st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6), st.integers(1, 3), st.integers(0, 30),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_stacks)
+def test_solver_matches_lstsq_oracle(case):
+    stack, k = case
+    coef, residuals, rank, ridge = _lstsq(stack, k)
+    assert not ridge.any() and (rank == k).all()
+    for c, e, block in zip(coef, residuals, stack):
+        x, y = block[:k].T, block[k:].T
+        oracle = np.linalg.lstsq(x, y, rcond=None)[0]
+        np.testing.assert_allclose(c, oracle, rtol=0, atol=SOLVER_RTOL * (1.0 + np.max(np.abs(oracle))))
+        np.testing.assert_allclose(e.T, y - x @ oracle, rtol=0, atol=SOLVER_RTOL * (1.0 + np.max(np.abs(y))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_stacks.filter(lambda case: case[1] >= 2), data=st.data())
+def test_solver_flags_only_the_rank_deficient_matrix(case, data):
+    stack, k = case
+    bad = data.draw(st.integers(0, len(stack) - 1))
+    stack = stack.copy()
+    stack[bad, k - 1] = stack[bad, 0]  # a duplicated column
+    clean = _lstsq(np.delete(stack, bad, axis=0), k) if len(stack) > 1 else None
+    coef, residuals, rank, ridge = _lstsq(stack, k)
+    assert ridge.tolist() == [i == bad for i in range(len(stack))]
+    assert rank[bad] == k - 1 and np.all(np.isfinite(coef[bad]))
+    if clean is not None:
+        # the other matrices keep the bits they have without it
+        others = [i for i in range(len(stack)) if i != bad]
+        assert coef[others].tobytes() == clean[0].tobytes()
+        assert residuals[others].tobytes() == clean[1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_stacks, order=st.randoms(use_true_random=False))
+def test_solver_bits_do_not_depend_on_the_stack(case, order):
+    stack, k = case
+    coef, residuals, _, _ = _lstsq(stack, k)
+    picks = list(range(len(stack))) * 2
+    order.shuffle(picks)
+    other = _lstsq(stack[picks], k)
+    for j, i in enumerate(picks):
+        assert other[0][j].tobytes() == coef[i].tobytes()
+        assert other[1][j].tobytes() == residuals[i].tobytes()
+        alone = _lstsq(stack[i : i + 1], k)
+        assert alone[0][0].tobytes() == coef[i].tobytes()
 
 
 def test_residual_orthogonality_both_stages(dgp2):

@@ -42,9 +42,9 @@ from sievar.model import (
     iterate_paths,
     philox,
 )
-from sievar.study import _fit_one, default_study_config, derive_seed
+from sievar.study import default_study_config, derive_seed
 
-from conftest import make_plan
+from conftest import make_plan, study_fit
 
 
 def test_bump_identities(bump34):
@@ -358,7 +358,7 @@ def test_population_irf_thread_invariance(dgp2, bump34):
     path = sievar.simulate(sievar.builtin_dgp(7), 400, seed=8)
     cfg = default_study_config(7)
     shock = ShockSpec(1.0, bump34, 3)
-    for spec in (dgp2, _fit_one(cfg, "sieve", path)):
+    for spec in (dgp2, study_fit(cfg, "sieve", path)):
         runs = [
             population_irf(spec, shock, replications=1000, seed=3, burn_in=40, threads=t, chunk=300)
             for t in (1, 2, 3)
@@ -633,7 +633,7 @@ def test_estimated_irf_matches_two_pass_oracle(dgp_id):
     cfg = default_study_config(dgp_id, n=300, horizon=8)
     path = sievar.simulate(sievar.builtin_dgp(dgp_id), cfg.n, seed=dgp_id + 70)
     tolerance = 1e-12 * (1.0 + float(np.max(np.abs(path.z))))
-    fits = {tag: _fit_one(cfg, tag, path) for tag in STUDY_ESTIMATORS}
+    fits = {tag: study_fit(cfg, tag, path) for tag in STUDY_ESTIMATORS}
     fits["infeasible"] = sievar.fit_infeasible(path, sievar.study._study_plan(cfg, path.x))
     for delta in (-1.0, 0.0, 1.0):
         shock = ShockSpec(delta, cfg.relaxation, cfg.horizon)

@@ -344,12 +344,14 @@ LARGE_BATCH_MODELS = [f"dgp{i}" for i in range(1, 8)] + [f"dgp7_{tag}" for tag i
 @pytest.fixture(scope="module")
 def dgp7_study_fits():
     """The three fits ``run_study`` makes on one DGP 7 sample, by tag."""
-    from sievar.study import _fit_one, default_study_config
+    from sievar.study import default_study_config
+
+    from conftest import study_fit
 
     cfg = default_study_config(7)
     assert cfg.estimators == DGP7_FITS
     path = simulate(builtin_dgp(7), cfg.n, seed=derive_seed(7, 11), burn_in=cfg.burn_in)
-    return {tag: _fit_one(cfg, tag, path) for tag in cfg.estimators}
+    return {tag: study_fit(cfg, tag, path) for tag in cfg.estimators}
 
 
 @pytest.mark.parametrize("batch", [1, 50, 2387, 4096])

@@ -30,6 +30,8 @@ from sievar.study import (
     target_mode,
 )
 
+from conftest import study_fit
+
 DESK = dict(mc_replications=40, pop_replications=4000)
 
 
@@ -63,14 +65,14 @@ def test_worker_failures_match_one_process(monkeypatch):
     cfg = small_cfg(mc_replications=60, pop_replications=500, max_failure_fraction=0.1)
     # one failing replication in each process's share at three threads
     bad = {derive_seed(cfg.master_seed, 2, r) for r in (3, 31, 59)}
-    real_fit = study_mod._fit_one
+    real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, path, first):
-        if path.seed in bad:
-            raise np.linalg.LinAlgError("singular matrix")
-        return real_fit(cfg, tag, path, first)
+    def fit(cfg, tag, paths, firsts=None):
+        out = real_fit(cfg, tag, paths, firsts)
+        failed = np.linalg.LinAlgError("singular matrix")
+        return [failed if path.seed in bad else o for path, o in zip(paths, out)]
 
-    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    monkeypatch.setattr(study_mod, "_fit_group", fit)
     serial = run_study(cfg)
     assert serial.failed == (3, 31, 59)
     for threads in (2, 3):
@@ -88,14 +90,14 @@ def test_worker_exception_reraised_without_leftover_child(monkeypatch, bad_rep):
     raised in the calling process's share (5) or in the worker's (30)."""
     cfg = small_cfg(pop_replications=500, threads=2)
     bad = derive_seed(cfg.master_seed, 2, bad_rep)
-    real_fit = study_mod._fit_one
+    real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, path, first):
-        if path.seed == bad:
+    def fit(cfg, tag, paths, firsts=None):
+        if any(path.seed == bad for path in paths):
             raise KeyError(f"replication {bad_rep}")
-        return real_fit(cfg, tag, path, first)
+        return real_fit(cfg, tag, paths, firsts)
 
-    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    monkeypatch.setattr(study_mod, "_fit_group", fit)
     with pytest.raises(KeyError, match=f"replication {bad_rep}") as info:
         run_study(cfg)
     in_worker = any("worker process" in note for note in getattr(info.value, "__notes__", ()))
@@ -105,14 +107,14 @@ def test_worker_exception_reraised_without_leftover_child(monkeypatch, bad_rep):
 def test_worker_that_dies_is_reported(monkeypatch):
     cfg = small_cfg(pop_replications=500, threads=2)
     parent = os.getpid()
-    real_fit = study_mod._fit_one
+    real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, path, first):
+    def fit(cfg, tag, paths, firsts=None):
         if os.getpid() != parent:
             os._exit(3)
-        return real_fit(cfg, tag, path, first)
+        return real_fit(cfg, tag, paths, firsts)
 
-    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    monkeypatch.setattr(study_mod, "_fit_group", fit)
     with pytest.raises(ChildProcessError, match="without sending its results"):
         run_study(cfg)
 
@@ -178,13 +180,13 @@ def _bits(obj):
 @pytest.mark.parametrize("phi_shift", [False, True])
 def test_study_fits_share_first_stage_and_equal_public_fits(monkeypatch, phi_shift):
     cfg = default_study_config(7, n=300, mc_replications=3, pop_replications=64, phi_shift=phi_shift)
-    fits = []
-    real_fit = study_mod._fit_one
+    calls = []
+    real_fit = study_mod._fit_group
 
-    def recording_fit(cfg, tag, path, first):
-        fit = real_fit(cfg, tag, path, first)
-        fits.append((tag, path, fit))
-        return fit
+    def recording_fit(cfg, tag, paths, firsts=None):
+        out = real_fit(cfg, tag, paths, firsts)
+        calls.append((tag, paths, out))
+        return out
 
     stacked = []
     real_responses = study_mod._responses
@@ -193,9 +195,12 @@ def test_study_fits_share_first_stage_and_equal_public_fits(monkeypatch, phi_shi
         stacked.append(plans)
         return real_responses(plans, *args)
 
-    monkeypatch.setattr(study_mod, "_fit_one", recording_fit)
+    monkeypatch.setattr(study_mod, "_fit_group", recording_fit)
     monkeypatch.setattr(study_mod, "_responses", recording_responses)
     assert run_study(cfg).n_ok == 3
+    # one stacked fit per estimator for the group of three replications
+    assert [(tag, len(paths)) for tag, paths, _ in calls] == [(tag, 3) for tag in cfg.estimators]
+    fits = [(tag, paths[r], out[r]) for r in range(3) for tag, paths, out in calls]
     assert [tag for tag, _, _ in fits] == list(cfg.estimators) * 3
     # the three replications form one group, and each estimator's stacked
     # call reads the step plans of exactly the public fits
@@ -236,10 +241,11 @@ def _as_bits(outcome):
 def _check_group_against_singles(cfg, paths, shocks, targets):
     """A group's outcomes and clamped count equal those of its replications
     run as groups of one; returns the group's outcomes."""
-    group, clamped = study_mod._replicate_group(cfg, paths, shocks, targets)
+    group, clamped, ridge = study_mod._replicate_group(cfg, paths, shocks, targets)
     singles = [study_mod._replicate_group(cfg, [path], shocks, targets) for path in paths]
-    assert [_as_bits(o) for o in group] == [_as_bits(out[0]) for out, _ in singles]
-    assert clamped == sum(count for _, count in singles)
+    assert [_as_bits(o) for o in group] == [_as_bits(out[0]) for out, _, _ in singles]
+    assert clamped == sum(count for _, count, _ in singles)
+    assert ridge == [sum(counts) for counts in zip(*(single for _, _, single in singles))]
     return group
 
 
@@ -258,7 +264,11 @@ def test_group_errors_equal_groups_of_one_and_public_irfs(dgp_id, phi_shift, nar
     for path, errors in zip(paths, group):
         assert not isinstance(errors, str)
         for e, tag in enumerate(cfg.estimators):
-            fit = study_mod._fit_one(cfg, tag, path)
+            layout = study_mod._layout(cfg, tag, path)
+            if tag == "sieve":
+                fit = sievar.fit_two_step(path, layout)
+            else:
+                fit = sievar.fit_parametric(path, cfg.p, layout)
             for k, shock in enumerate(shocks):
                 expected = sievar.estimated_irf(fit, path, shock).values - targets[k]
                 assert errors[e * len(shocks) + k].tobytes() == expected.tobytes()
@@ -270,11 +280,11 @@ def test_group_with_a_ridge_fallback_replication():
     # with every X positive, max0 of a lag duplicates its linear column
     paths[1] = replace(paths[1], x=paths[1].x + 20.0)
     for tag in cfg.estimators:
-        fit = study_mod._fit_one(cfg, tag, paths[1])
+        fit = study_fit(cfg, tag, paths[1])
         assert fit.regularized
-        assert not study_mod._fit_one(cfg, tag, paths[0]).regularized
+        assert not study_fit(cfg, tag, paths[0]).regularized
     group = _check_group_against_singles(cfg, paths, shocks, targets)
-    fit = study_mod._fit_one(cfg, "parametric_max0", paths[1])
+    fit = study_fit(cfg, "parametric_max0", paths[1])
     expected = sievar.estimated_irf(fit, paths[1], shocks[0]).values - targets[0]
     assert group[1][1].tobytes() == expected.tobytes()
 
@@ -284,14 +294,16 @@ def test_group_with_replications_failing_in_their_fits(monkeypatch):
     paths, shocks, targets = _group_inputs(cfg, 5, 11)
     # a sample whose range misses the interior knots at -3 and 3
     paths[1] = replace(paths[1], x=0.1 * paths[1].x)
-    real_fit = study_mod._fit_one
+    real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, path, first=None):
-        if path is paths[3] and tag == "parametric_max0":
-            raise np.linalg.LinAlgError("singular matrix")
-        return real_fit(cfg, tag, path, first)
+    def fit(cfg, tag, group, firsts=None):
+        out = real_fit(cfg, tag, group, firsts)
+        return [
+            np.linalg.LinAlgError("singular matrix") if path is paths[3] and tag == "parametric_max0" else o
+            for path, o in zip(group, out)
+        ]
 
-    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    monkeypatch.setattr(study_mod, "_fit_group", fit)
     group = _check_group_against_singles(cfg, paths, shocks, targets)
     assert [o if isinstance(o, str) else "ok" for o in group] == ["ok", "ValueError", "ok", "LinAlgError", "ok"]
 
@@ -308,21 +320,23 @@ def test_group_with_a_replication_diverging_in_its_irf(monkeypatch):
     # DGP 3's X loads on the lagged Y, which carries the cube back into X
     cfg = default_study_config(3, n=400, horizon=8, estimators=("parametric_true", "sieve"))
     paths, shocks, targets = _group_inputs(cfg, 4, 13)
-    bad = _with_cube(study_mod._fit_one(cfg, "sieve", paths[2]), paths[2].x, 1e4)
+    bad = _with_cube(study_fit(cfg, "sieve", paths[2]), paths[2].x, 1e4)
     with pytest.raises(PathDivergedError):
         sievar.estimated_irf(bad, paths[2], shocks[0])
-    real_fit = study_mod._fit_one
+    real_fit = study_mod._fit_group
 
     study_cfg = replace(cfg, mc_replications=12, pop_replications=500, max_failure_fraction=0.2)
     bad_seed = derive_seed(study_cfg.master_seed, 2, 5)
 
-    def fit(cfg, tag, path, first=None):
+    def fit(cfg, tag, group, firsts=None):
         # every sieve fit gets the term, so the group's fits share one layout
-        out = real_fit(cfg, tag, path, first)
-        explosive = path is paths[2] or path.seed == bad_seed
-        return _with_cube(out, path.x, 1e4 if explosive else 0.0) if tag == "sieve" else out
+        out = real_fit(cfg, tag, group, firsts)
+        if tag != "sieve":
+            return out
+        explosive = [path is paths[2] or path.seed == bad_seed for path in group]
+        return [_with_cube(o, path.x, 1e4 if e else 0.0) for path, o, e in zip(group, out, explosive)]
 
-    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    monkeypatch.setattr(study_mod, "_fit_group", fit)
     group = _check_group_against_singles(cfg, paths, shocks, targets)
     assert [o if isinstance(o, str) else "ok" for o in group] == ["ok", "ok", "PathDivergedError", "ok"]
     # in a study, at any process count, the failure stays with replication 5
@@ -343,11 +357,10 @@ def test_group_with_a_replication_diverging_in_its_sample_check(monkeypatch):
     paths, shocks, targets = _group_inputs(cfg, 4, 17)
     study_cfg = replace(cfg, mc_replications=12, pop_replications=500, max_failure_fraction=0.2)
     bad_seed = derive_seed(study_cfg.master_seed, 2, 5)
-    real_fit = study_mod._fit_one
+    real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, path, first=None):
-        out = real_fit(cfg, tag, path, first)
-        if tag == "sieve" and (path is paths[1] or path.seed == bad_seed):
+    def one(path, out):
+        if path is paths[1] or path.seed == bad_seed:
             t = int(np.argmax(np.abs(out.first_stage.residuals)))
             assert sievar.relax_eval(cfg.relaxation, out.first_stage.residuals[t]) == 0.0
             residuals2 = out.residuals2.copy()
@@ -355,7 +368,11 @@ def test_group_with_a_replication_diverging_in_its_sample_check(monkeypatch):
             out = replace(out, residuals2=residuals2)
         return out
 
-    fits = [fit(cfg, "sieve", path) for path in paths]
+    def fit(cfg, tag, group, firsts=None):
+        out = real_fit(cfg, tag, group, firsts)
+        return [one(path, o) for path, o in zip(group, out)] if tag == "sieve" else out
+
+    fits = fit(cfg, "sieve", paths)
     plans = [f._step_plan for f in fits]
     samples = [sievar.irf._sample(f, path.x, path.y) for f, path in zip(fits, paths)]
     diverged = sievar.irf._check_samples(plans, samples, True)
@@ -367,7 +384,7 @@ def test_group_with_a_replication_diverging_in_its_sample_check(monkeypatch):
     assert union.columns.tolist() == diverged.columns.tolist() and union.step == 1
     with pytest.raises(PathDivergedError, match=r"at step 1$"):
         sievar.estimated_irf(fits[1], paths[1], shocks[0])
-    monkeypatch.setattr(study_mod, "_fit_one", fit)
+    monkeypatch.setattr(study_mod, "_fit_group", fit)
     group = _check_group_against_singles(cfg, paths, shocks, targets)
     assert [o if isinstance(o, str) else "ok" for o in group] == ["ok", "PathDivergedError", "ok", "ok"]
     for threads in (1, 2):
@@ -424,6 +441,113 @@ def test_one_innovation_draw():
                         or isinstance(node, ast.Name) and node.id == "standard_normal":
                     sites.append((path.stem, getattr(top, "name", None)))
     assert sites == [("model", "_innovations")]
+
+
+def test_one_least_squares_solver():
+    """The package solves least squares in one place: ``np.linalg.lstsq``
+    appears nowhere, and ``np.linalg.qr`` only in ``estimator._lstsq``."""
+    sites: dict[str, list] = {"lstsq": [], "qr": []}
+    for path in sorted(Path(sievar.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in sites:
+                    sites[name].append((path.stem, getattr(top, "name", None)))
+    assert sites["lstsq"] == []
+    assert sites["qr"] and set(sites["qr"]) == {("estimator", "_lstsq")}
+
+
+def test_study_counts_ridge_fallbacks(monkeypatch):
+    # with every X positive, max0 of a lag duplicates its linear column, so
+    # both parametric fits of that replication take the ridge
+    cfg = default_study_config(2, n=300, horizon=4, mc_replications=6, pop_replications=500,
+                               estimators=("parametric_true", "parametric_max0"))
+    clean = run_study(cfg)
+    assert clean.regularized == {"parametric_true": 0, "parametric_max0": 0}
+    shifted = derive_seed(cfg.master_seed, 2, 4)
+    real_rows = study_mod._simulate_rows
+
+    def rows(*args):
+        paths, diverged = real_rows(*args)
+        return [replace(p, x=p.x + 20.0) if p.seed == shifted else p for p in paths], diverged
+
+    monkeypatch.setattr(study_mod, "_simulate_rows", rows)
+    for threads in (1, 2):
+        res = run_study(replace(cfg, threads=threads))
+        assert res.n_ok == cfg.mc_replications and res.failed == ()
+        assert res.regularized == {"parametric_true": 1, "parametric_max0": 1}
+
+
+# The stacked fits against a per-replication oracle: np.linalg.lstsq on each
+# sample's own build_design (its ridge fallback on the augmented rows, as
+# the solver states it). QR and SVD solutions of these float64 designs agree
+# to far better than this, relative to the largest coefficient.
+ORACLE_RTOL = 1e6 * np.finfo(np.float64).eps
+
+
+def _oracle_coefficients(layout, path, p):
+    """Stage-I and stage-II coefficients and the ridge flag of one sample,
+    from np.linalg.lstsq with the solver's rank rule and ridge."""
+    x, y = path.x, path.y
+    n = x.size
+
+    def solve(xmat, rhs):
+        coef, _, rank, _ = np.linalg.lstsq(xmat, rhs, rcond=sievar.estimator.RANK_RTOL)
+        k = xmat.shape[1]
+        if rank == k:
+            return coef, False
+        lam = sievar.estimator.RIDGE_SCALE * float(np.sum(xmat**2)) / k
+        aug = np.vstack([xmat, np.sqrt(lam) * np.eye(k)])
+        rhs = np.concatenate([rhs, np.zeros((k,) + rhs.shape[1:])])
+        return np.linalg.lstsq(aug, rhs, rcond=None)[0], True
+
+    w1 = np.column_stack([np.ones(n - p)] + [x[p - j : n - j] for j in range(1, p + 1)]
+                         + [y[p - j : n - j] for j in range(1, p + 1)])
+    pi1, ridge1 = solve(w1, x[p:])
+    design = sievar.build_design(layout, x, y, x[p:] - w1 @ pi1, p)
+    coef, ridge2 = solve(design.values, y[p:])
+    return pi1, coef, ridge1 or ridge2
+
+
+def _assert_matches_oracle(fit, layout, path, p):
+    pi1, coef, ridge = _oracle_coefficients(layout, path, p)
+    tol = ORACLE_RTOL * (1.0 + np.max(np.abs(coef)))
+    np.testing.assert_allclose(fit.first_stage.pi1, pi1, rtol=0, atol=ORACLE_RTOL * (1.0 + np.max(np.abs(pi1))))
+    table = np.array([list(c.values()) for c in fit.coefficients]).T
+    np.testing.assert_allclose(table, coef, rtol=0, atol=tol)
+    assert fit.regularized == ridge
+
+
+@pytest.mark.parametrize("dgp_id", range(1, 8))
+def test_stacked_fits_equal_per_replication_oracle(dgp_id):
+    cfg = default_study_config(dgp_id, n=400, estimators=study_mod.ESTIMATOR_TAGS)
+    paths, _, _ = _group_inputs(cfg, 3, 60 + dgp_id)
+    for tag in cfg.estimators:
+        fits = study_mod._fit_group(cfg, tag, paths)
+        for fit, path in zip(fits, paths):
+            _assert_matches_oracle(fit, study_mod._layout(cfg, tag, path), path, cfg.p)
+
+
+def test_stacked_fits_isolate_ridge_and_failing_replications():
+    cfg = default_study_config(2, n=300, estimators=study_mod.ESTIMATOR_TAGS)
+    paths, _, _ = _group_inputs(cfg, 5, 19)
+    paths[1] = replace(paths[1], x=paths[1].x + 20.0)  # parametric ridge; misses the sieve knot
+    y = paths[3].y.copy()
+    y[100, 0] = np.inf
+    paths[3] = replace(paths[3], y=y)  # a non-finite design
+    for tag in cfg.estimators:
+        fits = study_mod._fit_group(cfg, tag, paths)
+        for i, (fit, path) in enumerate(zip(fits, paths)):
+            layout = None if i == 3 or (i == 1 and tag == "sieve") else study_mod._layout(cfg, tag, path)
+            if layout is None:
+                # the replication alone fails, with the cause its single fit raises
+                assert isinstance(fit, ValueError)
+                with pytest.raises(ValueError) as single:
+                    study_fit(cfg, tag, path)
+                assert str(single.value) == str(fit)
+            else:
+                _assert_matches_oracle(fit, layout, path, cfg.p)
+                assert fit.regularized == (i == 1)
 
 
 def test_stage_seconds_time_the_three_stages(monkeypatch):
@@ -703,34 +827,27 @@ def test_failed_replication_contributes_nothing(monkeypatch):
     cfg = small_cfg(dgp_id=3, mc_replications=10, pop_replications=500,
                     estimators=("parametric_true", "sieve"), max_failure_fraction=0.2)
     bad = derive_seed(cfg.master_seed, 2, 3)
-    real_fit = study_mod._fit_one
+    real_fit = study_mod._fit_group
 
-    def cubed(scale):
-        def fit(cfg, tag, path, first=None):
+    def cubed(scale, failing=None):
+        def fit(cfg, tag, paths, firsts=None):
             # every sieve fit gets the term, so the group's fits share one layout
-            out = real_fit(cfg, tag, path, first)
-            return _with_cube(out, path.x, scale if path.seed == bad else 0.0) if tag == "sieve" else out
+            out = real_fit(cfg, tag, paths, firsts)
+            if tag == failing:
+                return [np.linalg.LinAlgError("singular matrix") if path.seed == bad else o
+                        for path, o in zip(paths, out)]
+            if tag != "sieve":
+                return out
+            return [_with_cube(o, path.x, scale if path.seed == bad else 0.0) for path, o in zip(paths, out)]
 
         return fit
 
     # replication 3's sieve IRF, its last, diverges in the group's stacked call
-    monkeypatch.setattr(study_mod, "_fit_one", cubed(1e4))
+    monkeypatch.setattr(study_mod, "_fit_group", cubed(1e4))
     late = run_study(cfg)
 
-    def fail_on_call(fn, k):
-        count = {"n": 0}
-
-        def flaky(*args):
-            count["n"] += 1
-            if count["n"] == k:
-                raise np.linalg.LinAlgError("singular matrix")
-            return fn(*args)
-
-        return flaky
-
-    # replication 3's parametric fit is the 7th stage-II fit (two per replication)
-    monkeypatch.setattr(study_mod, "_fit_one", cubed(0.0))
-    monkeypatch.setattr(study_mod, "_fit_stage_two", fail_on_call(study_mod._fit_stage_two, 7))
+    # replication 3's parametric fit, its first, fails in the group's stacked fit
+    monkeypatch.setattr(study_mod, "_fit_group", cubed(0.0, failing="parametric_true"))
     early = run_study(cfg)
     assert late.failed == early.failed == (3,)
     assert late.failure_causes == {"PathDivergedError": 1}
