@@ -127,7 +127,7 @@ class KnotTables(NamedTuple):
     ``knots`` is (2*degree + 2, R, #spans) and each level of ``gaps``
     (k, R, #spans), so that reshaped to R * #spans columns they serve one
     Cox-de Boor pass over every vector's points; ``lookup`` locates those
-    points in one ``searchsorted``, its bounds and span starts (R, 1)."""
+    points in one pass of ``span_offsets``, its bounds and span starts (R, 1)."""
 
     knots: np.ndarray
     gaps: tuple[np.ndarray, ...]
@@ -278,11 +278,14 @@ def _clamp_to_spans(lookup: SpanLookup, x: np.ndarray) -> tuple[np.ndarray, np.n
     """Flattened x clamped to the domain, and each point's knot span. The
     bounds and span starts broadcast against x before it is flattened."""
     x = np.clip(np.asarray(x, dtype=float), lookup.lo, lookup.hi)
-    # span j runs from interior knot j-1 to interior knot j (the right knots of
-    # all spans but the last); x = hi falls in the last
-    span = np.searchsorted(lookup.interior, x, side="right")
+    # span j runs from interior knot j-1 to interior knot j, so a point's span
+    # is the last, less one per knot above it (x = hi and NaN stay in the
+    # last); for a sieve's few knots this beats a bisection
+    span = np.full(x.shape, lookup.interior.size)
     if lookup.start is not None:
         span += lookup.start
+    for knot in lookup.interior:
+        span -= x < knot
     return x.reshape(-1), span.reshape(-1)
 
 
@@ -334,10 +337,11 @@ def bspline_matrix(kv: KnotVector, x: np.ndarray) -> np.ndarray:
 
     Returns an (n, dim) matrix; rows sum to one and have at most degree+1
     nonzero entries. Only those entries are computed: each point's knot span
-    is found by bisection and the Cox-de Boor recursion runs over the
-    degree+1 functions live on it (de Boor, A Practical Guide to Splines,
-    1978), with the same arithmetic as the recursion over every function,
-    so the matrix is the same to the last bit.
+    is found by comparison with each interior knot and the Cox-de Boor
+    recursion runs over the degree+1 functions live on it (de Boor, A
+    Practical Guide to Splines, 1978), with the same arithmetic as the
+    recursion over every function, so the matrix is the same to the last
+    bit.
     """
     x, span = _clamp_to_spans(kv.lookup, x)
     live = _cox_de_boor(kv.span_knots, kv.span_gaps, span, x)

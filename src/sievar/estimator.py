@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +29,13 @@ from .basis import (  # noqa: F401
 )
 from .model import (
     InnovationLaw,
+    LagPolynomial,
     ModelSpec,
     NonlinFn,
-    _lag_polynomials,
+    _plan,
+    _plan_lookup,
     _span_tables,
+    _StepPlan,
 )
 
 __all__ = [
@@ -169,47 +173,83 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 _STAGE_ONE = ParametricForm(terms=())
 
 
-def _raise_failure(outcome):
-    """A group-of-one fit's outcome, raised if it is the fit's failure."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+class StageOne(NamedTuple):
+    """Stage I of a group's samples as arrays, row r that of its r-th
+    fitted sample; ``rows`` holds per sample its row, or the exception that
+    fails it alone (with none fitted, the arrays are None)."""
+
+    rows: list
+    pi1: np.ndarray | None = None  # (R, 1 + p + p d_y)
+    residuals: np.ndarray | None = None  # (R, n - p)
+    sigma1: np.ndarray | None = None  # (R,)
+    ridge: np.ndarray | None = None  # (R,)
+
+    def take(self, rows) -> "StageOne":
+        """Rows ``rows`` of the arrays, as the fit of those samples alone."""
+        rows = list(rows)
+        if rows == self.rows == list(range(len(self.pi1))):
+            return self
+        return StageOne(list(range(len(rows))), *(a[rows] for a in self[1:]))
+
+    def fit(self, r: int) -> FirstStageFit:
+        """Row ``r`` as the public fit of its sample."""
+        return FirstStageFit(self.pi1[r], self.residuals[r], float(self.sigma1[r]), bool(self.ridge[r]))
 
 
-def _finite_only(stack: np.ndarray, fit_subset) -> list | None:
-    """None when every regression of ``stack`` is finite; otherwise the
-    outcomes of ``fit_subset(kept indices)`` for its finite ones, and for
-    the others the ``ValueError`` their fits raise alone."""
+class GroupFit(NamedTuple):
+    """Stage II of a group's samples as arrays, rows and failures as in
+    ``StageOne``; ``_fitted`` maps the rows to public fitted models."""
+
+    rows: list
+    plan: _StepPlan | None = None  # the R models as ``model._forward`` reads them
+    residuals: np.ndarray | None = None  # (R, d_y, n - p)
+    first: StageOne | None = None  # stage I of the R samples
+    ridge: np.ndarray | None = None  # (R,) stage-II ridge flags
+    coef: np.ndarray | None = None  # (R, k, d_y), in design column order
+    x_terms: tuple = ()  # per X term, (R, d_y) scales or (R, d_y, dim) spline coefficients
+
+
+def _raise_failure(fit):
+    """A group of one's fit, or its sample's failure raised."""
+    if isinstance(fit.rows[0], Exception):
+        raise fit.rows[0]
+    return fit
+
+
+def _finite_only(stack: np.ndarray, fit_subset, kind):
+    """None when every regression of ``stack`` is finite; otherwise the fit
+    (a ``kind``) ``fit_subset(kept indices)`` of the finite ones, whose
+    ``rows`` give each other sample the ``ValueError`` its fit raises alone."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     if finite.all():
         return None
     kept = np.flatnonzero(finite)
-    outcomes = iter(fit_subset(kept) if kept.size else ())
-    return [next(outcomes) if ok else ValueError("design matrix contains non-finite entries") for ok in finite]
+    fit = fit_subset(kept) if kept.size else kind([])
+    rows = iter(fit.rows)
+    return fit._replace(rows=[next(rows) if ok else ValueError("design matrix contains non-finite entries")
+                              for ok in finite])
 
 
-def _stage_one(x: np.ndarray, y: np.ndarray, p: int) -> list:
+def _stage_one(x: np.ndarray, y: np.ndarray, p: int) -> StageOne:
     """Stage I of R samples at once, ``x`` (R, n) and ``y`` (R, d_y, n): one
-    stacked regression of X_t on (1, X and Y lags). A sample's outcome is
-    its ``FirstStageFit``, or the exception that fails it alone."""
+    stacked regression of X_t on (1, X and Y lags)."""
     stack = regression_rows([_STAGE_ONE], [], x, y, p, (x[:, None, p:],))
     k = stack.shape[1] - 1
     if stack.shape[2] < k:
         raise ValueError("underdetermined: need at least as many rows as columns")
-    failed = _finite_only(stack, lambda kept: _stage_one(x[kept], y[kept], p))
+    failed = _finite_only(stack, lambda kept: _stage_one(x[kept], y[kept], p), StageOne)
     if failed is not None:
         return failed
     coef, residuals, _, ridge = _lstsq(stack, k)
-    sigma1 = np.sqrt(np.mean(np.square(residuals[:, 0]), axis=-1))
-    return [
-        FirstStageFit(c[:, 0], e[0], float(s), bool(g)) for c, e, s, g in zip(coef, residuals, sigma1, ridge)
-    ]
+    residuals = residuals[:, 0]
+    sigma1 = np.sqrt(np.mean(np.square(residuals), axis=-1))
+    return StageOne(list(range(len(x))), coef[:, :, 0], residuals, sigma1, ridge)
 
 
 def first_stage(x: np.ndarray, y: np.ndarray, p: int) -> FirstStageFit:
     """Stage I of one sample, a group of one of ``_stage_one``."""
     x, y, _ = _as_xy((x, y))
-    return _raise_failure(_stage_one(x[None], y.T[None], p)[0])
+    return _raise_failure(_stage_one(x[None], y.T[None], p)).fit(0)
 
 
 @dataclass(frozen=True)
@@ -262,118 +302,123 @@ class FittedModel(ModelSpec):
         return total
 
 
-def _stage_two(
-    layouts, x: np.ndarray, y: np.ndarray, firsts, p: int, generated=None, source: str = "first_stage"
-) -> list:
+def _stage_two(layouts, x: np.ndarray, y: np.ndarray, first: StageOne, p: int, generated=None) -> GroupFit:
     """Stage II of R samples at once, ``x`` (R, n) and ``y`` (R, d_y, n),
-    with their stage-I fits ``firsts``: one stacked design of ``layouts``
+    with their stage-I fit ``first``: one stacked design of ``layouts``
     (one per sample, differing at most in their knot bounds), one stacked
-    solve, and one pass over the group's spline tables. ``generated`` (R,
-    n - p) fills the generated-regressor slot, the stage-I residuals by
-    default. A sample's outcome is its ``FittedModel``, or the exception
-    that fails it alone; a sample's fit has the same bits in any group."""
+    solve and ``_group_fit``. ``generated`` (R, n - p), the stage-I
+    residuals by default, fills the generated-regressor slot. A sample's
+    fit has the same bits in any group."""
     layout = layouts[0]
     n, d_y = x.shape[1], y.shape[1]
     check_design(layout, n, p, d_y)
-    resid1 = np.stack([first.residuals for first in firsts])
     if generated is None:
-        generated = resid1
+        generated = first.residuals
     tables = layout_tables(layouts)
     stack = regression_rows(layouts, tables, x, y, p, (generated[:, None], y[:, :, p:]))
     failed = _finite_only(stack, lambda kept: _stage_two(
-        [layouts[i] for i in kept], x[kept], y[kept], [firsts[i] for i in kept], p, generated[kept], source
-    ))
+        [layouts[i] for i in kept], x[kept], y[kept], first.take(kept), p, generated[kept]
+    ), GroupFit)
     if failed is not None:
         return failed
     coef, residuals, _, ridge = _lstsq(stack, stack.shape[1] - d_y)
-    return _fitted(layouts, tables, coef, residuals, ridge, firsts, resid1, n, p, source)
+    return _group_fit(layouts, tables, coef, residuals, ridge, first, p)
 
 
-def _fitted(layouts, tables, coef: np.ndarray, residuals: np.ndarray, ridge: np.ndarray, firsts,
-            resid1: np.ndarray, n: int, p: int, source: str) -> list:
+def _group_fit(layouts, tables, coef: np.ndarray, residuals: np.ndarray, ridge: np.ndarray, first: StageOne,
+               p: int) -> GroupFit:
     """The one map from a group's stage-II coefficients, (R, k, d_y) in
-    design column order, to its fitted models. Spline blocks are converted
-    to full-basis splines normalized to vanish at zero (their value at zero
-    moves into the intercept), their span tables computed for the whole
-    group at once; transform terms keep their fitted scale."""
+    design column order, to its models' step plan (``model._plan``). Spline
+    blocks become full-basis splines that vanish at zero (their value at
+    zero moves into the intercept), their span tables computed for the
+    whole group at once; transform terms keep their fitted scale."""
     layout = layouts[0]
     count, _, d_y = coef.shape
     d = 1 + d_y
-    pi1 = np.stack([first.pi1 for first in firsts])
     mu = np.zeros((count, d))
     lags = np.zeros((count, p, d, d))
-    mu[:, 0] = pi1[:, 0]
+    mu[:, 0] = first.pi1[:, 0]
     for k in range(1, p + 1):
-        lags[:, k - 1, 0, 0] = pi1[:, k]
-        lags[:, k - 1, 0, 1:] = pi1[:, p + (k - 1) * d_y + 1 : p + k * d_y + 1]
+        lags[:, k - 1, 0, 0] = first.pi1[:, k]
+        lags[:, k - 1, 0, 1:] = first.pi1[:, p + (k - 1) * d_y + 1 : p + k * d_y + 1]
     mu[:, 1:] = coef[:, 0]
-    # per X term: its lag, its kind or the group's knot vectors, the (R, d_y)
-    # scales or (R, d_y, dim) spline coefficients, and the span tables
-    terms = []
-    at_zero: dict[int, np.ndarray] = {}
+    # per X term its (R, d_y) scales or (R, d_y, dim) spline coefficients,
+    # and per equation its plan entry; a table's lookup and values at zero
+    # once for all its terms
+    x_terms, entries, features = [], [], {}
     col = 1
-    for idx, ((j, term), tab) in enumerate(zip(layout.x_terms, tables)):
+    for (j, term), tab in zip(layout.x_terms, tables):
         if tab is None:
-            terms.append((j, term.kind, coef[:, col], None))
+            x_terms.append(coef[:, col])
+            entries += [(i, j, term.kind, term.kind, coef[:, col, i], None) for i in range(d_y)]
             col += 1
             continue
         width = block_width(term)
         block = coef[:, col : col + width].transpose(0, 2, 1)
         full = _full_coeffs(term.degree, tab.greville[:, None], tab.projection[:, None], block)
-        if id(tab) not in at_zero:
-            at_zero[id(tab)] = basis_rows(tab, np.zeros((count, 1)))[:, None]
-        value = np.sum(full * at_zero[id(tab)], axis=-1)
+        if id(tab) not in features:
+            look = tab.lookup
+            at_zero = basis_rows(tab, np.zeros((count, 1)))[:, None]
+            features[id(tab)] = _plan_lookup(look.interior, look.lo[:, 0], look.hi[:, 0], look.left), at_zero
+        lookup, at_zero = features[id(tab)]
+        value = np.sum(full * at_zero, axis=-1)
         mu[:, 1:] += value
-        coeffs = full - value[..., None]
-        spans = _span_tables(coeffs, tab.power[:, None])
+        x_terms.append(full - value[..., None])
+        spans = np.ascontiguousarray(_span_tables(x_terms[-1], tab.power[:, None]).swapaxes(0, 1))
         spans.flags.writeable = False
-        terms.append((j, [other.x_terms[idx][1] for other in layouts], coeffs, spans))
+        entries += [(i, j, id(tab), lookup, np.ones(count), spans[i]) for i in range(d_y)]
         col += width
     if layout.x_lags_linear:
         lags[:, :, 1:, 0] = coef[:, col : col + p]
         col += p
     lags[:, :, 1:, 1:] = coef[:, col : col + p * d_y].reshape(count, p, d_y, d_y).transpose(0, 1, 3, 2)
-    b0_21 = coef[:, col + p * d_y]
+    # each equation sums its terms by lag, then in column order: a stable sort
+    entries.sort(key=lambda entry: entry[:2])
+    plan = _plan(p, d_y, lags, mu, coef[:, col + p * d_y], entries)
+    return GroupFit(list(range(count)), plan, residuals, first, ridge, coef, tuple(x_terms))
 
-    sigma2 = np.sqrt(np.mean(np.square(residuals), axis=-1))
-    sigma = np.column_stack([[first.sigma1 for first in firsts], sigma2])
+
+def _fitted(layouts, fit: GroupFit, source: str = "first_stage") -> list:
+    """The public path's map from a group fit's rows to fitted models, row r
+    fitted with ``layouts[r]``; ``source`` names what filled the generated
+    slot. Its models' step plans are the rows of the group's plan."""
+    layout, plan, first = layouts[0], fit.plan, fit.first
+    p, d_y = plan.p, plan.d_y
+    sigma = np.column_stack([first.sigma1, np.sqrt(np.mean(np.square(fit.residuals), axis=-1))])
     # the clip bound: the largest standardized residual of any component, at least 3
-    peaks = np.column_stack([np.max(np.abs(resid1), axis=-1), np.max(np.abs(residuals), axis=-1)])
+    peaks = np.column_stack([np.max(np.abs(first.residuals), axis=-1), np.max(np.abs(fit.residuals), axis=-1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = np.max(np.where(sigma > 0, peaks / sigma, 3.0), axis=1, initial=3.0)
     labels = design_labels(layout, p, d_y)
     sieve = isinstance(layout, SievePlan)
-    polys = _lag_polynomials(lags)
-    fits = []
-    for r, first in enumerate(firsts):
+    models = []
+    for r, own in enumerate(layouts):
         impact: list[list[tuple[NonlinFn, ...]]] = [[() for _ in range(p + 1)] for _ in range(d_y)]
-        for j, key, values, spans in terms:
+        for (j, term), values in zip(own.x_terms, fit.x_terms):
             for i in range(d_y):
-                if spans is None:
-                    fn = NonlinFn(key, float(values[r, i]))
+                if isinstance(term, NonlinFn):
+                    fn = NonlinFn(term.kind, float(values[r, i]))
                 else:
-                    fn = NonlinFn("spline", 1.0, knots=key[r], coeffs=tuple(values[r, i].tolist()))
-                    # the group's pass computed this term's table
-                    fn.__dict__["_span_table"] = spans[r, i]
+                    fn = NonlinFn("spline", 1.0, knots=term, coeffs=tuple(values[r, i].tolist()))
                 impact[i][j] += (fn,)
-        fits.append(FittedModel(
+        models.append(FittedModel(
             d_y=d_y,
             p=p,
-            mu=mu[r],
-            lags=polys[r],
+            mu=plan.mu[r],
+            lags=LagPolynomial(plan.a[r]),
             impact=tuple(tuple(row) for row in impact),
-            b0_21=b0_21[r],
+            b0_21=plan.b0_21[r],
             innovation=InnovationLaw(sigma=tuple(sigma[r].tolist()), bound=float(bound[r])),
-            plan=layouts[r] if sieve else None,
+            plan=own if sieve else None,
             parametric_form=None if sieve else layout,
-            first_stage=first,
-            residuals2=residuals[r].T,
-            coefficients=tuple(dict(zip(labels, coef[r, :, i].tolist())) for i in range(d_y)),
-            regularized=first.regularized or bool(ridge[r]),
-            n_obs=n,
+            first_stage=first.fit(r),
+            residuals2=fit.residuals[r].T,
+            coefficients=tuple(dict(zip(labels, fit.coef[r, :, i].tolist())) for i in range(d_y)),
+            regularized=bool(first.ridge[r] or fit.ridge[r]),
+            n_obs=fit.residuals.shape[-1] + p,
             generated=source,
         ))
-    return fits
+    return models
 
 
 def _group_of_one(data, layout, p: int, infeasible: bool = False) -> FittedModel:
@@ -384,8 +429,9 @@ def _group_of_one(data, layout, p: int, infeasible: bool = False) -> FittedModel
         if eps is None:
             raise ValueError("infeasible fit requires simulated data carrying true innovations")
         generated, source = np.asarray(eps, dtype=float)[None, p:, 0], "true_innovations"
-    first = first_stage(x, y, p)
-    return _raise_failure(_stage_two([layout], x[None], y.T[None], [first], p, generated, source)[0])
+    first = _raise_failure(_stage_one(x[None], y.T[None], p))
+    fit = _raise_failure(_stage_two([layout], x[None], y.T[None], first, p, generated))
+    return _fitted([layout], fit, source)[0]
 
 
 def fit_two_step(data, plan: SievePlan) -> FittedModel:

@@ -28,7 +28,6 @@ from .model import (  # noqa: F401
     _forward,
     _finite,
     _innovations,
-    _stack,
     _union,
     derive_seed,
     iterate_paths,
@@ -458,10 +457,10 @@ def estimated_irf(fit, data, shock: ShockSpec, chunk: int = 4096) -> IrfResult:
     evaluations of the iterated paths. A fit whose one-step predictions
     from the observed histories miss the sample (in every column, or in X
     alone for an infeasible fit) raises ``ValueError``, and one whose paths
-    diverge ``PathDivergedError``. The fit is a group of one in the stacked
-    path of ``run_study`` (``_check_samples``, ``_responses``), so a
-    replication's response there has the bits of this call with ``chunk``
-    at least its count of shocked impact times.
+    diverge ``PathDivergedError``. ``run_study`` runs the same
+    ``_responses`` on the step plan of a group's fits (its rows of the
+    group fit's plan), so a replication's response there has the bits of
+    this call with ``chunk`` at least its count of shocked impact times.
     """
     return _estimated_irfs(fit, data, (shock,), chunk, stacklevel=4)[0]
 
@@ -485,12 +484,13 @@ def _estimated_irfs(fit, data, shocks, chunk: int = 4096, stacklevel: int = 3) -
             raise ValueError("horizon exceeds sample")
         if shock.horizon != h:
             raise ValueError("the shocks must share one horizon")
-    sample = _sample(fit, x, y)
+    z = _sample(x[None], y.T[None])
+    r = _sample(fit.first_stage.residuals[None], fit.residuals2.T[None])
     # the X step is the first stage for every fit kind; the Y steps reproduce
     # the sample only when stage II used the first-stage residuals
     replay = fit.generated == "first_stage"
     impacts = [[_impact(shock, fit.first_stage.residuals[: n - fit.p - h])] for shock in shocks]
-    values, clamped = _finite(*_responses([fit._step_plan], [sample], impacts, h, replay, chunk))
+    values, clamped = _finite(*_responses(fit._step_plan, z, r, impacts, h, replay, chunk))
     return [
         IrfResult(
             values=v[0],
@@ -506,10 +506,11 @@ def _estimated_irfs(fit, data, shocks, chunk: int = 4096, stacklevel: int = 3) -
     ]
 
 
-def _sample(fit, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sample and the fit's residuals component-major, as the plug-in
-    IRF reads them; residual t is that of time t + p."""
-    return np.vstack([x, y.T]), np.vstack([fit.first_stage.residuals, fit.residuals2.T])
+def _sample(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The (R, d, T) array of R samples' (R, T) component 0 and (R, d - 1,
+    T) others, as the plug-in IRF reads them: the X and Y paths, or the
+    stage-I and stage-II residuals (residual t that of time t + p)."""
+    return np.concatenate([head[:, None], tail], axis=1)
 
 
 def _impact(shock: ShockSpec, eps_1: np.ndarray) -> np.ndarray:
@@ -517,53 +518,54 @@ def _impact(shock: ShockSpec, eps_1: np.ndarray) -> np.ndarray:
     return shock.delta * np.asarray(relax_eval(shock.relaxation, eps_1))
 
 
-def _check_samples(plans, samples, replay: bool) -> Divergence | None:
-    """Raise ``ValueError`` unless each fit reproduces its sample: one step
-    from every observed history must give the observation, in every
-    component, or in X alone when ``replay`` is false. ``plans`` are the
-    fits' step plans, of one impact layout, and ``samples`` their
-    ``_sample`` arrays; all fits step side by side in one ``_forward`` call.
-    Returns the ``Divergence`` of the fits whose step diverged, unchecked."""
-    p = plans[0].p
-    states = [_columns(zt, np.arange(zt.shape[1] - p), p) for zt, _ in samples]
-    step, _, diverged = _forward(_stack(plans), states, [rt[None] for _, rt in samples])
+def _check_samples(plan, z: np.ndarray, r: np.ndarray, replay: bool) -> Divergence | None:
+    """Raise ``ValueError`` unless each of the M models of the step plan
+    ``plan`` reproduces its sample: one step from every observed history
+    must give the observation, in every component, or in X alone when
+    ``replay`` is false. ``z`` and ``r`` are the samples and the models'
+    residuals (``_sample``); all models step side by side in one
+    ``_forward`` call. Returns the ``Divergence`` of the models whose step
+    diverged, unchecked."""
+    p, n = plan.p, z.shape[2]
+    states = [_columns(zt, np.arange(n - p), p) for zt in z]
+    step, _, diverged = _forward(plan, states, [rt[None] for rt in r])
     comps = slice(None) if replay else slice(0, 1)
-    failed, start = np.zeros(len(samples), dtype=bool), 0
-    for m, (zt, _) in enumerate(samples):
-        stop = start + zt.shape[1] - p
-        failed[m] = diverged is not None and diverged.columns[start:stop].any()
-        miss = float(np.max(np.abs(step[0, comps, start:stop] - zt[comps, p:])))
+    failed = np.zeros(len(z), dtype=bool)
+    for m, zt in enumerate(z):
+        cols = slice(m * (n - p), (m + 1) * (n - p))
+        failed[m] = diverged is not None and diverged.columns[cols].any()
+        miss = float(np.max(np.abs(step[0, comps, cols] - zt[comps, p:])))
         if not (failed[m] or miss <= 1e-8 * (1.0 + float(np.max(np.abs(zt))))):
             raise ValueError(
                 f"fit was not produced from this sample: its residuals "
                 f"miss the observations by {miss:.3g}"
             )
-        start = stop
     return None if diverged is None else Divergence(failed, diverged.step)
 
 
-def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
-    """The plug-in responses of fits of one impact layout to their samples,
-    after one stacked sample check of all of them (``_check_samples``, which
-    raises ``ValueError`` for a fit of another sample).
+def _responses(plan, z: np.ndarray, r: np.ndarray, impacts, horizon: int, replay: bool, chunk: int):
+    """The plug-in responses of the M models of the step plan ``plan`` to
+    their samples ``z``, with their residuals ``r`` (``_sample``), after one
+    stacked sample check of all of them (``_check_samples``, which raises
+    ``ValueError`` for a model of another sample).
 
-    ``impacts[k][m]`` is fit m's shock at each of its impact times under
+    ``impacts[k][m]`` is model m's shock at each of its impact times under
     shock k (``_impact``). Returns, per shock, an (M, H+1, d) array of each
-    fit's mean response (``estimated_irf``'s values) and the count of
+    model's mean response (``estimated_irf``'s values) and the count of
     clamped spline evaluations in the iterated paths; and the ``Divergence``
-    of the fits whose sample check or paths diverged, at the step of the
+    of the models whose sample check or paths diverged, at the step of the
     first such call, the check's first of all.
     A replay fit iterates only its impact times with a nonzero shock. Each
-    fit's iterated impact times are cut into pieces of at most ``chunk``,
+    model's iterated impact times are cut into pieces of at most ``chunk``,
     and whole pieces run side by side, up to ``chunk`` columns per
-    ``_forward`` call. A fit sums its own contiguous columns pairwise and
-    its pieces in order, so its response is the same whichever fits share
-    its calls, even one that diverges.
+    ``_forward`` call on the rows of ``plan`` it reads. A model sums its own
+    contiguous columns pairwise and its pieces in order, so its response is
+    the same whichever models share its calls, even one that diverges.
     """
-    p, h = plans[0].p, horizon
+    p, h = plan.p, horizon
     values, clamped = [], []
-    first = _check_samples(plans, samples, replay)
-    failed = np.zeros(len(samples), dtype=bool) if first is None else first.columns
+    first = _check_samples(plan, z, r, replay)
+    failed = np.zeros(len(z), dtype=bool) if first is None else first.columns
     for shock_rows in impacts:
         pieces = []
         for m, w in enumerate(shock_rows):
@@ -576,17 +578,17 @@ def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
                 width = 0
             calls[-1].append(piece)
             width += piece[1].size
-        total = np.zeros((len(samples), h + 1, samples[0][0].shape[0]))
+        total = np.zeros((len(z), h + 1, z.shape[1]))
         count = 0
         for call in calls:
             # from impact t: the p-state history before it, its residual
             # future and its observed continuation
-            plan = _stack([plans[m] for m, _, _ in call])
-            state = [_columns(samples[m][0], live, p) for m, live, _ in call]
-            eps = [_columns(samples[m][1], live, h + 1) for m, live, _ in call]
+            part = plan.take([m for m, _, _ in call])
+            state = [_columns(z[m], live, p) for m, live, _ in call]
+            eps = [_columns(r[m], live, h + 1) for m, live, _ in call]
             impact = np.concatenate([w[live] for _, live, w in call])
-            base_path, clamp_b, diverged = (None, 0, None) if replay else _forward(plan, state, eps)
-            shocked, clamp_s, shocked_diverged = _forward(plan, state, eps, impact=impact)
+            base_path, clamp_b, diverged = (None, 0, None) if replay else _forward(part, state, eps)
+            shocked, clamp_s, shocked_diverged = _forward(part, state, eps, impact=impact)
             count += clamp_b + clamp_s
             diverged = _union(diverged, shocked_diverged)
             first = first or diverged
@@ -594,7 +596,7 @@ def _responses(plans, samples, impacts, horizon: int, replay: bool, chunk: int):
             for m, live, _ in call:
                 cols = slice(start, start + live.size)
                 failed[m] |= diverged is not None and diverged.columns[cols].any()
-                base = _columns(samples[m][0], live + p, h + 1) if replay else base_path[:, :, cols]
+                base = _columns(z[m], live + p, h + 1) if replay else base_path[:, :, cols]
                 diff = np.subtract(shocked[:, :, cols], base, out=shocked[:, :, cols])
                 total[m] += diff.sum(axis=2)
                 start = cols.stop

@@ -20,8 +20,9 @@ BLAS than S @ A_k' for d of 2 or 3 and B in the thousands), each row is
 contiguous, and a path summed over the batch is summed pairwise. The IRFs
 and the simulations call the loop ``_forward`` directly; ``iterate_paths``
 and ``final_states`` wrap it for (B, T, d) arrays. It also runs several
-models of one impact layout side by side, each on its own columns, from a
-stacked step plan (``_stack``), and marks the columns that diverge.
+models of one impact layout side by side, each on its own columns, from
+one step plan of them all (``_StepPlan``), and marks the columns that
+diverge.
 """
 
 from __future__ import annotations
@@ -265,40 +266,18 @@ class LagPolynomial:
         return self.coeffs.shape[1]
 
     def companion(self) -> np.ndarray:
-        if self.p == 0:
-            return np.zeros((self.d, self.d))
-        return _companions(self.coeffs)
+        p, d = self.p, self.d
+        if p == 0:
+            return np.zeros((d, d))
+        comp = np.zeros((p * d, p * d))
+        comp[:d, :] = self.coeffs.swapaxes(0, 1).reshape(d, p * d)
+        comp[d:, :-d] = np.eye((p - 1) * d)
+        return comp
 
     def spectral_radius(self) -> float:
-        return self._radius
-
-    @cached_property
-    def _radius(self) -> float:
-        # filled in by ``_lag_polynomials`` for the models of a group
         if self.p == 0 or self.d == 0:
             return 0.0
         return float(np.max(np.abs(np.linalg.eigvals(self.companion()))))
-
-
-def _companions(coeffs: np.ndarray) -> np.ndarray:
-    """The (..., p*d, p*d) companion matrices of (..., p, d, d) lag matrices."""
-    *lead, p, d, _ = coeffs.shape
-    comp = np.zeros((*lead, p * d, p * d))
-    comp[..., :d, :] = coeffs.swapaxes(-3, -2).reshape(*lead, d, p * d)
-    if p > 1:
-        comp[..., d:, :-d] = np.eye((p - 1) * d)
-    return comp
-
-
-def _lag_polynomials(coeffs: np.ndarray) -> list[LagPolynomial]:
-    """The lag polynomials of an (R, p, d, d) stack, their spectral radii
-    from one stacked eigenvalue call."""
-    polys = [LagPolynomial(c) for c in coeffs]
-    if coeffs.shape[1] and coeffs.shape[2]:
-        radii = np.max(np.abs(np.linalg.eigvals(_companions(coeffs))), axis=-1)
-        for poly, radius in zip(polys, radii.tolist()):
-            poly.__dict__["_radius"] = radius
-    return polys
 
 
 @dataclass(frozen=True)
@@ -388,41 +367,31 @@ class ModelSpec:
 
     @cached_property
     def _step_plan(self) -> "_StepPlan":
-        """The model as the forward iteration reads it: a stacked plan of one
-        model whose feature groups are one per transform kind or knot vector
-        (by value, as each lag of a loaded fit holds its own copy)."""
-        keys: list = []
-        lags: list[set[int]] = []
-        terms = []
+        """The model as the forward iteration reads it: a plan of one model
+        whose feature groups are one per transform kind or knot vector (by
+        value, as each lag of a loaded fit holds its own copy)."""
+        entries = []
         for i, row in enumerate(self.impact):
             for j, lag_terms in enumerate(row):
                 for term in lag_terms:
-                    key = term.knots if term.kind == "spline" else term.kind
-                    if key not in keys:
-                        keys.append(key)
-                        lags.append(set())
-                    g = keys.index(key)
-                    lags[g].add(j)
-                    table = term._span_table[None] if term.kind == "spline" else None
-                    terms.append((1 + i, j, g, np.array([term.scale]), table))
-        groups = tuple(
-            (key.lookup if isinstance(key, KnotVector) else key, tuple(sorted(s)))
-            for key, s in zip(keys, lags)
-        )
-        return _StepPlan(
-            self.p, self.d_y, self.lags.coeffs[None], self.mu[None], self.b0_21[None], groups, tuple(terms)
-        )
+                    if term.kind != "spline":
+                        entries.append((i, j, term.kind, term.kind, np.array([term.scale]), None))
+                        continue
+                    kv = term.knots
+                    lookup = _plan_lookup(kv.lookup.interior, np.array([kv.lo]), np.array([kv.hi]), kv.lookup.left)
+                    entries.append((i, j, kv, lookup, np.array([term.scale]), term._span_table[None]))
+        return _plan(self.p, self.d_y, self.lags.coeffs[None], self.mu[None], self.b0_21[None], entries)
 
 
 class _StepPlan(NamedTuple):
     """The parameters of M models that share one impact layout, stacked
-    model-major for ``_forward``: ``ModelSpec._step_plan`` is the plan of
-    one model and ``_stack`` joins plans. ``groups`` holds per feature group
-    its key, a transform kind or the ``SpanLookup`` of its knots, and the
-    sorted lags that read it. ``terms`` holds the impact terms of each Y
-    equation in summation order as (Y row, lag, group, (M,) scales, and for
-    a spline term its (M, #spans, degree + 1) span tables, scale folded
-    in)."""
+    model-major for ``_forward`` (``_plan``): of one model for
+    ``ModelSpec._step_plan``, of a group's fits for ``estimator.GroupFit``.
+    ``groups`` holds per feature group its key, a transform kind or the
+    ``SpanLookup`` of its knots (``_plan_lookup``), and the sorted lags that
+    read it. ``terms`` holds the impact terms of each Y equation in
+    summation order as (Y row, lag, group, (M,) scales, and for a spline
+    term its (M, #spans, degree + 1) span tables, scale folded in)."""
 
     p: int
     d_y: int
@@ -432,44 +401,41 @@ class _StepPlan(NamedTuple):
     groups: tuple
     terms: tuple
 
-    def layout(self) -> tuple:
-        """What models must share to be stacked."""
-        keys = tuple(key if isinstance(key, str) else key.interior.tobytes() for key, _ in self.groups)
-        terms = tuple((i, j, g, None if table is None else table.shape[1:]) for i, j, g, _, table in self.terms)
-        return self.p, self.d_y, self.a.shape[1:], keys, tuple(lags for _, lags in self.groups), terms
+    def take(self, rows) -> "_StepPlan":
+        """The plan of models ``rows`` (which may repeat), in that order;
+        the plan itself when ``rows`` lists each of its models in order."""
+        rows, count = np.asarray(rows, dtype=np.intp), len(self.mu)
+        if rows.size == count and (rows == np.arange(count)).all():
+            return self
+        groups = tuple((key if isinstance(key, str) else _plan_lookup(
+            key.interior, key.lo[rows], key.hi[rows], key.left.reshape(count, -1)[rows].reshape(-1)
+        ), lags) for key, lags in self.groups)
+        terms = tuple(
+            (i, j, g, scale[rows], None if table is None else table[rows]) for i, j, g, scale, table in self.terms
+        )
+        return _StepPlan(self.p, self.d_y, self.a[rows], self.mu[rows], self.b0_21[rows], groups, terms)
 
 
-def _stack(plans) -> _StepPlan:
-    """One plan of the models of ``plans``, plans of one model each, in
-    order. A spline group's bounds and span starts become (M,) arrays, its
-    left knots one model-major array."""
-    first = plans[0]
-    if len(plans) == 1:
-        return first
-    if any(plan.layout() != first.layout() for plan in plans[1:]):
-        raise ValueError("stacked models must share one impact layout")
+def _plan_lookup(interior: np.ndarray, lo: np.ndarray, hi: np.ndarray, left: np.ndarray) -> SpanLookup:
+    """A plan's lookup of M models' points: the ``interior`` knots, the
+    (M,) bounds, the left knots model-major, and each model's first row of
+    them."""
+    return SpanLookup(interior, lo, hi, left, np.arange(lo.size) * (left.size // lo.size))
 
-    def cat(values):
-        return np.concatenate(list(values))
 
-    groups = []
-    for g, (key, lags) in enumerate(first.groups):
-        if not isinstance(key, str):
-            keys = [plan.groups[g][0] for plan in plans]
-            key = SpanLookup(
-                key.interior, np.array([k.lo for k in keys]), np.array([k.hi for k in keys]),
-                cat(k.left for k in keys), np.arange(len(keys)) * key.left.size,
-            )
-        groups.append((key, lags))
-    terms = tuple(
-        (i, j, g, cat(plan.terms[k][3] for plan in plans),
-         None if table is None else cat(plan.terms[k][4] for plan in plans))
-        for k, (i, j, g, _, table) in enumerate(first.terms)
-    )
-    return _StepPlan(
-        first.p, first.d_y, cat(plan.a for plan in plans), cat(plan.mu for plan in plans),
-        cat(plan.b0_21 for plan in plans), tuple(groups), terms,
-    )
+def _plan(p: int, d_y: int, a: np.ndarray, mu: np.ndarray, b0_21: np.ndarray, entries) -> _StepPlan:
+    """The one map from M models' (M, p, d, d) lag matrices, (M, d) ``mu``,
+    (M, d_y) ``b0_21`` and impact terms to their step plan. ``entries`` are
+    the terms in each equation's summation order as (equation, lag, key,
+    feature, scales, span tables); the terms of one key share one feature
+    group, in the order the keys first appear."""
+    groups: dict = {}  # key: its feature and the lags that read it
+    terms = []
+    for i, j, key, feature, scale, table in entries:
+        groups.setdefault(key, (feature, set()))[1].add(j)
+        terms.append((1 + i, j, list(groups).index(key), scale, table))
+    features = tuple((feature, tuple(sorted(lags))) for feature, lags in groups.values())
+    return _StepPlan(p, d_y, a, mu, b0_21, features, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -616,7 +582,7 @@ def _forward(model, states, eps, impact=None, keep_path=True):
     a (k, d, B) array or view of the states before the first step, oldest
     first, with k = max(p, 1) or p, and ``eps`` a (T, d, B) one of the
     innovations, step s supplying (eps_1, xi_2) for step s. A plan of M
-    models of one impact layout (``_stack``) takes lists of M such arrays,
+    models of one impact layout takes lists of M such arrays,
     each of its own width B_m, and runs them side by side as one block of
     B = sum B_m columns. A length-B ``impact`` row is added to component 0
     of step 0. No input is written. Returns the fresh (T, d, B) path, or

@@ -22,13 +22,17 @@ singular values of each R (rank below k when one is at most 1e-10 times
 the largest) and a stacked triangular solve; a rank-deficient replication
 alone takes its ridge fallback and its ``regularized`` flag. A
 replication whose fit fails (a sample whose range misses an interior knot,
-a non-finite design) fails alone. Per estimator, the group's fits then
-take one ``irf._responses`` call: one stacked sample check and one stacked
-``_forward`` call per shock, each fit on its own columns. Every step of
-both is elementwise or one LAPACK call per replication, so a replication's
-fits and errors have the same bits whichever replications share its group,
-and equal those of ``fit_two_step``/``fit_parametric`` and
-``estimated_irf``, which are groups of one of the same code.
+a non-finite design) fails alone. Each estimator's fit stays arrays
+(``estimator.GroupFit``): the step plan of the group's models, their
+residuals and ridge flags; the study builds no fitted model. Per
+estimator, the rows of the replications left then take one
+``irf._responses`` call on that plan, with the group's samples stacked
+once: one stacked sample check and one stacked ``_forward`` call per
+shock, each fit on its own columns. Every step of both is elementwise or
+one LAPACK call per replication, so a replication's fits and errors have
+the same bits whichever replications share its group, and equal those of
+``fit_two_step``/``fit_parametric`` and ``estimated_irf``, which are
+groups of one of the same code.
 ``model._forward`` marks the columns that diverge and runs the others on:
 a diverged row of a simulation batch, or a replication whose fits
 diverge, fails alone with cause ``PathDivergedError``, and nothing is
@@ -50,6 +54,7 @@ from ._workers import can_fork, map_in_processes
 from .basis import KnotVector, SievePlan
 # tracer-only imports (perfbench wraps them here): check_compatibility, estimated_irf, fit_parametric, fit_two_step, simulate
 from .estimator import (  # noqa: F401
+    GroupFit,
     _stage_one,
     _stage_two,
     benchmark_true_form,
@@ -260,31 +265,35 @@ def _samples(paths) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([path.x for path in paths]), np.stack([path.y.T for path in paths])
 
 
-def _fit_group(cfg: StudyConfig, tag: str, paths, firsts=None) -> list:
-    """Estimator ``tag``'s fits to ``paths``, all at once: per path its
-    ``FittedModel``, with the bits of ``fit_two_step`` or
-    ``fit_parametric``, or the exception that fails its replication (a
-    sample whose range misses an interior knot, say). ``firsts`` are the
-    paths' stage-I fits, which a replication's estimators share; they are
-    fitted here when not given."""
-    x, y = _samples(paths)
-    if firsts is None:
-        firsts = _stage_one(x, y, cfg.p)
+def _fit_group(cfg: StudyConfig, tag: str, paths, first=None, samples=None) -> GroupFit:
+    """Estimator ``tag``'s fit to ``paths``, all at once: a ``GroupFit``
+    whose ``rows`` give per path its row, with the bits of ``fit_two_step``
+    or ``fit_parametric``, or the exception that fails its replication (a
+    sample whose range misses an interior knot, say). ``samples``, the
+    paths' ``_samples``, and ``first``, their stage-I fit, which a
+    replication's estimators share, are computed here when not given."""
+    x, y = _samples(paths) if samples is None else samples
+    if first is None:
+        first = _stage_one(x, y, cfg.p)
     # a replication whose first stage failed keeps that failure
-    outcomes = list(firsts)
+    rows = list(first.rows)
     layouts, kept = [], []
-    for i, (path, first) in enumerate(zip(paths, firsts)):
-        if isinstance(first, Exception):
+    for i, (path, row) in enumerate(zip(paths, first.rows)):
+        if isinstance(row, Exception):
             continue
         try:
             layouts.append(_layout(cfg, tag, path))
             kept.append(i)
         except ValueError as exc:
-            outcomes[i] = exc
-    if kept:
-        for i, fit in zip(kept, _stage_two(layouts, x[kept], y[kept], [firsts[i] for i in kept], cfg.p)):
-            outcomes[i] = fit
-    return outcomes
+            rows[i] = exc
+    if not kept:
+        return GroupFit(rows)
+    if len(kept) < len(paths):
+        x, y = x[kept], y[kept]
+    fit = _stage_two(layouts, x, y, first.take([first.rows[i] for i in kept]), cfg.p)
+    for i, row in zip(kept, fit.rows):
+        rows[i] = row
+    return fit._replace(rows=rows)
 
 
 def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[list, int, list[int]]:
@@ -292,45 +301,47 @@ def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[li
     against ``targets``, or its failure cause, for the paths (or the
     simulation's failure causes) of one group; the clamped count of its
     responses; and per estimator the count of its successful replications
-    whose stage-I or stage-II solve took the ridge. The group fits its
-    first stage once for all its estimators, then each estimator at once
-    (``_fit_group``); a fit that fails with ``RuntimeError``,
-    ``LinAlgError`` or ``ValueError`` (``_check_sieve`` raised the
-    config's own errors) fails its replication, which its later estimators
-    skip. Per estimator the group's fits then run stacked in one
-    ``_responses`` call, sample check included; a replication any of whose
-    fits diverges there fails with ``PathDivergedError``, and the others
-    keep their errors."""
+    whose stage-I or stage-II solve took the ridge. The group stacks its
+    samples and fits its first stage once for all its estimators, then each
+    estimator at once (``_fit_group``); a fit that fails with
+    ``RuntimeError``, ``LinAlgError`` or ``ValueError`` (``_check_sieve``
+    raised the config's own errors) fails its replication, which its later
+    estimators skip. Per estimator the rows of the surviving replications
+    then run as one plan in one ``_responses`` call, sample check included;
+    a replication any of whose fits diverges there fails with
+    ``PathDivergedError``, and the others keep their errors."""
     outcomes = list(paths)
     live = [i for i, path in enumerate(paths) if not isinstance(path, str)]
-    fits: dict[int, list] = {i: [] for i in live}
-    firsts = _stage_one(*_samples([paths[i] for i in live]), cfg.p) if live else []
+    samples = _samples([paths[i] for i in live]) if live else None
+    first = _stage_one(*samples, cfg.p) if live else None
+    fits = []  # per estimator its group fit and the row of each live replication
     for tag in cfg.estimators:
         if not live:
             break
-        for i, outcome in zip(live, _fit_group(cfg, tag, [paths[i] for i in live], firsts)):
-            if isinstance(outcome, (RuntimeError, ValueError, np.linalg.LinAlgError)):
-                outcomes[i] = type(outcome).__name__
-                del fits[i]
-            elif isinstance(outcome, Exception):
-                raise outcome
+        fit = _fit_group(cfg, tag, [paths[i] for i in live], first, samples)
+        kept = []
+        for k, row in enumerate(fit.rows):
+            if isinstance(row, (RuntimeError, ValueError, np.linalg.LinAlgError)):
+                outcomes[live[k]] = type(row).__name__
+            elif isinstance(row, Exception):
+                raise row
             else:
-                fits[i].append(outcome)
-        firsts = [first for i, first in zip(live, firsts) if i in fits]
-        live = [i for i in live if i in fits]
+                kept.append(k)
+        fits = [(f, [rows[k] for k in kept]) for f, rows in fits + [(fit, fit.rows)]]
+        if len(kept) < len(live):
+            live = [live[k] for k in kept]
+            samples = (samples[0][kept], samples[1][kept])
+            first = first.take([first.rows[k] for k in kept])
     if not live:
         return outcomes, 0, [0] * len(cfg.estimators)
     errors = np.empty((len(live), len(cfg.estimators) * len(shocks)) + targets.shape[1:])
     failed, clamped, h = np.zeros(len(live), dtype=bool), 0, cfg.horizon
+    z, resid1 = _sample(*samples), first.residuals
     # a replication's estimators share its first stage, and so its shocks
-    impacts = [
-        [_impact(shock, fits[i][0].first_stage.residuals[: paths[i].n - cfg.p - h]) for i in live]
-        for shock in shocks
-    ]
-    for e in range(len(cfg.estimators)):
-        plans = [fits[i][e]._step_plan for i in live]
-        samples = [_sample(fits[i][e], paths[i].x, paths[i].y) for i in live]
-        values, counts, diverged = _responses(plans, samples, impacts, h, True, GROUP_COLUMNS)
+    impacts = [[_impact(shock, e1[: cfg.n - cfg.p - h]) for e1 in resid1] for shock in shocks]
+    for e, (fit, rows) in enumerate(fits):
+        r = _sample(resid1, fit.residuals[rows])
+        values, counts, diverged = _responses(fit.plan.take(rows), z, r, impacts, h, True, GROUP_COLUMNS)
         if diverged:
             failed |= diverged.columns
         for k, v in enumerate(values):
@@ -338,8 +349,8 @@ def _replicate_group(cfg: StudyConfig, paths: list, shocks, targets) -> tuple[li
         clamped += sum(counts)
     for i, bad, error in zip(live, failed, errors):
         outcomes[i] = PathDivergedError.__name__ if bad else error
-    kept = [i for i, bad in zip(live, failed) if not bad]
-    return outcomes, clamped, [sum(fits[i][e].regularized for i in kept) for e in range(len(cfg.estimators))]
+    ridged = [int(np.count_nonzero((fit.first.ridge | fit.ridge)[rows][~failed])) for fit, rows in fits]
+    return outcomes, clamped, ridged
 
 
 def _moments(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,10 +48,27 @@ def make_plan(x: np.ndarray, knots=(0.0,), degree=3, lags=2) -> sievar.SievePlan
     return sievar.SievePlan(x_blocks=(kv,) * lags)
 
 
+def study_fits(cfg, tag: str, paths, group=None):
+    """Per path the study's fit of estimator ``tag`` as a fitted model, its
+    row of the group fit ``group`` (``study._fit_group`` of ``paths`` when
+    not given) mapped by ``estimator._fitted``, or the exception that fails
+    it."""
+    if group is None:
+        group = sievar.study._fit_group(cfg, tag, paths)
+    if group.plan is None:
+        return list(group.rows)
+    layouts = {
+        row: sievar.study._layout(cfg, tag, path) for path, row in zip(paths, group.rows)
+        if not isinstance(row, Exception)
+    }
+    models = sievar.estimator._fitted([layouts[r] for r in range(len(group.plan.mu))], group)
+    return [row if isinstance(row, Exception) else models[row] for row in group.rows]
+
+
 def study_fit(cfg, tag: str, path):
     """The study's fit of estimator ``tag`` to one path, a group of one of
     ``study._fit_group``; a failed fit raises its exception."""
-    (fit,) = sievar.study._fit_group(cfg, tag, [path])
+    (fit,) = study_fits(cfg, tag, [path])
     if isinstance(fit, Exception):
         raise fit
     return fit

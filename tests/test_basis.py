@@ -315,6 +315,42 @@ def test_span_table_matches_basis_path(kv, scale, data):
     assert span_offsets(kv, with_nan)[2] == n_out
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    interior=st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), max_size=8, unique=True).map(sorted),
+    models=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spans_by_comparison_equal_searchsorted_oracle(interior, models, seed):
+    """A point's span counts the interior knots at or below its clamped
+    value: the span ``np.searchsorted(..., side="right")`` gives, for points
+    on a knot or a bound, beyond the domain and NaN (the last span), with
+    scalar bounds and no starts, per-model (M, 1) bounds and starts against
+    (M, n) points, and per-point ones."""
+    inner = np.array(interior)
+    rng = np.random.default_rng(seed)
+    lo = (inner[0] if inner.size else 0.0) - rng.uniform(0.01, 2.0, size=(models, 1))
+    hi = (inner[-1] if inner.size else 0.0) + rng.uniform(0.01, 2.0, size=(models, 1))
+    special = np.broadcast_to(np.concatenate([inner, [np.nan, -np.inf, np.inf]]), (models, inner.size + 3))
+    x = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, size=(models, 20)), special, lo, hi], axis=1)
+    spans = inner.size + 1
+    start = np.arange(models)[:, None] * spans
+    clamped = np.clip(x, lo, hi)
+    expected = np.searchsorted(inner, clamped, side="right") + start
+    left = np.zeros(models * spans)
+    per_point = [np.broadcast_to(a, x.shape).reshape(-1) for a in (lo, hi, start)]
+    for lookup, points in (
+        (SpanLookup(inner, lo, hi, left, start), x),
+        (SpanLookup(inner, per_point[0], per_point[1], left, per_point[2]), x.reshape(-1)),
+    ):
+        got_x, got_span = sievar.basis._clamp_to_spans(lookup, points)
+        assert got_x.tobytes() == clamped.reshape(-1).tobytes()
+        np.testing.assert_array_equal(got_span, expected.reshape(-1))
+    for m in range(models):
+        got_x, got_span = sievar.basis._clamp_to_spans(SpanLookup(inner, lo[m, 0], hi[m, 0], left[:spans]), x[m])
+        np.testing.assert_array_equal(got_span, expected[m] - start[m])
+
+
 DESIGN_PATH = sievar.simulate(sievar.builtin_dgp(2), 200, seed=13)
 _DESIGN_KV = KnotVector(3, (-0.5, 0.5), float(DESIGN_PATH.x.min()), float(DESIGN_PATH.x.max()))
 _DESIGN_BLOCKS = (

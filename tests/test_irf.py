@@ -856,11 +856,16 @@ def test_irfs_leave_their_inputs_unchanged(dgp2, bump34):
 
 def _stacked_fits(count=3, n=400, lags=3, domain=1.0):
     """Sieve fits of DGP 7 samples, each on ``domain`` times its own
-    sample's range, with the interior knots in common, and their
-    ``_sample`` arrays."""
+    sample's range, with the interior knots in common: the paths, their
+    public fits, and the step plan, samples and residuals of their group
+    fit, as ``_responses`` reads them."""
     paths = [sievar.simulate(sievar.builtin_dgp(7), n, seed=60 + r) for r in range(count)]
-    fits = [sievar.fit_two_step(path, make_plan(domain * path.x, knots=(-1.0, 1.0), lags=lags)) for path in paths]
-    return paths, fits, [sievar.irf._sample(fit, path.x, path.y) for fit, path in zip(fits, paths)]
+    layouts = [make_plan(domain * path.x, knots=(-1.0, 1.0), lags=lags) for path in paths]
+    fits = [sievar.fit_two_step(path, layout) for path, layout in zip(paths, layouts)]
+    x, y = sievar.study._samples(paths)
+    first = sievar.estimator._stage_one(x, y, lags - 1)
+    group = sievar.estimator._stage_two(layouts, x, y, first, lags - 1)
+    return paths, fits, group.plan, sievar.irf._sample(x, y), sievar.irf._sample(first.residuals, group.residuals)
 
 
 @pytest.mark.parametrize("widths", [(40, 40, 40), (7, 60, 1)])
@@ -868,8 +873,7 @@ def _stacked_fits(count=3, n=400, lags=3, domain=1.0):
 def test_stacked_forward_equals_each_model_alone(widths, lags):
     # each model's lag product is its own gemm over its own columns, of equal
     # widths or not; narrow domains make the paths clamp
-    _, fits, _ = _stacked_fits(lags=lags, domain=0.5)
-    plan = sievar.model._stack([fit._step_plan for fit in fits])
+    _, fits, plan, _, _ = _stacked_fits(lags=lags, domain=0.5)
     rng = np.random.default_rng(sum(widths) + lags)
     q, steps = max(fits[0].p, 1), 11
     states = [rng.uniform(-4.0, 4.0, size=(q, 2, w)) for w in widths]
@@ -890,26 +894,24 @@ def test_stacked_forward_equals_each_model_alone(widths, lags):
 
 
 def test_stacked_sample_check_rejects_a_fit_of_another_sample():
-    paths, fits, samples = _stacked_fits()
-    plans = [fit._step_plan for fit in fits]
-    sievar.irf._check_samples(plans, samples, True)
-    wrong = [samples[0], samples[2], samples[1]]
+    _, _, plan, z, r = _stacked_fits()
+    sievar.irf._check_samples(plan, z, r, True)
     with pytest.raises(ValueError, match="not produced from this sample"):
-        sievar.irf._check_samples(plans, wrong, True)
+        sievar.irf._check_samples(plan, z[[0, 2, 1]], r, True)
 
 
 @pytest.mark.parametrize("chunk", [64, 4096])
 def test_stacked_responses_equal_estimated_irf(chunk):
     # with a chunk below a fit's impact times, its pieces run in their own
     # calls and it sums them in order, as estimated_irf does
-    paths, fits, samples = _stacked_fits()
+    paths, fits, plan, z, r = _stacked_fits()
     h = 6
     shocks = [ShockSpec(delta, RelaxationFn.symmetric_bump(1.0, 2.0), h) for delta in (2.0, -1.0)]
     impacts = [
         [sievar.irf._impact(shock, fit.first_stage.residuals[: path.n - fit.p - h]) for fit, path in zip(fits, paths)]
         for shock in shocks
     ]
-    values, clamped, diverged = sievar.irf._responses([fit._step_plan for fit in fits], samples, impacts, h, True, chunk)
+    values, clamped, diverged = sievar.irf._responses(plan, z, r, impacts, h, True, chunk)
     assert diverged is None
     for k, shock in enumerate(shocks):
         alone = [estimated_irf(fit, path, shock, chunk=chunk) for fit, path in zip(fits, paths)]

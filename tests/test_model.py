@@ -608,7 +608,7 @@ def test_diverged_columns_leave_the_others_unchanged(model, oracle_specs, data):
     def run(states, innovations):
         if len(widths) == 1:
             return sievar.model._forward(spec, states, innovations, impact=impact, keep_path=keep_path)
-        plan = sievar.model._stack([spec._step_plan] * len(widths))
+        plan = spec._step_plan.take([0] * len(widths))
         states, innovations = ([a[..., lo:hi] for lo, hi in zip(edges, edges[1:])] for a in (states, innovations))
         return sievar.model._forward(plan, list(states), list(innovations), impact=impact, keep_path=keep_path)
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from sievar.study import (
     target_mode,
 )
 
-from conftest import study_fit
+from conftest import study_fit, study_fits
 
 DESK = dict(mc_replications=40, pop_replications=4000)
 
@@ -67,10 +68,10 @@ def test_worker_failures_match_one_process(monkeypatch):
     bad = {derive_seed(cfg.master_seed, 2, r) for r in (3, 31, 59)}
     real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, paths, firsts=None):
-        out = real_fit(cfg, tag, paths, firsts)
+    def fit(cfg, tag, paths, first=None, samples=None):
+        out = real_fit(cfg, tag, paths, first, samples)
         failed = np.linalg.LinAlgError("singular matrix")
-        return [failed if path.seed in bad else o for path, o in zip(paths, out)]
+        return out._replace(rows=[failed if path.seed in bad else o for path, o in zip(paths, out.rows)])
 
     monkeypatch.setattr(study_mod, "_fit_group", fit)
     serial = run_study(cfg)
@@ -92,10 +93,10 @@ def test_worker_exception_reraised_without_leftover_child(monkeypatch, bad_rep):
     bad = derive_seed(cfg.master_seed, 2, bad_rep)
     real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, paths, firsts=None):
+    def fit(cfg, tag, paths, first=None, samples=None):
         if any(path.seed == bad for path in paths):
             raise KeyError(f"replication {bad_rep}")
-        return real_fit(cfg, tag, paths, firsts)
+        return real_fit(cfg, tag, paths, first, samples)
 
     monkeypatch.setattr(study_mod, "_fit_group", fit)
     with pytest.raises(KeyError, match=f"replication {bad_rep}") as info:
@@ -109,10 +110,10 @@ def test_worker_that_dies_is_reported(monkeypatch):
     parent = os.getpid()
     real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, paths, firsts=None):
+    def fit(cfg, tag, paths, first=None, samples=None):
         if os.getpid() != parent:
             os._exit(3)
-        return real_fit(cfg, tag, paths, firsts)
+        return real_fit(cfg, tag, paths, first, samples)
 
     monkeypatch.setattr(study_mod, "_fit_group", fit)
     with pytest.raises(ChildProcessError, match="without sending its results"):
@@ -183,35 +184,36 @@ def test_study_fits_share_first_stage_and_equal_public_fits(monkeypatch, phi_shi
     calls = []
     real_fit = study_mod._fit_group
 
-    def recording_fit(cfg, tag, paths, firsts=None):
-        out = real_fit(cfg, tag, paths, firsts)
+    def recording_fit(cfg, tag, paths, first=None, samples=None):
+        out = real_fit(cfg, tag, paths, first, samples)
         calls.append((tag, paths, out))
         return out
 
     stacked = []
     real_responses = study_mod._responses
 
-    def recording_responses(plans, *args):
-        stacked.append(plans)
-        return real_responses(plans, *args)
+    def recording_responses(plan, *args):
+        stacked.append(plan)
+        return real_responses(plan, *args)
 
     monkeypatch.setattr(study_mod, "_fit_group", recording_fit)
     monkeypatch.setattr(study_mod, "_responses", recording_responses)
     assert run_study(cfg).n_ok == 3
     # one stacked fit per estimator for the group of three replications
     assert [(tag, len(paths)) for tag, paths, _ in calls] == [(tag, 3) for tag in cfg.estimators]
-    fits = [(tag, paths[r], out[r]) for r in range(3) for tag, paths, out in calls]
+    # one first-stage fit per replication, shared by its estimators
+    assert all(out.first is calls[0][2].first for _, _, out in calls)
+    models = {tag: study_fits(cfg, tag, paths, out) for tag, paths, out in calls}
+    fits = [(tag, paths[r], models[tag][r]) for r in range(3) for tag, paths, _ in calls]
     assert [tag for tag, _, _ in fits] == list(cfg.estimators) * 3
     # the three replications form one group, and each estimator's stacked
     # call reads the step plans of exactly the public fits
-    assert [len(plans) for plans in stacked] == [3] * len(cfg.estimators)
-    for e, plans in enumerate(stacked):
-        for r, plan in enumerate(plans):
-            assert _bits(plan) == _bits(fits[3 * r + e][2]._step_plan)
+    assert [len(plan.mu) for plan in stacked] == [3] * len(cfg.estimators)
+    for e, plan in enumerate(stacked):
+        for r in range(3):
+            assert _bits(plan.take([r])) == _bits(fits[3 * r + e][2]._step_plan)
     for r in range(3):
         rep = fits[3 * r : 3 * r + 3]
-        # one first-stage fit per replication, shared by its estimators
-        assert all(fit.first_stage is rep[0][2].first_stage for _, _, fit in rep)
         for tag, path, fit in rep:
             if tag == "sieve":
                 public = sievar.fit_two_step(path, study_mod._study_plan(cfg, path.x))
@@ -224,6 +226,89 @@ def test_study_fits_share_first_stage_and_equal_public_fits(monkeypatch, phi_shi
                 public = sievar.fit_parametric(path, cfg.p, sievar.max0_prior_form(cfg.p))
             assert _bits(fit) == _bits(public)
             assert _bits(fit._step_plan) == _bits(public._step_plan)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dgp_id=st.integers(1, 7),
+    tag=st.sampled_from(study_mod.ESTIMATOR_TAGS),
+    n=st.integers(150, 600),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_group_plan_rows_equal_public_fit_plans(dgp_id, tag, n, count, seed, data):
+    """One map turns coefficients into step plans: row r of a group fit's
+    plan equals, array for array and byte for byte, the step plan of the
+    public fit of sample r, and the plan of some of its rows equals that of
+    those samples fitted as a group of their own."""
+    cfg = default_study_config(dgp_id, n=n, horizon=4, estimators=study_mod.ESTIMATOR_TAGS)
+    paths, _, _ = _group_inputs(cfg, count, seed)
+    group = study_mod._fit_group(cfg, tag, paths)
+    fitted = [i for i, row in enumerate(group.rows) if not isinstance(row, Exception)]
+    for i in fitted:
+        layout = study_mod._layout(cfg, tag, paths[i])
+        if tag == "sieve":
+            public = sievar.fit_two_step(paths[i], layout)
+        else:
+            public = sievar.fit_parametric(paths[i], cfg.p, layout)
+        assert _bits(group.plan.take([group.rows[i]])) == _bits(public._step_plan)
+    if fitted:
+        some = sorted(data.draw(st.sets(st.sampled_from(fitted), min_size=1), label="some"))
+        own = study_mod._fit_group(cfg, tag, [paths[i] for i in some])
+        assert _bits(group.plan.take([group.rows[i] for i in some])) == _bits(own.plan)
+
+
+def test_study_builds_no_fitted_models():
+    """The study responds from its group fits' arrays: ``study.py`` names
+    none of ``FittedModel``, ``_step_plan``, ``_stack`` and
+    ``_lag_polynomials``, and a fitted model is built only where the public
+    fits map a group fit (``estimator._fitted``) and where a saved fit is
+    loaded (``dataio.load_fitted``)."""
+    root = Path(sievar.__file__).parent
+    names = set()
+    for node in ast.walk(ast.parse((root / "study.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert names and not names & {"FittedModel", "_step_plan", "_stack", "_lag_polynomials"}
+    sites = []
+    for path in sorted(root.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "FittedModel":
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("dataio", "load_fitted"), ("estimator", "_fitted")]
+
+
+def test_repeated_two_process_studies_agree_and_leave_one_thread(monkeypatch):
+    """Two calls of one DGP 7 study at ``threads`` 2 give rows equal by
+    ``repr`` and call ``NonlinFn.__call__`` equally often in the calling
+    process (the parametric transforms of the groups that process fits,
+    which the benchmark counts exactly), and only the calling thread runs
+    after each."""
+    cfg = default_study_config(7, n=600, mc_replications=12, pop_replications=2048, horizon=4, threads=2,
+                               master_seed=1)
+    counts = []
+    real_call = sievar.NonlinFn.__call__
+
+    def counted(term, x):
+        counts[-1] += 1
+        return real_call(term, x)
+
+    monkeypatch.setattr(sievar.NonlinFn, "__call__", counted)
+    rows = []
+    for _ in range(2):
+        counts.append(0)
+        res = run_study(cfg)
+        assert res.processes == 2 and res.n_ok == cfg.mc_replications
+        assert threading.active_count() == 1
+        rows.append(repr(res.rows()))
+    assert rows[0] == rows[1]
+    assert counts[0] == counts[1] > 0
 
 
 def _group_inputs(cfg, count, seed):
@@ -296,12 +381,12 @@ def test_group_with_replications_failing_in_their_fits(monkeypatch):
     paths[1] = replace(paths[1], x=0.1 * paths[1].x)
     real_fit = study_mod._fit_group
 
-    def fit(cfg, tag, group, firsts=None):
-        out = real_fit(cfg, tag, group, firsts)
-        return [
+    def fit(cfg, tag, group, first=None, samples=None):
+        out = real_fit(cfg, tag, group, first, samples)
+        return out._replace(rows=[
             np.linalg.LinAlgError("singular matrix") if path is paths[3] and tag == "parametric_max0" else o
-            for path, o in zip(group, out)
-        ]
+            for path, o in zip(group, out.rows)
+        ])
 
     monkeypatch.setattr(study_mod, "_fit_group", fit)
     group = _check_group_against_singles(cfg, paths, shocks, targets)
@@ -316,6 +401,23 @@ def _with_cube(fit, x, scale):
     return replace(fit, impact=impact, residuals2=fit.residuals2 - scale * x[fit.p :, None] ** 3)
 
 
+def _group_with_cube(fit, paths, scale):
+    """The group fit of ``paths`` with ``scale(path) * X_t^3`` added to each
+    fitted path's Y equation as ``_with_cube`` adds it, after its lag-0
+    terms, and its Y residuals moved to match."""
+    plan = fit.plan
+    x, scales = np.zeros((len(plan.mu), paths[0].n)), np.zeros(len(plan.mu))
+    for path, row in zip(paths, fit.rows):
+        if not isinstance(row, Exception):
+            x[row], scales[row] = path.x, scale(path)
+    k = sum(term[:2] == (1, 0) for term in plan.terms)
+    plan = plan._replace(
+        groups=plan.groups + (("cube", (0,)),),
+        terms=plan.terms[:k] + ((1, 0, len(plan.groups), scales, None),) + plan.terms[k:],
+    )
+    return fit._replace(plan=plan, residuals=fit.residuals - scales[:, None, None] * x[:, None, plan.p :] ** 3)
+
+
 def test_group_with_a_replication_diverging_in_its_irf(monkeypatch):
     # DGP 3's X loads on the lagged Y, which carries the cube back into X
     cfg = default_study_config(3, n=400, horizon=8, estimators=("parametric_true", "sieve"))
@@ -328,13 +430,12 @@ def test_group_with_a_replication_diverging_in_its_irf(monkeypatch):
     study_cfg = replace(cfg, mc_replications=12, pop_replications=500, max_failure_fraction=0.2)
     bad_seed = derive_seed(study_cfg.master_seed, 2, 5)
 
-    def fit(cfg, tag, group, firsts=None):
+    def fit(cfg, tag, group, first=None, samples=None):
         # every sieve fit gets the term, so the group's fits share one layout
-        out = real_fit(cfg, tag, group, firsts)
+        out = real_fit(cfg, tag, group, first, samples)
         if tag != "sieve":
             return out
-        explosive = [path is paths[2] or path.seed == bad_seed for path in group]
-        return [_with_cube(o, path.x, 1e4 if e else 0.0) for path, o, e in zip(group, out, explosive)]
+        return _group_with_cube(out, group, lambda path: 1e4 if path is paths[2] or path.seed == bad_seed else 0.0)
 
     monkeypatch.setattr(study_mod, "_fit_group", fit)
     group = _check_group_against_singles(cfg, paths, shocks, targets)
@@ -359,31 +460,30 @@ def test_group_with_a_replication_diverging_in_its_sample_check(monkeypatch):
     bad_seed = derive_seed(study_cfg.master_seed, 2, 5)
     real_fit = study_mod._fit_group
 
-    def one(path, out):
-        if path is paths[1] or path.seed == bad_seed:
-            t = int(np.argmax(np.abs(out.first_stage.residuals)))
-            assert sievar.relax_eval(cfg.relaxation, out.first_stage.residuals[t]) == 0.0
-            residuals2 = out.residuals2.copy()
-            residuals2[t] = np.inf
-            out = replace(out, residuals2=residuals2)
-        return out
+    def fit(cfg, tag, group, first=None, samples=None):
+        out = real_fit(cfg, tag, group, first, samples)
+        if tag != "sieve":
+            return out
+        residuals = out.residuals.copy()
+        for path, row in zip(group, out.rows):
+            if path is paths[1] or path.seed == bad_seed:
+                t = int(np.argmax(np.abs(out.first.residuals[row])))
+                assert sievar.relax_eval(cfg.relaxation, out.first.residuals[row, t]) == 0.0
+                residuals[row, :, t] = np.inf
+        return out._replace(residuals=residuals)
 
-    def fit(cfg, tag, group, firsts=None):
-        out = real_fit(cfg, tag, group, firsts)
-        return [one(path, o) for path, o in zip(group, out)] if tag == "sieve" else out
-
-    fits = fit(cfg, "sieve", paths)
-    plans = [f._step_plan for f in fits]
-    samples = [sievar.irf._sample(f, path.x, path.y) for f, path in zip(fits, paths)]
-    diverged = sievar.irf._check_samples(plans, samples, True)
+    out = fit(cfg, "sieve", paths)
+    z = sievar.irf._sample(*study_mod._samples(paths))
+    r = sievar.irf._sample(out.first.residuals, out.residuals)
+    diverged = sievar.irf._check_samples(out.plan, z, r, True)
     assert diverged.columns.tolist() == [False, True, False, False] and diverged.step == 1
-    impacts = [[sievar.irf._impact(shocks[0], f.first_stage.residuals) for f in fits]]
+    impacts = [[sievar.irf._impact(shocks[0], e1) for e1 in out.first.residuals]]
     # the responses run the sample check and report the union of both
     # divergences, here the check's alone
-    union = sievar.irf._responses(plans, samples, impacts, 0, True, 4096)[2]
+    union = sievar.irf._responses(out.plan, z, r, impacts, 0, True, 4096)[2]
     assert union.columns.tolist() == diverged.columns.tolist() and union.step == 1
     with pytest.raises(PathDivergedError, match=r"at step 1$"):
-        sievar.estimated_irf(fits[1], paths[1], shocks[0])
+        sievar.estimated_irf(study_fits(cfg, "sieve", paths, out)[1], paths[1], shocks[0])
     monkeypatch.setattr(study_mod, "_fit_group", fit)
     group = _check_group_against_singles(cfg, paths, shocks, targets)
     assert [o if isinstance(o, str) else "ok" for o in group] == ["ok", "PathDivergedError", "ok", "ok"]
@@ -523,7 +623,7 @@ def test_stacked_fits_equal_per_replication_oracle(dgp_id):
     cfg = default_study_config(dgp_id, n=400, estimators=study_mod.ESTIMATOR_TAGS)
     paths, _, _ = _group_inputs(cfg, 3, 60 + dgp_id)
     for tag in cfg.estimators:
-        fits = study_mod._fit_group(cfg, tag, paths)
+        fits = study_fits(cfg, tag, paths)
         for fit, path in zip(fits, paths):
             _assert_matches_oracle(fit, study_mod._layout(cfg, tag, path), path, cfg.p)
 
@@ -536,7 +636,7 @@ def test_stacked_fits_isolate_ridge_and_failing_replications():
     y[100, 0] = np.inf
     paths[3] = replace(paths[3], y=y)  # a non-finite design
     for tag in cfg.estimators:
-        fits = study_mod._fit_group(cfg, tag, paths)
+        fits = study_fits(cfg, tag, paths)
         for i, (fit, path) in enumerate(zip(fits, paths)):
             layout = None if i == 3 or (i == 1 and tag == "sieve") else study_mod._layout(cfg, tag, path)
             if layout is None:
@@ -830,15 +930,15 @@ def test_failed_replication_contributes_nothing(monkeypatch):
     real_fit = study_mod._fit_group
 
     def cubed(scale, failing=None):
-        def fit(cfg, tag, paths, firsts=None):
+        def fit(cfg, tag, paths, first=None, samples=None):
             # every sieve fit gets the term, so the group's fits share one layout
-            out = real_fit(cfg, tag, paths, firsts)
+            out = real_fit(cfg, tag, paths, first, samples)
             if tag == failing:
-                return [np.linalg.LinAlgError("singular matrix") if path.seed == bad else o
-                        for path, o in zip(paths, out)]
+                return out._replace(rows=[np.linalg.LinAlgError("singular matrix") if path.seed == bad else o
+                                          for path, o in zip(paths, out.rows)])
             if tag != "sieve":
                 return out
-            return [_with_cube(o, path.x, scale if path.seed == bad else 0.0) for path, o in zip(paths, out)]
+            return _group_with_cube(out, paths, lambda path: scale if path.seed == bad else 0.0)
 
         return fit
 
